@@ -10,10 +10,12 @@ from .numerics import (
     DegreeReport,
     EvaluationError,
     Grid,
+    LobattoPoly,
     PreconditionError,
     TargetFunction,
     TrigPoly,
     cheb_coeffs_from_samples,
+    cheb_lobatto_nodes,
     cheb_nodes,
     circle_dist,
     effective_algebraic_degree,

@@ -122,11 +122,13 @@ def main(config):
     """Uniform approximation lab: quantum-derived and classical constructions."""
 
 
-def _degree_residual(g, approx, n, seed):
+def _degree_residual(approx, seed):
+    """Degree certificate of the defining expectation, not of the compiled form."""
+    n = approx.n
     probe = 4 * n + 1
     if approx.method in TRIG_METHODS:
-        return effective_trig_degree(approx, n, probe, seed=seed).residual
-    return effective_algebraic_degree(approx, n, probe, seed=seed).residual
+        return effective_trig_degree(approx.reference, n, probe, seed=seed).residual
+    return effective_algebraic_degree(approx.reference, n, probe, seed=seed).residual
 
 
 @main.command()
@@ -144,9 +146,9 @@ def construct(method, n, target, periodic, grid_size, seed, output):
     g = _resolve_target(target, periodic_hint=periodic or method in TRIG_METHODS)
     try:
         approx = build_approximant(g, method, n)
-        report = error_report(g, method, n, Grid.uniform(grid_size))
+        report = error_report(g, approx, grid=Grid.uniform(grid_size))
         coeffs = approximant_coefficients(g, approx)
-        residual = _degree_residual(g, approx, n, seed)
+        residual = _degree_residual(approx, seed)
     except PreconditionError as exc:
         raise click.UsageError(str(exc))
     if method in TRIG_METHODS:
@@ -196,8 +198,8 @@ def sweep(method, n_range, target, periodic, grid_size, seed, output):
 
     def row(n):
         approx = build_approximant(g, method, n)
-        report = error_report(g, method, n, grid)
-        residual = _degree_residual(g, approx, n, seed)
+        report = error_report(g, approx, grid=grid)
+        residual = _degree_residual(approx, seed)
         m_field = "" if approx.M is None else str(approx.M)
         return ",".join(
             [method, str(n), m_field, _fmt(report.sup_err), _fmt(report.omega_ref),

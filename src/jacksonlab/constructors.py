@@ -5,22 +5,31 @@ quantum-counting polynomial (median-of-three, or the single-run variant
 that loses a log factor), the phase-estimation trigonometric polynomial,
 and convolution with the Jackson kernel.  All expectations are exact
 sums; no sampling is involved anywhere.
+
+Each construction keeps its defining expectation as
+``Approximant.reference`` and answers calls through its exact
+coefficient form of degree <= n, compiled from the reference on first
+use: values at the n+1 Chebyshev-Lobatto points for the algebraic
+methods, 2n+1 Fourier coefficients for the trigonometric ones.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .numerics import (
+    EvaluationError,
     Grid,
+    LobattoPoly,
     PreconditionError,
     TrigPoly,
-    cheb_coeffs_from_samples,
-    cheb_nodes,
+    cheb_lobatto_nodes,
     circle_dist,
     modulus_estimate,
     sup_distance,
@@ -48,17 +57,40 @@ class ErrorReport:
 
 @dataclass(frozen=True)
 class Approximant:
-    """A built approximant: callable, with its derived parameters."""
+    """A built approximant: callable, with its derived parameters.
+
+    ``reference`` evaluates the defining expectation directly; the degree
+    certifications probe it.  Calls go through ``form``, the exact
+    coefficient form that ``compile`` builds from the reference's data on
+    first evaluation (a LobattoPoly or a TrigPoly of degree n).
+    """
 
     method: str
     n: int
     M: Optional[int]
     N: Optional[int]
-    fn: Callable
+    reference: Callable
+    compile: Callable
     degenerate: bool = False
 
+    @cached_property
+    def form(self):
+        return self.compile()
+
     def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise EvaluationError(f"non-finite x passed to the {self.method} approximant")
+        return self.form(x)
+
+
+def _lobatto_form(reference, n):
+    return lambda: LobattoPoly(reference(cheb_lobatto_nodes(n + 1)))
+
+
+def _fourier_form(reference, n):
+    m = 2 * n + 1
+    return lambda: trig_coeffs_from_samples(reference(np.arange(m) / m))
 
 
 def derived_params(method, n):
@@ -98,7 +130,8 @@ def _bernstein_approximant(g, n):
         out = binom_weight_matrix(n, x) @ values
         return float(out[0]) if scalar else out
 
-    return Approximant(method="bernstein", n=n, M=None, N=None, fn=fn)
+    return Approximant(method="bernstein", n=n, M=None, N=None, reference=fn,
+                       compile=_lobatto_form(fn, n))
 
 
 def _counting_value_table(g, N, M, median3):
@@ -131,7 +164,8 @@ def _counting_approximant(g, n, median3):
         out = binom_weight_matrix(N, x) @ table
         return float(out[0]) if scalar else out
 
-    return Approximant(method=method, n=n, M=M, N=N, fn=fn, degenerate=degenerate)
+    return Approximant(method=method, n=n, M=M, N=N, reference=fn,
+                       compile=_lobatto_form(fn, n), degenerate=degenerate)
 
 
 def counting_eval(g, n, x):
@@ -170,7 +204,8 @@ def _phase_approximant(g, n):
         out = pmf @ support
         return float(out[0]) if scalar else out
 
-    return Approximant(method="phase_median3", n=n, M=M, N=None, fn=fn)
+    return Approximant(method="phase_median3", n=n, M=M, N=None, reference=fn,
+                       compile=_fourier_form(fn, n))
 
 
 def phase_eval(g, n, x):
@@ -180,10 +215,30 @@ def phase_eval(g, n, x):
 
 def phase_to_trigpoly(g, n):
     """Fourier-coefficient form of the phase construction (degree <= n)."""
-    approx = build_approximant(g, "phase_median3", n)
-    m = 2 * n + 3  # odd, comfortably above twice the true degree 3(M-1)
-    samples = np.asarray(approx(np.arange(m) / m), dtype=float)
-    return trig_coeffs_from_samples(samples)
+    return build_approximant(g, "phase_median3", n).form
+
+
+def _convolution_samples(g, kernel, quad_points):
+    if not g.periodic:
+        raise PreconditionError("kernel convolution requires a periodic target")
+    quad_points = int(quad_points)
+    if quad_points < 8 * (kernel.trig_degree + 1):
+        raise PreconditionError(
+            "quad_points must be at least 8*(kernel trig degree + 1)"
+        )
+    return np.asarray(g(np.arange(quad_points) / quad_points), dtype=float)
+
+
+def _quadrature_convolution(kernel, gs):
+    s = np.arange(len(gs)) / len(gs)
+
+    def fn(x):
+        scalar = np.ndim(x) == 0
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = kernel(s[None, :] - x[:, None]) @ gs / len(gs)
+        return float(out[0]) if scalar else out
+
+    return fn
 
 
 def kernel_convolve(g, kernel: KernelSpec, quad_points):
@@ -192,35 +247,36 @@ def kernel_convolve(g, kernel: KernelSpec, quad_points):
     Uses the uniform-node composite rule, which is exact (to rounding)
     for trigonometric integrands of degree below the node count.
     """
-    if not g.periodic:
-        raise PreconditionError("kernel convolution requires a periodic target")
-    quad_points = int(quad_points)
-    if quad_points < 8 * (kernel.trig_degree + 1):
-        raise PreconditionError(
-            "quad_points must be at least 8*(kernel trig degree + 1)"
-        )
-    s = np.arange(quad_points) / quad_points
-    gs = np.asarray(g(s), dtype=float)
-
-    def fn(x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = kernel(s[None, :] - x[:, None]) @ gs / quad_points
-        return float(out[0]) if scalar else out
-
-    return fn
+    return _quadrature_convolution(kernel, _convolution_samples(g, kernel, quad_points))
 
 
 def _jackson_approximant(g, n):
     order = max(n // 2, 1)
     kernel = jackson_kernel(order)
     quad = 8 * (kernel.trig_degree + 1)
-    fn = kernel_convolve(g, kernel, quad)
-    return Approximant(method="jackson_kernel", n=n, M=None, N=None, fn=fn)
+    gs = _convolution_samples(g, kernel, quad)
+
+    def jackson_form():
+        # the quadrature rule in closed form: coefficient k of the result is
+        # the kernel's times the DFT of the g-samples at k
+        d = kernel.trig_degree
+        coeffs = np.zeros(2 * n + 1, dtype=complex)
+        spectrum = np.fft.fft(gs) / quad
+        coeffs[n - d : n + d + 1] = kernel.fourier_coeffs() * spectrum[np.arange(-d, d + 1)]
+        return TrigPoly(coeffs)
+
+    return Approximant(method="jackson_kernel", n=n, M=None, N=None,
+                       reference=_quadrature_convolution(kernel, gs), compile=jackson_form)
 
 
 def build_approximant(g, method, n):
-    """Build the named construction for target g at degree budget n."""
+    """Build the named construction for target g at degree budget n.
+
+    n must be a positive integer (numpy integers included).
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise PreconditionError(f"degree budget n must be a positive integer, got {n!r}")
+    n = int(n)
     if method in TRIG_METHODS and not g.periodic:
         raise PreconditionError(f"method {method!r} requires a periodic target")
     if method == "bernstein":
@@ -237,16 +293,14 @@ def build_approximant(g, method, n):
 
 
 def approximant_coefficients(g, approx):
-    """Spectral coefficients of a built approximant.
+    """Spectral coefficients of a built approximant, from its stored form.
 
-    Chebyshev for the algebraic methods (sampled at n+1 nodes, exact for
-    a polynomial of degree <= n), Fourier for the trigonometric ones.
+    Chebyshev (a ChebPoly) for the algebraic methods, Fourier (a
+    TrigPoly) for the trigonometric ones; both of degree n.
     """
-    n = approx.n
     if approx.method in ALGEBRAIC_METHODS:
-        return cheb_coeffs_from_samples(approx(cheb_nodes(n + 1)))
-    m = 2 * n + 3
-    return trig_coeffs_from_samples(np.asarray(approx(np.arange(m) / m), dtype=float))
+        return approx.form.chebyshev()
+    return approx.form
 
 
 def omega_reference(g, delta, grid_size=None):
@@ -257,16 +311,20 @@ def omega_reference(g, delta, grid_size=None):
     return modulus_estimate(g, delta, Grid.uniform(size))
 
 
-def error_report(g, method, n, grid=None):
-    """Grid sup error of the named construction, with the omega_{1/n} ratio."""
+def error_report(g, method, n=None, grid=None):
+    """Grid sup error of a construction, with the omega_{1/n} ratio.
+
+    ``method`` is either an Approximant already built for g (n is then
+    taken from it) or a method name, built here at budget n.
+    """
     grid = grid or Grid.uniform(4097)
-    approx = build_approximant(g, method, n)
+    approx = method if isinstance(method, Approximant) else build_approximant(g, method, n)
     sup_err = sup_distance(g, approx, grid)
-    omega = omega_reference(g, 1.0 / n)
+    omega = omega_reference(g, 1.0 / approx.n)
     ratio = sup_err / omega if omega > 0 else 0.0
     return ErrorReport(
-        method=method,
-        n=int(n),
+        method=approx.method,
+        n=approx.n,
         sup_err=sup_err,
         omega_ref=omega,
         ratio=ratio,

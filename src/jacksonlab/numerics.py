@@ -134,6 +134,53 @@ class ChebPoly:
 
 
 @dataclass(frozen=True)
+class LobattoPoly:
+    """Algebraic polynomial on [0,1] held by its values at cheb_lobatto_nodes.
+
+    Evaluated by the barycentric formula, which returns the stored value
+    exactly at every node, x = 0 and x = 1 included.  Points outside
+    [0,1] are refused rather than extrapolated.  Degree >= 1.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        weights = np.ones(v.size)
+        weights[1::2] = -1.0
+        weights[[0, -1]] *= 0.5
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_nodes", cheb_lobatto_nodes(v.size))
+        object.__setattr__(self, "_weights", weights)
+
+    @property
+    def degree(self):
+        return len(self.values) - 1
+
+    def __call__(self, x):
+        xs = np.asarray(x, dtype=float)
+        if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+            raise PreconditionError("all x must lie in [0, 1]")
+        diff = xs.reshape(-1)[:, None] - self._nodes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = self._weights / diff
+            out = (q @ self.values) / q.sum(axis=1)
+        rows, cols = np.nonzero(diff == 0.0)
+        out[rows] = self.values[cols]
+        return _scalarize(out.reshape(xs.shape), x)
+
+    def chebyshev(self):
+        """The same polynomial as a ChebPoly (Chebyshev coefficients in 2x-1)."""
+        n = self.degree
+        # values at t = cos(pi k/n), k = 0..n, are the stored ones reversed;
+        # the DCT-I of those is a real FFT of their even extension
+        f = self.values[::-1]
+        coeffs = np.fft.rfft(np.concatenate((f, f[-2:0:-1]))).real / n
+        coeffs[[0, n]] /= 2.0
+        return ChebPoly(coeffs)
+
+
+@dataclass(frozen=True)
 class TrigPoly:
     """Trigonometric polynomial sum_k c_k e^{2 pi i k x}, k in [-m, m]."""
 
@@ -163,7 +210,13 @@ class TrigPoly:
         return phases @ self.coeffs
 
     def __call__(self, x):
-        out = np.real(self.evaluate_complex(x))
+        # real form, exact for any complex coefficients:
+        # Re c_0 + sum_{k>=1} Re(c_k + c_-k) cos 2 pi k x - Im(c_k - c_-k) sin 2 pi k x
+        m = self.degree
+        c = self.coeffs
+        up, down = c[m + 1 :], c[:m][::-1]  # c_k and c_-k for k = 1..m
+        angles = np.multiply.outer(2.0 * np.pi * np.asarray(x, dtype=float), np.arange(1, m + 1))
+        out = c[m].real + np.cos(angles) @ (up + down).real - np.sin(angles) @ (up - down).imag
         return _scalarize(out, x)
 
     def imag_residue(self, x):
@@ -231,6 +284,13 @@ def cheb_nodes(count):
         raise PreconditionError("need at least one node")
     j = np.arange(count)
     return (1.0 - np.cos(np.pi * (2 * j + 1) / (2 * count))) / 2.0
+
+
+def cheb_lobatto_nodes(count):
+    """count Chebyshev-Lobatto points (1 - cos(pi j/(count-1)))/2, from 0 to 1."""
+    if count < 2:
+        raise PreconditionError("need at least two nodes")
+    return (1.0 - np.cos(np.pi * np.arange(count) / (count - 1))) / 2.0
 
 
 def cheb_coeffs_from_samples(values):

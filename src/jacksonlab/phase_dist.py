@@ -116,6 +116,18 @@ class KernelSpec:
             return self.order - 1
         return 2 * (self.order - 1)
 
+    def fourier_coeffs(self):
+        """Fourier coefficients for k = -trig_degree .. trig_degree.
+
+        F_n has the triangle 1 - |k|/n for |k| < n; F_n^2 has its
+        autocorrelation.
+        """
+        n = self.order
+        triangle = 1.0 - np.abs(np.arange(1 - n, n)) / n
+        if self.kind == "fejer":
+            return triangle
+        return self.norm_const * np.convolve(triangle, triangle)
+
     def __call__(self, t):
         base = fejer_value(self.order, t)
         if self.kind == "fejer":
@@ -133,16 +145,12 @@ def jackson_kernel(n):
     """Normalized square of the Fejer kernel of order n.
 
     The normalization constant is the reciprocal of the constant Fourier
-    coefficient of F_n^2, extracted by exact uniform sampling (F_n^2 is a
-    trigonometric polynomial of degree 2(n-1)).
+    coefficient of F_n^2, sum_{|k|<n} (1 - |k|/n)^2 = (2n^2 + 1)/(3n).
     """
     n = int(n)
     if n < 1:
         raise PreconditionError("n must be a positive integer")
-    m = max(4 * n - 3, 1)  # odd, >= 2*deg(F_n^2)+1
-    samples = fejer_value(n, np.arange(m) / m) ** 2
-    c0 = float(np.mean(samples))
-    return KernelSpec(kind="jackson", order=n, norm_const=1.0 / c0)
+    return KernelSpec(kind="jackson", order=n, norm_const=3.0 * n / (2.0 * n * n + 1.0))
 
 
 def kernel_integral(kernel, sample_count=None):

@@ -124,6 +124,34 @@ class TestSweep:
         )
         assert result.exit_code == 2
 
+    def test_nonpositive_n_usage_error(self, runner):
+        for spec in ("0:2", "-1"):
+            result = runner.invoke(
+                main, ["sweep", "--method", "bernstein", "--n", spec, "--target", "sqrt"]
+            )
+            assert result.exit_code == 2, spec
+
+
+@pytest.mark.parametrize("command,n,expect", [("construct", "6", [6]),
+                                              ("sweep", "4:12:4", [4, 8, 12])])
+def test_one_build_per_n(runner, monkeypatch, command, n, expect):
+    from jacksonlab import cli, constructors
+
+    built = []
+    original = constructors.build_approximant
+
+    def counted(g, method, n):
+        built.append(n)
+        return original(g, method, n)
+
+    monkeypatch.setattr(cli, "build_approximant", counted)
+    monkeypatch.setattr(constructors, "build_approximant", counted)
+    result = runner.invoke(
+        main, [command, "--method", "counting_single", "--n", n, "--target", "sqrt"]
+    )
+    assert result.exit_code == 0
+    assert sorted(built) == expect
+
 
 class TestVerify:
     def test_manifest(self, runner):

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from jacksonlab import (
+    EvaluationError,
     Grid,
     PreconditionError,
     TargetFunction,
@@ -16,7 +19,13 @@ from jacksonlab import (
     phase_eval,
     phase_to_trigpoly,
 )
-from jacksonlab.constructors import approximant_coefficients, derived_params
+from jacksonlab.constructors import (
+    ALGEBRAIC_METHODS,
+    METHODS,
+    TRIG_METHODS,
+    approximant_coefficients,
+    derived_params,
+)
 from jacksonlab.corpus import CORPUS
 from jacksonlab.counting_model import theta_of_weight
 from jacksonlab.numerics import (
@@ -103,7 +112,7 @@ class TestCounting:
     def test_degree_and_error(self):
         g = CORPUS["abs-half"]
         approx = build_approximant(g, "counting_median3", 12)
-        rep = effective_algebraic_degree(approx, 12, 49, seed=11)
+        rep = effective_algebraic_degree(approx.reference, 12, 49, seed=11)
         scale = 1e-8 * (1 + 0.5)
         assert rep.residual < scale
         err = error_report(g, "counting_median3", 12)
@@ -161,7 +170,7 @@ class TestPhase:
     def test_degree_and_error(self):
         g = CORPUS["triangle"]
         approx = build_approximant(g, "phase_median3", 9)
-        rep = effective_trig_degree(approx, 9, 37, seed=13)
+        rep = effective_trig_degree(approx.reference, 9, 37, seed=13)
         assert rep.residual < 1e-8 * (1 + 1.0)
         assert error_report(g, "phase_median3", 9).ratio <= 10.0
 
@@ -185,8 +194,8 @@ class TestPhaseToTrigPoly:
         poly = phase_to_trigpoly(g, n)
         approx = build_approximant(g, "phase_median3", n)
         pts = np.random.default_rng(17).uniform(size=512)
-        scale = 1e-9 * (1 + np.max(np.abs(approx(pts))))
-        assert np.max(np.abs(poly(pts) - approx(pts))) < scale
+        scale = 1e-9 * (1 + np.max(np.abs(approx.reference(pts))))
+        assert np.max(np.abs(poly(pts) - approx.reference(pts))) < scale
 
     def test_real_valued(self):
         for name in ("triangle", "cos"):
@@ -226,7 +235,7 @@ class TestKernelConvolve:
 
     def test_degree_reduction(self):
         approx = build_approximant(CORPUS["triangle"], "jackson_kernel", 16)
-        rep = effective_trig_degree(approx, 16, 65, seed=19)
+        rep = effective_trig_degree(approx.reference, 16, 65, seed=19)
         assert rep.residual < 1e-10
 
 
@@ -267,11 +276,108 @@ class TestCoefficients:
         approx = build_approximant(g, "counting_median3", 12)
         poly = approximant_coefficients(g, approx)
         pts = np.random.default_rng(23).uniform(size=128)
-        assert np.max(np.abs(poly(pts) - approx(pts))) < 1e-10
+        assert np.max(np.abs(poly(pts) - approx.reference(pts))) < 1e-10
 
     def test_trig_coefficients_reproduce(self):
         g = CORPUS["cos"]
         approx = build_approximant(g, "jackson_kernel", 10)
         poly = approximant_coefficients(g, approx)
         pts = np.random.default_rng(29).uniform(size=128)
-        assert np.max(np.abs(poly(pts) - approx(pts))) < 1e-9
+        assert np.max(np.abs(poly(pts) - approx.reference(pts))) < 1e-9
+
+
+class TestBudgetValidation:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 3.0, "4", True, None])
+    def test_rejected(self, method, n):
+        with pytest.raises(PreconditionError, match="positive integer"):
+            build_approximant(CONST_P, method, n)
+
+    def test_numpy_integer_accepted(self):
+        approx = build_approximant(CONST, "counting_median3", np.int64(6))
+        assert approx.n == 6 and type(approx.n) is int
+
+
+class TestCallDomain:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_x_raises(self, method, x):
+        approx = build_approximant(CORPUS["triangle"], method, 6)
+        with pytest.raises(EvaluationError):
+            approx(x)
+        with pytest.raises(EvaluationError):
+            approx(np.array([0.25, x]))
+
+    @pytest.mark.parametrize("method", ALGEBRAIC_METHODS)
+    def test_outside_unit_interval_raises(self, method):
+        approx = build_approximant(CORPUS["sqrt"], method, 6)
+        for x in (1.5, -0.25, np.array([0.5, 1.5])):
+            with pytest.raises(PreconditionError):
+                approx(x)
+
+
+class TestCompiledForm:
+    def test_compiled_on_first_call_and_kept(self):
+        approx = build_approximant(CORPUS["abs-half"], "bernstein", 8)
+        assert "form" not in vars(approx)
+        approx(0.3)
+        form = approx.form
+        approx(np.linspace(0.0, 1.0, 5))
+        assert approx.form is form
+
+    def test_coefficients_are_the_stored_form(self):
+        approx = build_approximant(CORPUS["cos"], "jackson_kernel", 10)
+        assert approximant_coefficients(CORPUS["cos"], approx) is approx.form
+        assert phase_to_trigpoly(CORPUS["cos"], 10).degree == 10
+        approx = build_approximant(CORPUS["sqrt"], "counting_single", 10)
+        assert approximant_coefficients(CORPUS["sqrt"], approx).degree == 10
+
+    def test_scalar_in_float_out(self):
+        for method in METHODS:
+            y = build_approximant(CORPUS["triangle"], method, 6)(0.3)
+            assert isinstance(y, float)
+
+
+GATE_NS = (1, 2, 3, 5, 6, 8, 13, 21, 34, 55, 80)
+# the periodic corpus targets are all even; this one tells c_k from c_-k
+SKEW_P = TargetFunction(
+    lambda x: np.abs((np.asarray(x, float) - 0.2) % 1.0 - 0.5) + 0.3 * np.sin(6 * np.pi * x),
+    periodic=True, name="skew",
+)
+GATE_TARGETS = {**CORPUS, "skew": SKEW_P}
+GATE_CASES = [(method, name) for method in METHODS for name in sorted(CORPUS)
+              if method not in TRIG_METHODS or CORPUS[name].periodic]
+GATE_CASES += [(method, "skew") for method in TRIG_METHODS]
+
+
+@pytest.mark.filterwarnings("ignore:.*degenerates")
+@pytest.mark.parametrize("method,name", GATE_CASES)
+def test_compiled_form_matches_reference(method, name):
+    # jackson_kernel's reference is a direct sum over a kernel matrix whose own
+    # rounding reaches ~3e-11; the compiled form is exact (see the cos test)
+    tol = 1e-10 if method == "jackson_kernel" else 1e-12
+    g = GATE_TARGETS[name]
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for n in GATE_NS:
+        approx = build_approximant(g, method, n)
+        x = np.concatenate((rng.uniform(size=400), [0.0, 1.0]))
+        worst = max(worst, float(np.max(np.abs(approx(x) - approx.reference(x)))))
+    assert worst <= tol
+
+
+def _jackson_cos_gain(order):
+    """Exact kernel coefficient at frequency 1: autocorrelation of the Fejer
+    triangle at lag 1, over its value at lag 0, (2 order^2 + 1)/(3 order)."""
+    tri = {j: Fraction(order - abs(j), order) for j in range(1 - order, order)}
+    lag1 = sum(tri[j] * tri[j + 1] for j in range(1 - order, order - 1))
+    return lag1 * Fraction(3 * order, 2 * order * order + 1)
+
+
+def test_jackson_exact_on_cos():
+    g = CORPUS["cos"]
+    x = np.concatenate((np.random.default_rng(43).uniform(size=400), [0.0, 1.0]))
+    for n in (1, 2, 3, 8, 21, 80, 200):
+        gain = float(_jackson_cos_gain(max(n // 2, 1)))
+        approx = build_approximant(g, "jackson_kernel", n)
+        assert np.max(np.abs(approx(x) - gain * np.cos(2 * np.pi * x))) <= 1e-14

@@ -5,10 +5,12 @@ from hypothesis import given, strategies as st
 from jacksonlab import (
     ChebPoly,
     Grid,
+    LobattoPoly,
     PreconditionError,
     TargetFunction,
     TrigPoly,
     cheb_coeffs_from_samples,
+    cheb_lobatto_nodes,
     cheb_nodes,
     circle_dist,
     effective_algebraic_degree,
@@ -188,6 +190,41 @@ class TestChebCoeffs:
             cheb_coeffs_from_samples(np.array([]))
 
 
+class TestLobattoPoly:
+    def test_nodes_span_the_interval(self):
+        nodes = cheb_lobatto_nodes(9)
+        assert nodes[0] == 0.0 and nodes[-1] == 1.0
+        assert np.all(np.diff(nodes) > 0)
+        with pytest.raises(PreconditionError):
+            cheb_lobatto_nodes(1)
+
+    def test_exact_at_every_node(self):
+        vals = np.random.default_rng(3).normal(size=12)
+        poly = LobattoPoly(vals)
+        assert np.array_equal(poly(cheb_lobatto_nodes(12)), vals)
+        assert poly(0.0) == vals[0] and poly(1.0) == vals[-1]
+
+    def test_matches_the_chebyshev_series(self):
+        coeffs = np.random.default_rng(4).normal(size=10)
+        series = ChebPoly(coeffs)
+        poly = LobattoPoly(series(cheb_lobatto_nodes(10)))
+        fresh = np.random.default_rng(5).uniform(size=200)
+        assert np.max(np.abs(poly(fresh) - series(fresh))) < 1e-13
+        assert np.max(np.abs(poly.chebyshev().coeffs - coeffs)) < 1e-13
+
+    def test_shapes_and_scalar(self):
+        poly = LobattoPoly(np.array([2.5, 2.5]))
+        assert poly(0.4) == pytest.approx(2.5) and isinstance(poly(0.4), float)
+        assert poly(np.zeros((2, 3))).shape == (2, 3)
+        assert poly(np.array([])).shape == (0,)
+
+    def test_outside_interval_refused(self):
+        poly = LobattoPoly(np.arange(4.0))
+        for x in (-0.1, 1.1, np.array([0.2, 1.0 + 1e-12])):
+            with pytest.raises(PreconditionError):
+                poly(x)
+
+
 class TestTrigCoeffs:
     def test_cosine(self):
         xs = np.arange(9) / 9
@@ -269,6 +306,14 @@ class TestDomainTypes:
             gap = np.abs(g(x) - g(y))
             bound = g.analytic_modulus(0.1)
             assert np.all(gap <= bound + 1e-12)
+
+    def test_trigpoly_real_form_matches_complex_sum(self):
+        rng = np.random.default_rng(6)
+        poly = TrigPoly(rng.normal(size=13) + 1j * rng.normal(size=13))  # not symmetric
+        xs = rng.uniform(-1.0, 2.0, size=300)
+        assert np.max(np.abs(poly(xs) - np.real(poly.evaluate_complex(xs)))) < 1e-13
+        assert isinstance(poly(0.3), float)
+        assert TrigPoly(np.array([1.5 + 2j]))(np.array([0.1, 0.7])).tolist() == [1.5, 1.5]
 
     def test_trigpoly_conjugate_symmetry(self):
         poly = trig_coeffs_from_samples(fejer_value(4, np.arange(13) / 13))

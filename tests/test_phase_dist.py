@@ -15,7 +15,7 @@ from jacksonlab import (
     pe_pmf,
     pe_statevector_pmf,
 )
-from jacksonlab.numerics import effective_trig_degree
+from jacksonlab.numerics import effective_trig_degree, trig_coeffs_from_samples
 from jacksonlab.phase_dist import kernel_integral, tail_bound
 
 
@@ -183,3 +183,18 @@ class TestJacksonKernel:
         ts = np.linspace(0, 1, 10_000)
         for n in (2, 5, 12):
             assert np.all(jackson_kernel(n)(ts) >= 0.0)
+
+
+class TestKernelCoefficients:
+    def test_coefficients_match_sampled_kernel(self):
+        for kernel in (fejer_kernel(5), jackson_kernel(5), jackson_kernel(1)):
+            d = kernel.trig_degree
+            m = 2 * d + 1
+            sampled = trig_coeffs_from_samples(kernel(np.arange(m) / m)).coeffs
+            assert np.max(np.abs(sampled - kernel.fourier_coeffs())) < 1e-13
+
+    def test_closed_form_normalization_matches_sampling(self):
+        for n in range(1, 301):
+            m = 4 * n - 3  # odd, above twice the degree of F_n^2
+            c0 = np.mean(fejer_value(n, np.arange(m) / m) ** 2)
+            assert jackson_kernel(n).norm_const * c0 == pytest.approx(1.0, abs=2e-13)
