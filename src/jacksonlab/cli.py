@@ -60,7 +60,10 @@ def _resolve_target(name_or_path, periodic_hint=False):
     if name_or_path in CORPUS:
         return get_target(name_or_path)
     if os.path.exists(name_or_path):
-        return target_from_csv(name_or_path, periodic=periodic_hint)
+        try:
+            return target_from_csv(name_or_path, periodic=periodic_hint)
+        except PreconditionError as exc:
+            raise click.UsageError(f"bad target CSV {name_or_path!r}: {exc}")
     valid = ", ".join(sorted(CORPUS))
     raise click.UsageError(
         f"unknown target {name_or_path!r}: not a corpus name ({valid}) or CSV path"
@@ -236,7 +239,10 @@ def verify(output):
 def dist(M, x, count_n, weight, median3, output):
     """Dump an outcome distribution as CSV (columns: index/value, probability)."""
     if x is not None:
-        probs = pe_pmf(M, x).probs
+        try:
+            probs = pe_pmf(M, x).probs
+        except PreconditionError as exc:
+            raise click.UsageError(str(exc))
         rows = [f"{z},{_fmt(p)}" for z, p in enumerate(probs)]
         header = "index,value"
     elif count_n is not None and weight is not None:

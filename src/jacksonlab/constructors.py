@@ -84,6 +84,34 @@ class Approximant:
         return self.form(x)
 
 
+# matrix entries one block of a reference evaluation may hold: 2 MB per
+# float64 temporary, so a block's working set stays in cache and the
+# reference runs in the same few MB of memory whatever n is
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _blockwise(rows_fn, width):
+    """Reference evaluator that applies rows_fn to blocks of points.
+
+    rows_fn maps a 1-D array of points to one value each through a
+    (points x width) matrix; each call gets at most
+    max(1, _BLOCK_ENTRIES // width) points.  A scalar x gives a float,
+    an array x an array.
+    """
+
+    def fn(x):
+        scalar = np.ndim(x) == 0
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        step = max(1, _BLOCK_ENTRIES // width)
+        # an empty x still makes one (empty) call, so its shape comes from rows_fn
+        out = np.concatenate(
+            [rows_fn(x[i : i + step]) for i in range(0, max(len(x), 1), step)]
+        )
+        return float(out[0]) if scalar else out
+
+    return fn
+
+
 def _lobatto_form(reference, n):
     return lambda: LobattoPoly(reference(cheb_lobatto_nodes(n + 1)))
 
@@ -123,13 +151,7 @@ def bernstein_eval(g, n, x):
 
 def _bernstein_approximant(g, n):
     values = np.asarray(g(np.arange(n + 1) / n), dtype=float)
-
-    def fn(x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = binom_weight_matrix(n, x) @ values
-        return float(out[0]) if scalar else out
-
+    fn = _blockwise(lambda x: binom_weight_matrix(n, x) @ values, n + 1)
     return Approximant(method="bernstein", n=n, M=None, N=None, reference=fn,
                        compile=_lobatto_form(fn, n))
 
@@ -157,13 +179,7 @@ def _counting_approximant(g, n, median3):
             stacklevel=3,
         )
     table = _counting_value_table(g, N, M, median3)
-
-    def fn(x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = binom_weight_matrix(N, x) @ table
-        return float(out[0]) if scalar else out
-
+    fn = _blockwise(lambda x: binom_weight_matrix(N, x) @ table, N + 1)
     return Approximant(method=method, n=n, M=M, N=N, reference=fn,
                        compile=_lobatto_form(fn, n), degenerate=degenerate)
 
@@ -185,9 +201,7 @@ def _phase_approximant(g, n):
     gvals = np.asarray(g(np.arange(M) / M), dtype=float)
     support, inverse = np.unique(gvals, return_inverse=True)
 
-    def fn(x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def rows(x):
         d = circle_dist(np.arange(M)[None, :] / M, (x % 1.0)[:, None])
         probs = np.ones_like(d)
         far = d > 1e-15
@@ -201,9 +215,9 @@ def _phase_approximant(g, n):
         cdf = np.clip(np.cumsum(agg, axis=1), 0.0, 1.0)
         med_cdf = cdf * cdf * (3.0 - 2.0 * cdf)
         pmf = np.diff(np.concatenate((np.zeros((len(x), 1)), med_cdf), axis=1), axis=1)
-        out = pmf @ support
-        return float(out[0]) if scalar else out
+        return pmf @ support
 
+    fn = _blockwise(rows, M)
     return Approximant(method="phase_median3", n=n, M=M, N=None, reference=fn,
                        compile=_fourier_form(fn, n))
 
@@ -231,14 +245,7 @@ def _convolution_samples(g, kernel, quad_points):
 
 def _quadrature_convolution(kernel, gs):
     s = np.arange(len(gs)) / len(gs)
-
-    def fn(x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = kernel(s[None, :] - x[:, None]) @ gs / len(gs)
-        return float(out[0]) if scalar else out
-
-    return fn
+    return _blockwise(lambda x: kernel(s[None, :] - x[:, None]) @ gs / len(gs), len(gs))
 
 
 def kernel_convolve(g, kernel: KernelSpec, quad_points):

@@ -85,9 +85,9 @@ def get_target(name):
 def target_from_csv(path, periodic=False, name=None):
     """Piecewise-linear target from a two-column x,y CSV file.
 
-    x must be strictly increasing with first x = 0 and last x = 1.
-    Periodic targets additionally require y(0) = y(1).  A non-numeric
-    first row is treated as a header and skipped.
+    x must be strictly increasing with first x = 0 and last x = 1, and
+    every y finite.  Periodic targets additionally require y(0) = y(1).
+    A non-numeric first row is treated as a header and skipped.
     """
     xs, ys = [], []
     with open(path, newline="") as fh:
@@ -110,6 +110,8 @@ def target_from_csv(path, periodic=False, name=None):
         raise PreconditionError("x column must be strictly increasing")
     if xs[0] != 0.0 or xs[-1] != 1.0:
         raise PreconditionError("x must start at 0 and end at 1")
+    if not np.all(np.isfinite(ys)):
+        raise PreconditionError("y column must be finite")
     if periodic and ys[0] != ys[-1]:
         raise PreconditionError("periodic target requires y(0) = y(1)")
 

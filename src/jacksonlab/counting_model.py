@@ -10,6 +10,7 @@ the median of three independent runs sharpens its concentration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -78,6 +79,15 @@ def expected_amp_error(k, N, M):
     return float(np.dot(probs, np.abs(values - k / N)))
 
 
+@lru_cache(maxsize=8)
+def _log_binom(N):
+    """log C(N, k) for k = 0..N, read-only; shared by every block of one N."""
+    k = np.arange(N + 1)
+    out = gammaln(N + 1) - gammaln(k + 1) - gammaln(N - k + 1)
+    out.flags.writeable = False
+    return out
+
+
 def binom_weights(N, x):
     """Binomial(N, x) pmf over weights 0..N, computed in log space.
 
@@ -96,9 +106,7 @@ def binom_weights(N, x):
         return w
     k = np.arange(N + 1)
     logw = (
-        gammaln(N + 1)
-        - gammaln(k + 1)
-        - gammaln(N - k + 1)
+        _log_binom(N)
         + k * np.log(x)
         + (N - k) * np.log1p(-x)
     )
@@ -109,10 +117,10 @@ def binom_weights(N, x):
 def binom_weight_matrix(N, xs):
     """Rows of binom_weights(N, x) for each x in xs; shape (len(xs), N+1)."""
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise PreconditionError("all x must lie in [0, 1]")
     k = np.arange(N + 1)
-    logc = gammaln(N + 1) - gammaln(k + 1) - gammaln(N - k + 1)
+    logc = _log_binom(N)
     out = np.zeros((len(xs), N + 1))
     interior = (xs > 0.0) & (xs < 1.0)
     if interior.any():

@@ -8,6 +8,7 @@ normalized square of the Fejer kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +34,17 @@ class PhasePMF:
 def pe_pmf(M, x):
     """Exact pmf of the phase-estimation outcome Z at precision M, phase x.
 
-    x is reduced mod 1.  Pr[Z=z] = sin(pi M d)^2 / (M sin(pi d))^2 with
-    d the circle distance from z/M to x, and 1 at d = 0.
+    x must be finite and is reduced mod 1.  Pr[Z=z] = sin(pi M d)^2 /
+    (M sin(pi d))^2 with d the circle distance from z/M to x, and 1 at
+    d = 0.
     """
     M = int(M)
     if M < 1:
         raise PreconditionError("M must be a positive integer")
-    x = float(x) % 1.0
+    x = float(x)
+    if not math.isfinite(x):
+        raise PreconditionError(f"phase x must be finite, got {x!r}")
+    x %= 1.0
     d = circle_dist(np.arange(M) / M, x)
     d = np.atleast_1d(d)
     probs = np.ones(M)
@@ -74,17 +79,19 @@ def median3_circle_error(M, x):
 
 
 def fejer_value(n, t):
-    """1-periodic Fejer kernel of order n; equals n at integers."""
+    """1-periodic Fejer kernel of order n; equals n at integers, NaN at NaN/inf."""
     n = int(n)
     if n < 1:
         raise PreconditionError("n must be a positive integer")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float)) % 1.0
+    # the ratio is computed everywhere and replaced by its limit n near the
+    # integers, where it is 0/0 or rounding noise
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_arr = np.asarray(t, dtype=float) % 1.0
+        ratio = np.sin(np.pi * n * t_arr) ** 2 / (n * np.sin(np.pi * t_arr) ** 2)
     d = np.minimum(t_arr, 1.0 - t_arr)
-    out = np.full(t_arr.shape, float(n))
-    far = d > _SINGULARITY_EPS
-    out[far] = np.sin(np.pi * n * t_arr[far]) ** 2 / (n * np.sin(np.pi * t_arr[far]) ** 2)
+    out = np.where(d <= _SINGULARITY_EPS, float(n), ratio)
     if np.ndim(t) == 0:
-        return float(out[0])
+        return float(out)
     return out
 
 

@@ -88,6 +88,20 @@ class TestConstruct:
         )
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("command,n", [("construct", "6"), ("sweep", "4:6")])
+    @pytest.mark.parametrize("rows", ["0,0\n0.6,1\n0.4,0.5\n1,0\n",
+                                      "0,0\n0.5,nan\n1,0\n",
+                                      "0,0\n0.5,inf\n1,0\n"],
+                             ids=["x-not-increasing", "y-nan", "y-inf"])
+    def test_bad_csv_target_is_usage_error(self, runner, tmp_path, command, n, rows):
+        path = tmp_path / "t.csv"
+        path.write_text(rows)
+        result = runner.invoke(
+            main, [command, "--method", "bernstein", "--n", n, "--target", str(path)]
+        )
+        assert result.exit_code == 2
+        assert "bad target CSV" in result.output
+
 
 class TestSweep:
     def test_header_and_rows(self, runner):
@@ -191,6 +205,12 @@ class TestDist:
     def test_missing_options(self, runner):
         result = runner.invoke(main, ["dist", "--m", "4"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_nonfinite_phase_is_usage_error(self, runner, x):
+        result = runner.invoke(main, ["dist", "--m", "4", "--x", x])
+        assert result.exit_code == 2
+        assert "finite" in result.output
 
 
 class TestKernel:

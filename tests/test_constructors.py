@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from jacksonlab import (
     phase_eval,
     phase_to_trigpoly,
 )
+from jacksonlab import constructors
 from jacksonlab.constructors import (
     ALGEBRAIC_METHODS,
     METHODS,
@@ -309,6 +311,12 @@ class TestCallDomain:
             approx(np.array([0.25, x]))
 
     @pytest.mark.parametrize("method", ALGEBRAIC_METHODS)
+    def test_reference_rejects_nan(self, method):
+        approx = build_approximant(CORPUS["abs-half"], method, 8)
+        with pytest.raises(PreconditionError):
+            approx.reference(np.nan)
+
+    @pytest.mark.parametrize("method", ALGEBRAIC_METHODS)
     def test_outside_unit_interval_raises(self, method):
         approx = build_approximant(CORPUS["sqrt"], method, 6)
         for x in (1.5, -0.25, np.array([0.5, 1.5])):
@@ -336,6 +344,54 @@ class TestCompiledForm:
         for method in METHODS:
             y = build_approximant(CORPUS["triangle"], method, 6)(0.3)
             assert isinstance(y, float)
+
+
+class TestBlockwiseReference:
+    def test_blocks_cover_the_points_in_order(self, monkeypatch):
+        monkeypatch.setattr(constructors, "_BLOCK_ENTRIES", 12)
+        sizes = []
+
+        def rows(x):
+            sizes.append(len(x))
+            return 2.0 * x
+
+        fn = constructors._blockwise(rows, 5)        # at most 2 points per block
+        x = np.linspace(0.0, 1.0, 7)
+        assert np.array_equal(fn(x), 2.0 * x)
+        assert sizes == [2, 2, 2, 1]
+        assert fn(0.25) == 0.5 and isinstance(fn(0.25), float)
+        assert fn(np.array([])).shape == (0,)
+        sizes.clear()
+        constructors._blockwise(rows, 100)(x)         # wider than a block: one row each
+        assert sizes == [1] * 7
+
+    @pytest.mark.filterwarnings("ignore:.*degenerates")
+    @pytest.mark.parametrize("method", METHODS)
+    def test_any_blocking_gives_the_single_block_values(self, monkeypatch, method):
+        g = CORPUS["triangle"]
+        x = np.concatenate((np.random.default_rng(5).uniform(size=101), [0.0, 1.0]))
+        for n in (1, 7, 20):
+            approx = build_approximant(g, method, n)
+            monkeypatch.setattr(constructors, "_BLOCK_ENTRIES", 1 << 40)
+            whole = approx.reference(x)
+            for entries in (1, 1000):                # one-row blocks; several rows each
+                monkeypatch.setattr(constructors, "_BLOCK_ENTRIES", entries)
+                assert np.max(np.abs(approx.reference(x) - whole)) <= 1e-15
+                y = approx.reference(x[0])
+                assert isinstance(y, float) and abs(y - whole[0]) <= 1e-15
+                assert approx.reference(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("method,n", [("jackson_kernel", 512), ("counting_median3", 96)])
+    def test_degree_probe_memory_is_bounded(self, method, n):
+        approx = build_approximant(CORPUS["triangle"], method, n)
+        x = np.linspace(0.0, 1.0, 4 * n + 1)
+        tracemalloc.start()
+        try:
+            approx.reference(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 GATE_NS = (1, 2, 3, 5, 6, 8, 13, 21, 34, 55, 80)

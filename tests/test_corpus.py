@@ -72,6 +72,12 @@ class TestCsvIngestion:
         with pytest.raises(PreconditionError, match="start at 0"):
             target_from_csv(path)
 
+    @pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
+    def test_nonfinite_y_rejected(self, tmp_path, y):
+        path = self._write(tmp_path, [(0, 0), (0.5, y), (1, 0)])
+        with pytest.raises(PreconditionError, match="finite"):
+            target_from_csv(path)
+
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,0\noops\n1,1\n")

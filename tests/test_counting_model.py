@@ -181,6 +181,12 @@ class TestBinomWeights:
         with pytest.raises(PreconditionError):
             binom_weights(4, 1.5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(PreconditionError):
+            binom_weights(4, np.nan)
+        with pytest.raises(PreconditionError):
+            binom_weight_matrix(4, np.array([0.5, np.nan]))
+
 
 class TestCountingModel:
     def test_tables_normalized(self):

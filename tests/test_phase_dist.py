@@ -62,6 +62,11 @@ class TestPePmf:
         with pytest.raises(PreconditionError):
             pe_pmf(0, 0.3)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_phase_rejected(self, x):
+        with pytest.raises(PreconditionError, match="finite"):
+            pe_pmf(4, x)
+
 
 class TestExpectedCircleError:
     def test_exact_phase(self):
@@ -129,6 +134,11 @@ class TestFejer:
 
     def test_hand_value(self):
         assert fejer_value(2, 0.5) == pytest.approx(0.0, abs=1e-30)
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(fejer_value(4, np.nan))
+        vals = fejer_value(4, np.array([np.nan, np.inf, 0.0, 1.0]))
+        assert np.isnan(vals[:2]).all() and vals[2] == vals[3] == 4.0
 
     def test_unit_integral(self):
         for n in range(1, 33):
