@@ -39,10 +39,8 @@ from .phase_dist import (
     pe_pmf,
 )
 from .counting_model import (
-    CountingModel,
     amp_estimate,
     binom_weights,
-    build_counting_model,
     expected_amp_error,
     median3_amp_pmf,
     single_run_pmf,
@@ -52,14 +50,9 @@ from .constructors import (
     METHODS,
     Approximant,
     ErrorReport,
-    bernstein_eval,
     build_approximant,
-    counting_eval,
-    counting_single_eval,
     error_report,
     kernel_convolve,
-    phase_eval,
-    phase_to_trigpoly,
 )
 from .qsim import (
     counting_statevector_pmf,

@@ -44,6 +44,11 @@ def _fmt(v):
     return f"{v:.17g}"
 
 
+def _io_error(exc):
+    click.echo(f"I/O error: {exc}", err=True)
+    sys.exit(4)
+
+
 def _write_text(path, text):
     try:
         if path is None:
@@ -52,8 +57,7 @@ def _write_text(path, text):
             with open(path, "w") as fh:
                 fh.write(text)
     except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
-        sys.exit(4)
+        _io_error(exc)
 
 
 def _resolve_target(name_or_path, periodic_hint=False):
@@ -64,6 +68,8 @@ def _resolve_target(name_or_path, periodic_hint=False):
             return target_from_csv(name_or_path, periodic=periodic_hint)
         except PreconditionError as exc:
             raise click.UsageError(f"bad target CSV {name_or_path!r}: {exc}")
+        except OSError as exc:
+            _io_error(exc)
     valid = ", ".join(sorted(CORPUS))
     raise click.UsageError(
         f"unknown target {name_or_path!r}: not a corpus name ({valid}) or CSV path"
@@ -109,8 +115,7 @@ class ConfigDefaults(click.Group):
                 with open(path) as fh:
                     parser.read_file(fh)
             except OSError as exc:
-                click.echo(f"I/O error: {exc}", err=True)
-                sys.exit(4)
+                _io_error(exc)
             ctx.default_map = {
                 section: dict(parser.items(section)) for section in parser.sections()
             }

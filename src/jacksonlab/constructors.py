@@ -31,12 +31,13 @@ from .numerics import (
     TrigPoly,
     cheb_lobatto_nodes,
     circle_dist,
+    median3_pmf,
     modulus_estimate,
     sup_distance,
     trig_coeffs_from_samples,
 )
 from .counting_model import binom_weight_matrix, median3_amp_pmf, single_run_amp_pmf
-from .phase_dist import KernelSpec, jackson_kernel
+from .phase_dist import KernelSpec, jackson_kernel, pe_probs
 
 ALGEBRAIC_METHODS = ("bernstein", "counting_median3", "counting_single")
 TRIG_METHODS = ("phase_median3", "jackson_kernel")
@@ -96,12 +97,14 @@ def _blockwise(rows_fn, width):
     rows_fn maps a 1-D array of points to one value each through a
     (points x width) matrix; each call gets at most
     max(1, _BLOCK_ENTRIES // width) points.  A scalar x gives a float,
-    an array x an array.
+    an array x an array; a NaN or infinite x raises PreconditionError.
     """
 
     def fn(x):
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.isfinite(x).all():
+            raise PreconditionError("reference x must be finite")
         step = max(1, _BLOCK_ENTRIES // width)
         # an empty x still makes one (empty) call, so its shape comes from rows_fn
         out = np.concatenate(
@@ -144,11 +147,6 @@ def derived_params(method, n):
     raise PreconditionError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
 
 
-def bernstein_eval(g, n, x):
-    """Value at x of the order-n Bernstein operator applied to g."""
-    return build_approximant(g, "bernstein", n)(x)
-
-
 def _bernstein_approximant(g, n):
     values = np.asarray(g(np.arange(n + 1) / n), dtype=float)
     fn = _blockwise(lambda x: binom_weight_matrix(n, x) @ values, n + 1)
@@ -184,52 +182,21 @@ def _counting_approximant(g, n, median3):
                        compile=_lobatto_form(fn, n), degenerate=degenerate)
 
 
-def counting_eval(g, n, x):
-    """Quantum-counting polynomial (median-of-three estimate) at x."""
-    return build_approximant(g, "counting_median3", n)(x)
-
-
-def counting_single_eval(g, n, x):
-    """Single-run quantum-counting polynomial at x."""
-    return build_approximant(g, "counting_single", n)(x)
-
-
 def _phase_approximant(g, n):
     if not g.periodic:
         raise PreconditionError("phase construction requires a periodic target")
     M, _ = derived_params("phase_median3", n)
     gvals = np.asarray(g(np.arange(M) / M), dtype=float)
-    support, inverse = np.unique(gvals, return_inverse=True)
 
     def rows(x):
-        d = circle_dist(np.arange(M)[None, :] / M, (x % 1.0)[:, None])
-        probs = np.ones_like(d)
-        far = d > 1e-15
-        probs[far] = np.sin(np.pi * M * d[far]) ** 2 / (
-            M**2 * np.sin(np.pi * d[far]) ** 2
-        )
-        # aggregate outcome probabilities onto distinct g-values, then take
-        # the exact median-of-three law columnwise
-        agg = np.zeros((len(x), len(support)))
-        np.add.at(agg.T, inverse, probs.T)
-        cdf = np.clip(np.cumsum(agg, axis=1), 0.0, 1.0)
-        med_cdf = cdf * cdf * (3.0 - 2.0 * cdf)
-        pmf = np.diff(np.concatenate((np.zeros((len(x), 1)), med_cdf), axis=1), axis=1)
-        return pmf @ support
+        # one outcome law per point, on the g-values of the M outcomes
+        d = circle_dist(np.arange(M) / M, x[:, None] % 1.0)
+        support, med = median3_pmf(gvals, pe_probs(M, d))
+        return med @ support
 
     fn = _blockwise(rows, M)
     return Approximant(method="phase_median3", n=n, M=M, N=None, reference=fn,
                        compile=_fourier_form(fn, n))
-
-
-def phase_eval(g, n, x):
-    """Phase-estimation construction E[median of three g(Z_i/M)] at x."""
-    return build_approximant(g, "phase_median3", n)(x)
-
-
-def phase_to_trigpoly(g, n):
-    """Fourier-coefficient form of the phase construction (degree <= n)."""
-    return build_approximant(g, "phase_median3", n).form
 
 
 def _convolution_samples(g, kernel, quad_points):

@@ -9,18 +9,19 @@ the median of three independent runs sharpens its concentration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
-from .numerics import PreconditionError, median3_pmf
-from .phase_dist import pe_pmf
+from .numerics import PreconditionError, circle_dist, median3_pmf
+from .phase_dist import pe_probs
 
 
 def theta_of_weight(k, N):
     """Grover angle arcsin(sqrt(k/N)) in [0, pi/2]."""
+    if N < 1:
+        raise PreconditionError("N must be a positive integer")
     if not (0 <= k <= N):
         raise PreconditionError("weight k must lie in [0, N]")
     return float(np.arcsin(np.sqrt(k / N)))
@@ -28,10 +29,13 @@ def theta_of_weight(k, N):
 
 def single_run_pmf(k, N, M):
     """Outcome pmf of one counting run: equal mixture of the two eigenphases."""
+    M = int(M)
+    if M < 1:
+        raise PreconditionError("M must be a positive integer")
     theta = theta_of_weight(k, N)
-    x_plus = (theta / np.pi) % 1.0
-    x_minus = (1.0 - theta / np.pi) % 1.0
-    return 0.5 * pe_pmf(M, x_plus).probs + 0.5 * pe_pmf(M, x_minus).probs
+    phases = np.array([[theta / np.pi], [1.0 - theta / np.pi]]) % 1.0
+    probs = pe_probs(M, circle_dist(np.arange(M) / M, phases))
+    return 0.5 * probs[0] + 0.5 * probs[1]
 
 
 def amp_estimate(z, M):
@@ -89,33 +93,16 @@ def _log_binom(N):
 
 
 def binom_weights(N, x):
-    """Binomial(N, x) pmf over weights 0..N, computed in log space.
-
-    Endpoints x in {0, 1} return exact point masses; otherwise weights
-    are renormalized to sum to 1.
-    """
-    N = int(N)
-    if not (0.0 <= x <= 1.0):
-        raise PreconditionError("x must lie in [0, 1]")
-    w = np.zeros(N + 1)
-    if x == 0.0:
-        w[0] = 1.0
-        return w
-    if x == 1.0:
-        w[N] = 1.0
-        return w
-    k = np.arange(N + 1)
-    logw = (
-        _log_binom(N)
-        + k * np.log(x)
-        + (N - k) * np.log1p(-x)
-    )
-    w = np.exp(logw)
-    return w / w.sum()
+    """Binomial(N, x) pmf over weights 0..N: one row of binom_weight_matrix."""
+    return binom_weight_matrix(int(N), np.array([x]))[0]
 
 
 def binom_weight_matrix(N, xs):
-    """Rows of binom_weights(N, x) for each x in xs; shape (len(xs), N+1)."""
+    """Binomial(N, x) pmf over weights 0..N for each x in xs; shape (len(xs), N+1).
+
+    Computed in log space.  Rows for x in {0, 1} are exact point masses;
+    the others are renormalized to sum to 1.
+    """
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise PreconditionError("all x must lie in [0, 1]")
@@ -135,31 +122,3 @@ def binom_weight_matrix(N, xs):
     out[xs == 0.0, 0] = 1.0
     out[xs == 1.0, N] = 1.0
     return out
-
-
-@dataclass(frozen=True)
-class CountingModel:
-    """Per-weight outcome tables for counting on N bits with precision M."""
-
-    N: int
-    M: int
-    single: np.ndarray       # (N+1, M) single-run outcome pmfs over z
-    med_support: np.ndarray  # shared A' support values (canonical indices)
-    med_probs: np.ndarray    # (N+1, support size) pmfs of A'
-
-
-def build_counting_model(N, M):
-    N, M = int(N), int(M)
-    if N < 1 or M < 1:
-        raise PreconditionError("N and M must be positive integers")
-    single = np.array([single_run_pmf(k, N, M) for k in range(N + 1)])
-    support = None
-    med_rows = []
-    for k in range(N + 1):
-        values, probs = median3_amp_pmf(k, N, M)
-        if support is None:
-            support = values
-        med_rows.append(probs)
-    return CountingModel(
-        N=N, M=M, single=single, med_support=support, med_probs=np.array(med_rows)
-    )

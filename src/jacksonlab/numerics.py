@@ -47,16 +47,19 @@ def median3_pmf(values, probs):
 
     Aggregates duplicate support values, then uses the order-statistics
     identity P[med <= v] = F(v)^2 (3 - 2 F(v)).  Returns (support, probs)
-    with support sorted increasing and duplicates merged.
+    with support sorted increasing and duplicates merged.  probs may have
+    shape (..., len(values)): each row is one law on the same values, and
+    the returned probs have shape (..., len(support)).
     """
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     support, inverse = np.unique(values, return_inverse=True)
-    agg = np.zeros(len(support))
-    np.add.at(agg, inverse, probs)
-    cdf = np.clip(np.cumsum(agg), 0.0, 1.0)
+    agg = np.zeros(probs.shape[:-1] + (len(support),))
+    np.add.at(agg.T, inverse, probs.T)
+    cdf = np.clip(np.cumsum(agg, axis=-1), 0.0, 1.0)
     med_cdf = cdf * cdf * (3.0 - 2.0 * cdf)
-    med_probs = np.diff(np.concatenate(([0.0], med_cdf)))
+    med_probs = med_cdf.copy()
+    med_probs[..., 1:] -= med_cdf[..., :-1]
     return support, med_probs
 
 

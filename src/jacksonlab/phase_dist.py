@@ -27,16 +27,24 @@ class PhasePMF:
     x: float
     probs: np.ndarray
 
-    def outcomes(self):
-        return np.arange(self.M)
+
+def pe_probs(M, d):
+    """Pr[Z=z] = sin(pi M d)^2 / (M sin(pi d))^2 at circle distances d, any shape.
+
+    d is the circle distance from z/M to the eigenphase; the removable
+    singularity at d = 0 takes its limit 1.
+    """
+    probs = np.ones_like(d)
+    far = d > _SINGULARITY_EPS
+    probs[far] = np.sin(np.pi * M * d[far]) ** 2 / (M**2 * np.sin(np.pi * d[far]) ** 2)
+    return probs
 
 
 def pe_pmf(M, x):
     """Exact pmf of the phase-estimation outcome Z at precision M, phase x.
 
-    x must be finite and is reduced mod 1.  Pr[Z=z] = sin(pi M d)^2 /
-    (M sin(pi d))^2 with d the circle distance from z/M to x, and 1 at
-    d = 0.
+    x must be finite and is reduced mod 1; the probabilities are
+    pe_probs at the circle distances from z/M to x.
     """
     M = int(M)
     if M < 1:
@@ -45,12 +53,7 @@ def pe_pmf(M, x):
     if not math.isfinite(x):
         raise PreconditionError(f"phase x must be finite, got {x!r}")
     x %= 1.0
-    d = circle_dist(np.arange(M) / M, x)
-    d = np.atleast_1d(d)
-    probs = np.ones(M)
-    far = d > _SINGULARITY_EPS
-    probs[far] = np.sin(np.pi * M * d[far]) ** 2 / (M**2 * np.sin(np.pi * d[far]) ** 2)
-    return PhasePMF(M=M, x=x, probs=probs)
+    return PhasePMF(M=M, x=x, probs=pe_probs(M, circle_dist(np.arange(M) / M, x)))
 
 
 def tail_bound(M, d):

@@ -23,7 +23,7 @@ from jacksonlab import (
     pe_statevector_pmf,
     single_run_pmf,
 )
-from jacksonlab.constructors import derived_params, phase_eval
+from jacksonlab.constructors import derived_params
 from jacksonlab.corpus import CORPUS, NONPERIODIC_NAMES, PERIODIC_NAMES
 from jacksonlab.numerics import effective_algebraic_degree, effective_trig_degree
 from jacksonlab.phase_dist import kernel_integral, tail_bound
@@ -125,8 +125,6 @@ def test_criterion_07_counting_degree_certification():
 def test_criterion_08_phase_degree_certification():
     worst_rel = 0.0
     worst_imag = 0.0
-    from jacksonlab.constructors import phase_to_trigpoly
-
     for name in PERIODIC_NAMES:
         g = CORPUS[name]
         for n in range(3, 37, 3):
@@ -134,7 +132,7 @@ def test_criterion_08_phase_degree_certification():
             rep = effective_trig_degree(approx.reference, n, 4 * n + 1, seed=SEED)
             scale = 1.0 + float(np.max(np.abs(approx(np.linspace(0, 1, 257)))))
             worst_rel = max(worst_rel, rep.residual / scale)
-            poly = phase_to_trigpoly(g, n)
+            poly = build_approximant(g, "phase_median3", n).form
             worst_imag = max(worst_imag, poly.imag_residue(np.linspace(0, 1, 257)))
     _report(8, "trigonometric degree certification (phase construction)",
             worst_rel < 1e-8 and worst_imag < 1e-10,
@@ -225,7 +223,8 @@ def test_criterion_14_exact_interpolation_identities():
         for n in (6, 9, 12):
             M, _ = derived_params("phase_median3", n)
             z = np.arange(M) / M
-            worst = max(worst, float(np.max(np.abs(phase_eval(g, n, z) - g(z)))))
+            approx = build_approximant(g, "phase_median3", n)
+            worst = max(worst, float(np.max(np.abs(approx(z) - g(z)))))
     for name in CORPUS:
         g = CORPUS[name]
         method = "phase_median3" if g.periodic else "counting_median3"

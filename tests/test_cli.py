@@ -36,10 +36,11 @@ class TestConstruct:
         assert doc["M"] == 3
 
     def test_degenerate_flag(self, runner):
-        result = runner.invoke(
-            main,
-            ["construct", "--method", "counting_median3", "--n", "3", "--target", "sqrt"],
-        )
+        with pytest.warns(UserWarning, match="degenerates"):
+            result = runner.invoke(
+                main,
+                ["construct", "--method", "counting_median3", "--n", "3", "--target", "sqrt"],
+            )
         assert result.exit_code == 0
         assert json.loads(result.output)["degenerate"] is True
 
@@ -101,6 +102,14 @@ class TestConstruct:
         )
         assert result.exit_code == 2
         assert "bad target CSV" in result.output
+
+    @pytest.mark.parametrize("command,n", [("construct", "4"), ("sweep", "4:6")])
+    def test_unreadable_target_is_io_error(self, runner, tmp_path, command, n):
+        result = runner.invoke(
+            main, [command, "--method", "bernstein", "--n", n, "--target", str(tmp_path)]
+        )
+        assert result.exit_code == 4
+        assert "I/O error" in result.output
 
 
 class TestSweep:
@@ -205,6 +214,14 @@ class TestDist:
     def test_missing_options(self, runner):
         result = runner.invoke(main, ["dist", "--m", "4"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("median3", [[], ["--median3"]], ids=["single", "median3"])
+    def test_zero_length_is_usage_error(self, runner, median3):
+        result = runner.invoke(
+            main, ["dist", "--m", "4", "--count-n", "0", "--weight", "0", *median3]
+        )
+        assert result.exit_code == 2
+        assert "N must be a positive integer" in result.output
 
     @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
     def test_nonfinite_phase_is_usage_error(self, runner, x):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -9,16 +10,12 @@ from jacksonlab import (
     Grid,
     PreconditionError,
     TargetFunction,
-    bernstein_eval,
     build_approximant,
-    counting_eval,
-    counting_single_eval,
     error_report,
     fejer_kernel,
     jackson_kernel,
     kernel_convolve,
-    phase_eval,
-    phase_to_trigpoly,
+    pe_statevector_pmf,
 )
 from jacksonlab import constructors
 from jacksonlab.constructors import (
@@ -28,7 +25,7 @@ from jacksonlab.constructors import (
     approximant_coefficients,
     derived_params,
 )
-from jacksonlab.corpus import CORPUS
+from jacksonlab.corpus import CORPUS, PERIODIC_NAMES
 from jacksonlab.counting_model import theta_of_weight
 from jacksonlab.numerics import (
     effective_algebraic_degree,
@@ -75,7 +72,7 @@ class TestBernstein:
     def test_second_moment(self):
         g = TargetFunction(lambda x: x**2, name="x2")
         # E[(k/n)^2] = x^2 + x(1-x)/n
-        assert bernstein_eval(g, 10, 0.3) == pytest.approx(0.111, abs=1e-13)
+        assert build_approximant(g, "bernstein", 10)(0.3) == pytest.approx(0.111, abs=1e-13)
 
     def test_kink_rate(self):
         g = CORPUS["abs-half"]
@@ -90,7 +87,7 @@ class TestBernstein:
         oracle = sum(
             comb(n, k) * 0.5**n * abs(k / n - 0.5) for k in range(n + 1)
         )
-        assert bernstein_eval(g, n, 0.5) == pytest.approx(oracle, abs=1e-13)
+        assert build_approximant(g, "bernstein", n)(0.5) == pytest.approx(oracle, abs=1e-13)
 
 
 class TestCounting:
@@ -102,8 +99,10 @@ class TestCounting:
 
     def test_endpoint_interpolation(self):
         g = CORPUS["sqrt"]
-        assert counting_eval(g, 12, 0.0) == pytest.approx(g(np.array([0.0]))[0], abs=1e-15)
-        assert counting_single_eval(g, 12, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert build_approximant(g, "counting_median3", 12)(0.0) == pytest.approx(
+            g(np.array([0.0]))[0], abs=1e-15
+        )
+        assert build_approximant(g, "counting_single", 12)(0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_right_endpoint_even_m(self):
         g = CORPUS["abs-half"]
@@ -163,7 +162,7 @@ class TestPhase:
         for n in (6, 9, 15):
             M, _ = derived_params("phase_median3", n)
             z = np.arange(M) / M
-            assert np.max(np.abs(phase_eval(g, n, z) - g(z))) < 1e-12
+            assert np.max(np.abs(build_approximant(g, "phase_median3", n)(z) - g(z))) < 1e-12
 
     def test_nonperiodic_rejected(self):
         with pytest.raises(PreconditionError):
@@ -176,16 +175,33 @@ class TestPhase:
         assert rep.residual < 1e-8 * (1 + 1.0)
         assert error_report(g, "phase_median3", 9).ratio <= 10.0
 
+    @pytest.mark.parametrize("name", PERIODIC_NAMES)
+    def test_reference_is_the_median_of_three_expectation(self, name):
+        # brute force: E[median of g(Z_i/M)] over all M^3 outcome triples,
+        # under the statevector outcome law
+        g = CORPUS[name]
+        xs = np.concatenate((np.random.default_rng(31).uniform(size=40), [0.0, 0.5]))
+        for n in (3, 6, 9, 15):
+            M, _ = derived_params("phase_median3", n)
+            gz = g(np.arange(M) / M)
+            triples = np.array(list(itertools.product(range(M), repeat=3)))
+            medians = np.median(gz[triples], axis=1)
+            approx = build_approximant(g, "phase_median3", n)
+            for x in xs:
+                p = pe_statevector_pmf(M, x)
+                expect = float(np.prod(p[triples], axis=1) @ medians)
+                assert abs(approx.reference(x) - expect) <= 1e-12
+
 
 class TestPhaseToTrigPoly:
     def test_constant(self):
-        poly = phase_to_trigpoly(CONST_P, 6)
+        poly = build_approximant(CONST_P, "phase_median3", 6).form
         assert poly.coeff(0).real == pytest.approx(2.5, abs=1e-12)
         others = np.abs(np.delete(poly.coeffs, poly.degree))
         assert np.max(others) < 1e-12
 
     def test_cosine_dominant_frequency(self):
-        poly = phase_to_trigpoly(CORPUS["cos"], 12)
+        poly = build_approximant(CORPUS["cos"], "phase_median3", 12).form
         mags = {k: abs(poly.coeff(k)) for k in range(-poly.degree, poly.degree + 1)}
         top = sorted(mags, key=mags.get, reverse=True)[:2]
         assert set(top) == {1, -1}
@@ -193,7 +209,7 @@ class TestPhaseToTrigPoly:
     def test_reproduces_evaluation(self):
         g = CORPUS["triangle"]
         n = 9
-        poly = phase_to_trigpoly(g, n)
+        poly = build_approximant(g, "phase_median3", n).form
         approx = build_approximant(g, "phase_median3", n)
         pts = np.random.default_rng(17).uniform(size=512)
         scale = 1e-9 * (1 + np.max(np.abs(approx.reference(pts))))
@@ -201,7 +217,7 @@ class TestPhaseToTrigPoly:
 
     def test_real_valued(self):
         for name in ("triangle", "cos"):
-            poly = phase_to_trigpoly(CORPUS[name], 9)
+            poly = build_approximant(CORPUS[name], "phase_median3", 9).form
             assert poly.conjugate_symmetry_defect() < 1e-10
             assert poly.imag_residue(np.linspace(0, 1, 200)) < 1e-10 * (
                 1 + np.max(np.abs(poly.coeffs))
@@ -310,11 +326,14 @@ class TestCallDomain:
         with pytest.raises(EvaluationError):
             approx(np.array([0.25, x]))
 
-    @pytest.mark.parametrize("method", ALGEBRAIC_METHODS)
-    def test_reference_rejects_nan(self, method):
-        approx = build_approximant(CORPUS["abs-half"], method, 8)
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_reference_rejects_nan(self, method, x):
+        approx = build_approximant(CORPUS["triangle"], method, 8)
         with pytest.raises(PreconditionError):
-            approx.reference(np.nan)
+            approx.reference(x)
+        with pytest.raises(PreconditionError):
+            approx.reference(np.array([0.25, x]))
 
     @pytest.mark.parametrize("method", ALGEBRAIC_METHODS)
     def test_outside_unit_interval_raises(self, method):
@@ -336,7 +355,7 @@ class TestCompiledForm:
     def test_coefficients_are_the_stored_form(self):
         approx = build_approximant(CORPUS["cos"], "jackson_kernel", 10)
         assert approximant_coefficients(CORPUS["cos"], approx) is approx.form
-        assert phase_to_trigpoly(CORPUS["cos"], 10).degree == 10
+        assert build_approximant(CORPUS["cos"], "phase_median3", 10).form.degree == 10
         approx = build_approximant(CORPUS["sqrt"], "counting_single", 10)
         assert approximant_coefficients(CORPUS["sqrt"], approx).degree == 10
 

@@ -7,7 +7,6 @@ from jacksonlab import (
     PreconditionError,
     amp_estimate,
     binom_weights,
-    build_counting_model,
     expected_amp_error,
     median3_amp_pmf,
     median3_circle_error,
@@ -38,6 +37,11 @@ class TestThetaOfWeight:
         with pytest.raises(PreconditionError):
             theta_of_weight(5, 4)
 
+    def test_nonpositive_length(self):
+        for N in (0, -3):
+            with pytest.raises(PreconditionError, match="N must be a positive integer"):
+                theta_of_weight(0, N)
+
 
 class TestSingleRunPmf:
     def test_zero_weight_point_mass(self):
@@ -59,6 +63,12 @@ class TestSingleRunPmf:
             for k in range(N + 1):
                 for M in (2, 3, 7):
                     assert abs(single_run_pmf(k, N, M).sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("N,M", [(0, 4), (4, 0)])
+    def test_nonpositive_sizes_rejected(self, N, M):
+        for law in (single_run_pmf, median3_amp_pmf):
+            with pytest.raises(PreconditionError, match="must be a positive integer"):
+                law(0, N, M)
 
 
 class TestAmpEstimate:
@@ -190,13 +200,17 @@ class TestBinomWeights:
 
 class TestCountingModel:
     def test_tables_normalized(self):
-        model = build_counting_model(9, 4)
-        assert model.single.shape == (10, 4)
-        assert np.max(np.abs(model.single.sum(axis=1) - 1.0)) < 1e-12
-        assert np.max(np.abs(model.med_probs.sum(axis=1) - 1.0)) < 1e-12
+        N, M = 9, 4
+        single = np.array([single_run_pmf(k, N, M) for k in range(N + 1)])
+        med = np.array([median3_amp_pmf(k, N, M)[1] for k in range(N + 1)])
+        assert single.shape == (10, 4)
+        assert np.max(np.abs(single.sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(med.sum(axis=1) - 1.0)) < 1e-12
 
     def test_degenerate_rows(self):
-        model = build_counting_model(4, 4)
+        N, M = 4, 4
         # k=0 gives A'=0 surely; k=N with M even gives A'=1 surely
-        assert model.med_probs[0][model.med_support == 0.0] == pytest.approx(1.0)
-        assert model.med_probs[4][-1] == pytest.approx(1.0, abs=1e-12)
+        values, probs = median3_amp_pmf(0, N, M)
+        assert probs[values == 0.0] == pytest.approx(1.0)
+        values, probs = median3_amp_pmf(N, N, M)
+        assert probs[-1] == pytest.approx(1.0, abs=1e-12)

@@ -98,6 +98,17 @@ class TestMedian3Pmf:
                     expect[np.searchsorted(support, m)] += probs[i] * probs[j] * probs[k]
         assert med == pytest.approx(expect, abs=1e-12)
 
+    def test_rows_equal_one_dimensional_calls(self):
+        rng = np.random.default_rng(7)
+        values = rng.integers(0, 4, size=9) / 4.0  # repeated values get merged
+        probs = rng.dirichlet(np.ones(9), size=(3, 5))
+        support, med = median3_pmf(values, probs)
+        assert med.shape == (3, 5, len(support))
+        for row in np.ndindex(3, 5):
+            row_support, row_med = median3_pmf(values, probs[row])
+            assert np.array_equal(row_support, support)
+            assert np.array_equal(row_med, med[row])
+
 
 class TestSupDistance:
     def test_equal_functions(self):
