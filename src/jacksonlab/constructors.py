@@ -129,7 +129,11 @@ def derived_params(method, n):
 
     M is chosen as the largest precision whose degree bound fits inside
     n: 6(M-1) <= n for three counting runs, 2(M-1) <= n for one run,
-    3(M-1) <= n for three phase estimations.
+    3(M-1) <= n for three phase estimations.  The counting bounds count
+    degree 2 per Grover query, M-1 queries a run.  The exact degree of
+    the counting approximants is half that: M-1 for one run, whose law
+    is a polynomial of degree M-1 in k/N, and 3(M-1) for the median of
+    three, which is cubic in that law.
     """
     n = int(n)
     if n < 1:

@@ -87,21 +87,26 @@ def target_from_csv(path, periodic=False, name=None):
 
     x must be strictly increasing with first x = 0 and last x = 1, and
     every y finite.  Periodic targets additionally require y(0) = y(1).
-    A non-numeric first row is treated as a header and skipped.
+    A non-numeric first row is treated as a header and skipped.  A file
+    that does not decode as text raises PreconditionError, like bad rows.
     """
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"not a text file ({exc.reason} at byte {exc.start})") from None
     xs, ys = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                x, y = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                if not xs:
-                    continue  # header row
-                raise PreconditionError(f"malformed CSV row: {row!r}") from None
-            xs.append(x)
-            ys.append(y)
+    for row in rows:
+        if not row:
+            continue
+        try:
+            x, y = float(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            if not xs:
+                continue  # header row
+            raise PreconditionError(f"malformed CSV row: {row!r}") from None
+        xs.append(x)
+        ys.append(y)
     xs = np.asarray(xs)
     ys = np.asarray(ys)
     if len(xs) < 2:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .numerics import PreconditionError, circle_dist, median3_pmf
 from .phase_dist import pe_probs
@@ -29,9 +28,9 @@ def theta_of_weight(k, N):
 
 def single_run_pmf(k, N, M):
     """Outcome pmf of one counting run: equal mixture of the two eigenphases."""
-    M = int(M)
-    if M < 1:
+    if not float(M).is_integer() or M < 1:
         raise PreconditionError("M must be a positive integer")
+    M = int(M)
     theta = theta_of_weight(k, N)
     phases = np.array([[theta / np.pi], [1.0 - theta / np.pi]]) % 1.0
     probs = pe_probs(M, circle_dist(np.arange(M) / M, phases))
@@ -64,7 +63,7 @@ def _amp_support(M):
 def single_run_amp_pmf(k, N, M):
     """(values, probs) of the single-run amplitude estimate A."""
     run = single_run_pmf(k, N, M)
-    values, canonical, idx = _amp_support(M)
+    values, canonical, idx = _amp_support(int(M))
     probs = np.zeros(len(idx))
     pos = np.searchsorted(idx, canonical)
     np.add.at(probs, pos, run)
@@ -85,9 +84,16 @@ def expected_amp_error(k, N, M):
 
 @lru_cache(maxsize=8)
 def _log_binom(N):
-    """log C(N, k) for k = 0..N, read-only; shared by every block of one N."""
-    k = np.arange(N + 1)
-    out = gammaln(N + 1) - gammaln(k + 1) - gammaln(N - k + 1)
+    """log C(N, k) for k = 0..N, read-only; shared by every block of one N.
+
+    Running sum of log((N-j+1)/j) up to N//2, mirrored by C(N, k) = C(N, N-k),
+    so the two halves are exactly symmetric.  The sum runs in long double,
+    because in float64 its rounding grows with N (3e-8 in log C at N = 10^6);
+    where long double is no wider than float64, that is the accuracy.
+    """
+    j = np.arange(1, N // 2 + 1, dtype=np.longdouble)
+    half = np.concatenate(([0.0], np.cumsum(np.log((N - j + 1) / j)).astype(float)))
+    out = np.concatenate((half, half[: N - N // 2][::-1]))
     out.flags.writeable = False
     return out
 

@@ -105,10 +105,6 @@ class Grid:
     def uniform(size):
         return Grid(np.linspace(0.0, 1.0, size), kind="uniform")
 
-    @staticmethod
-    def chebyshev(size):
-        return Grid(cheb_nodes(size), kind="chebyshev")
-
 
 @dataclass(frozen=True)
 class ChebPoly:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import jacksonlab
 from jacksonlab.cli import main
 
 
@@ -90,13 +95,14 @@ class TestConstruct:
         assert result.exit_code == 0
 
     @pytest.mark.parametrize("command,n", [("construct", "6"), ("sweep", "4:6")])
-    @pytest.mark.parametrize("rows", ["0,0\n0.6,1\n0.4,0.5\n1,0\n",
-                                      "0,0\n0.5,nan\n1,0\n",
-                                      "0,0\n0.5,inf\n1,0\n"],
-                             ids=["x-not-increasing", "y-nan", "y-inf"])
+    @pytest.mark.parametrize("rows", [b"0,0\n0.6,1\n0.4,0.5\n1,0\n",
+                                      b"0,0\n0.5,nan\n1,0\n",
+                                      b"0,0\n0.5,inf\n1,0\n",
+                                      b"\x80\x81\xff\xfe"],
+                             ids=["x-not-increasing", "y-nan", "y-inf", "not-utf8"])
     def test_bad_csv_target_is_usage_error(self, runner, tmp_path, command, n, rows):
         path = tmp_path / "t.csv"
-        path.write_text(rows)
+        path.write_bytes(rows)
         result = runner.invoke(
             main, [command, "--method", "bernstein", "--n", n, "--target", str(path)]
         )
@@ -259,3 +265,13 @@ class TestConfigFile:
         result = runner.invoke(main, ["--config", str(cfg), "construct", "--n", "9"])
         assert result.exit_code == 0
         assert json.loads(result.output)["n"] == 9
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(jacksonlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, jacksonlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

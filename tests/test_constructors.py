@@ -119,6 +119,15 @@ class TestCounting:
         err = error_report(g, "counting_median3", 12)
         assert err.ratio <= 10.0
 
+    @pytest.mark.parametrize("method,runs", [("counting_median3", 3), ("counting_single", 1)])
+    @pytest.mark.parametrize("n", [12, 24, 40])
+    def test_exact_degree_of_reference(self, method, runs, n):
+        # each run's law has degree M-1 in k/N; the median of three is cubic in it
+        approx = build_approximant(CORPUS["abs-half"], method, n)
+        d = runs * (approx.M - 1)
+        assert effective_algebraic_degree(approx.reference, d, 4 * n + 1).residual <= 1e-12
+        assert effective_algebraic_degree(approx.reference, d - 1, 4 * n + 1).residual >= 1e-6
+
     def test_degenerate_budget_warns(self):
         g = CORPUS["sqrt"]
         with pytest.warns(UserWarning, match="degenerates"):

@@ -1,4 +1,6 @@
 import itertools
+from decimal import Decimal, localcontext
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from jacksonlab import (
     single_run_pmf,
     theta_of_weight,
 )
-from jacksonlab.counting_model import binom_weight_matrix, single_run_amp_pmf
+from jacksonlab.counting_model import _log_binom, binom_weight_matrix, single_run_amp_pmf
 from jacksonlab.qsim import counting_statevector_pmf
 
 
@@ -69,6 +71,16 @@ class TestSingleRunPmf:
         for law in (single_run_pmf, median3_amp_pmf):
             with pytest.raises(PreconditionError, match="must be a positive integer"):
                 law(0, N, M)
+
+    def test_non_integral_precision_rejected(self):
+        for law in (single_run_pmf, single_run_amp_pmf, median3_amp_pmf):
+            with pytest.raises(PreconditionError, match="M must be a positive integer"):
+                law(1, 4, 2.5)
+
+    def test_integral_float_precision_accepted(self):
+        for law in (single_run_amp_pmf, median3_amp_pmf):
+            for got, want in zip(law(1, 4, 4.0), law(1, 4, 4)):
+                assert np.array_equal(got, want)
 
 
 class TestAmpEstimate:
@@ -196,6 +208,51 @@ class TestBinomWeights:
             binom_weights(4, np.nan)
         with pytest.raises(PreconditionError):
             binom_weight_matrix(4, np.array([0.5, np.nan]))
+
+
+def _exact_binomial_window(N, x, sigmas=12, floor=Decimal("1e-250")):
+    """{k: Binomial(N, x) pmf at k} within sigmas standard deviations, at 50 digits."""
+    sd = sqrt(N * x * (1 - x))
+    lo, hi = max(0, int(N * x - sigmas * sd)), min(N, int(N * x + sigmas * sd) + 1)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p = Decimal(x)
+        ratio = p / (1 - p)
+        term = Decimal(comb(N, lo)) * p**lo * (1 - p) ** (N - lo)
+        out = {}
+        for k in range(lo, hi + 1):
+            if term > floor:
+                out[k] = term
+            term = term * (N - k) / (k + 1) * ratio
+    return out
+
+
+class TestLogBinom:
+    @pytest.mark.parametrize("N", [1, 2, 3, 10, 11, 9216])
+    def test_symmetric(self, N):
+        logc = _log_binom(N)
+        assert logc.shape == (N + 1,)
+        assert np.array_equal(logc, logc[::-1])
+
+    def test_small_cases(self):
+        assert np.array_equal(_log_binom(1), [0.0, 0.0])
+        assert _log_binom(2) == pytest.approx([0.0, np.log(2), 0.0], rel=1e-15, abs=0)
+        assert _log_binom(3) == pytest.approx([0.0, np.log(3), np.log(3), 0.0], rel=1e-15, abs=0)
+
+    def test_read_only(self):
+        logc = _log_binom(16)
+        with pytest.raises(ValueError):
+            logc[0] = 1.0
+
+    @pytest.mark.parametrize("N", [16, 400, 1600, 9216, 40000])
+    def test_weights_match_exact_binomial(self, N):
+        xs = np.array([0.013, 0.3, 0.5, 0.71234, 0.999])
+        weights = binom_weight_matrix(N, xs)
+        worst = 0.0
+        for row, x in zip(weights, xs):
+            for k, exact in _exact_binomial_window(N, float(x)).items():
+                worst = max(worst, float(abs(Decimal(row[k]) - exact) / exact))
+        assert worst <= max(1e-13, 4e-15 * N)
 
 
 class TestCountingModel:
