@@ -77,20 +77,18 @@ def _resolve_target(name_or_path, periodic_hint=False):
 
 
 def _parse_range(spec):
-    """Inclusive start:stop:step range, or a single integer."""
-    parts = spec.split(":")
+    """Inclusive start:stop:step range, start <= stop and step >= 1, or a single integer."""
     try:
-        if len(parts) == 1:
-            return [int(parts[0])]
-        if len(parts) == 2:
-            start, stop = int(parts[0]), int(parts[1])
-            return list(range(start, stop + 1))
-        if len(parts) == 3:
-            start, stop, step = (int(p) for p in parts)
-            return list(range(start, stop + 1, step))
+        values = [int(p) for p in spec.split(":")]
     except ValueError:
-        pass
-    raise click.UsageError(f"bad n range {spec!r}; expected N or start:stop:step")
+        values = []
+    if len(values) == 1:
+        return values
+    if len(values) in (2, 3):
+        start, stop, step = (values + [1])[:3]
+        if step >= 1 and start <= stop:
+            return list(range(start, stop + 1, step))
+    raise click.UsageError(f"bad n range {spec!r}; expected N or start:stop:step, start <= stop")
 
 
 def _thread_cap():

@@ -31,12 +31,12 @@ from .numerics import (
     TrigPoly,
     cheb_lobatto_nodes,
     circle_dist,
-    median3_pmf,
     modulus_estimate,
     sup_distance,
     trig_coeffs_from_samples,
 )
-from .counting_model import binom_weight_matrix, median3_amp_pmf, single_run_amp_pmf
+from . import numerics
+from .counting_model import amp_support, binom_weight_matrix, single_run_amp_pmf
 from .phase_dist import KernelSpec, jackson_kernel, pe_probs
 
 ALGEBRAIC_METHODS = ("bernstein", "counting_median3", "counting_single")
@@ -159,15 +159,23 @@ def _bernstein_approximant(g, n):
 
 
 def _counting_value_table(g, N, M, median3):
-    """v_k = E[g(A)|weight k] (or E[g(A')|k]), one entry per weight."""
-    table = np.empty(N + 1)
-    for k in range(N + 1):
+    """v_k = E[g(A)|weight k] (or E[g(A')|k]), one entry per weight.
+
+    The weights run in the reference's row blocks; per block the median rule
+    and g, evaluated once on the amplitude support, are applied once.
+    """
+    values = amp_support(M)[0]
+    gvals = np.asarray(g(values), dtype=float)
+    if not np.isfinite(gvals).all():
+        raise PreconditionError("target values must be finite on the counting amplitude support")
+
+    def rows(weights):
+        laws = np.array([single_run_amp_pmf(k, N, M)[1] for k in weights.astype(int)])
         if median3:
-            values, probs = median3_amp_pmf(k, N, M)
-        else:
-            values, probs = single_run_amp_pmf(k, N, M)
-        table[k] = float(np.dot(probs, np.asarray(g(values), dtype=float)))
-    return table
+            laws = numerics.median3_pmf(values, laws)[1]
+        return laws @ gvals
+
+    return _blockwise(rows, len(values))(np.arange(N + 1))
 
 
 def _counting_approximant(g, n, median3):
@@ -195,7 +203,7 @@ def _phase_approximant(g, n):
     def rows(x):
         # one outcome law per point, on the g-values of the M outcomes
         d = circle_dist(np.arange(M) / M, x[:, None] % 1.0)
-        support, med = median3_pmf(gvals, pe_probs(M, d))
+        support, med = numerics.median3_pmf(gvals, pe_probs(M, d))
         return med @ support
 
     fn = _blockwise(rows, M)

@@ -28,12 +28,9 @@ def theta_of_weight(k, N):
 
 def single_run_pmf(k, N, M):
     """Outcome pmf of one counting run: equal mixture of the two eigenphases."""
-    if not float(M).is_integer() or M < 1:
-        raise PreconditionError("M must be a positive integer")
-    M = int(M)
-    theta = theta_of_weight(k, N)
-    phases = np.array([[theta / np.pi], [1.0 - theta / np.pi]]) % 1.0
-    probs = pe_probs(M, circle_dist(np.arange(M) / M, phases))
+    phases = amp_support(M)[2]
+    phi = theta_of_weight(k, N) / np.pi
+    probs = pe_probs(int(M), circle_dist(phases, np.array([[phi], [1.0 - phi]]) % 1.0))
     return 0.5 * probs[0] + 0.5 * probs[1]
 
 
@@ -48,26 +45,33 @@ def amp_estimate(z, M):
     return out
 
 
-def _amp_support(M):
-    """Distinct amplitude values and the canonical z-index of each.
+@lru_cache(maxsize=64)
+def amp_support(M):
+    """Read-only (values, fold, phases) of a counting run at precision M.
 
-    Outcomes z and M-z yield the same estimate; grouping is by index,
-    not by floating comparison of sin^2 values.
+    values: the distinct estimates sin(pi j/M)^2, j = 0..M//2; fold: the index
+    j = min(z, M-z) of outcome z's estimate (grouping by index, not by sin^2
+    values); phases: the outcome phases z/M.
     """
+    if not float(M).is_integer() or M < 1:
+        raise PreconditionError("M must be a positive integer")
+    M = int(M)
     z = np.arange(M)
-    canonical = np.minimum(z, (M - z) % M)
-    idx = np.unique(canonical)
-    return np.sin(np.pi * idx / M) ** 2, canonical, idx
+    out = (np.sin(np.pi * np.arange(M // 2 + 1) / M) ** 2, np.minimum(z, M - z), z / M)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def single_run_amp_pmf(k, N, M):
-    """(values, probs) of the single-run amplitude estimate A."""
-    run = single_run_pmf(k, N, M)
-    values, canonical, idx = _amp_support(int(M))
-    probs = np.zeros(len(idx))
-    pos = np.searchsorted(idx, canonical)
-    np.add.at(probs, pos, run)
-    return values, probs
+    """(values, probs) of the single-run amplitude estimate A.
+
+    One eigenphase is enough: 1 - theta/pi puts on z the mass theta/pi puts
+    on M-z, which the fold merges with z, so this is the folded mixture.
+    """
+    values, fold, phases = amp_support(M)
+    probs = pe_probs(int(M), circle_dist(phases, theta_of_weight(k, N) / np.pi))
+    return values, np.bincount(fold, weights=probs)
 
 
 def median3_amp_pmf(k, N, M):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import phase_dist, qsim
-from .counting_model import single_run_pmf
+from .counting_model import amp_support, single_run_amp_pmf, single_run_pmf
 from .numerics import circle_dist
 
 
@@ -57,16 +57,24 @@ def check_eigenstructure(sizes=(4, 8, 16)):
     return worst
 
 
-def check_mixture(sizes=(4, 8, 16), m_range=(2, 8)):
-    worst = 0.0
+def _counting_laws(sizes=(4, 8, 16), m_range=(2, 8)):
     for N in sizes:
         for k in range(N + 1):
             w = np.array([1] * k + [0] * (N - k))
             for M in range(m_range[0], m_range[1] + 1):
-                a = qsim.counting_statevector_pmf(w, M)
-                b = single_run_pmf(k, N, M)
-                worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst
+                yield k, N, M, qsim.counting_statevector_pmf(w, M)
+
+
+def check_mixture():
+    return max(float(np.max(np.abs(law - single_run_pmf(k, N, M))))
+               for k, N, M, law in _counting_laws())
+
+
+def check_amp_law():
+    # the one-eigenphase amplitude law against the statevector law folded z <-> M-z
+    return max(float(np.max(np.abs(np.bincount(amp_support(M)[1], weights=law)
+                                   - single_run_amp_pmf(k, N, M)[1])))
+               for k, N, M, law in _counting_laws())
 
 
 def check_fejer_identity(m_max=64, x_count=32):
@@ -92,6 +100,7 @@ CHECKS = (
     ("quadratic_tail_bound", check_tail_bound, 1e-15),
     ("grover_eigenstructure", check_eigenstructure, 1e-10),
     ("no_interference_mixture", check_mixture, 1e-12),
+    ("amp_law_vs_statevector", check_amp_law, 1e-12),
     ("fejer_identity", check_fejer_identity, 1e-12),
     ("kernel_normalization", check_kernel_normalization, 1e-10),
 )

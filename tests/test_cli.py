@@ -153,6 +153,14 @@ class TestSweep:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("spec", ["10:5", "16:8:-8", "8:16:-8"])
+    def test_empty_or_descending_range_is_usage_error(self, runner, spec):
+        result = runner.invoke(
+            main, ["sweep", "--method", "bernstein", "--n", spec, "--target", "sqrt"]
+        )
+        assert result.exit_code == 2
+        assert "bad n range" in result.output
+
     def test_nonpositive_n_usage_error(self, runner):
         for spec in ("0:2", "-1"):
             result = runner.invoke(

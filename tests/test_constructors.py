@@ -25,8 +25,8 @@ from jacksonlab.constructors import (
     approximant_coefficients,
     derived_params,
 )
-from jacksonlab.corpus import CORPUS, PERIODIC_NAMES
-from jacksonlab.counting_model import theta_of_weight
+from jacksonlab.corpus import CORPUS, PERIODIC_NAMES, target_from_csv
+from jacksonlab.counting_model import median3_amp_pmf, single_run_amp_pmf, theta_of_weight
 from jacksonlab.numerics import (
     effective_algebraic_degree,
     effective_trig_degree,
@@ -148,6 +148,42 @@ class TestCounting:
             )
             rep = error_report(g, "counting_median3", n)
             assert rep.sup_err <= np.pi * dmed + 0.5 / n + 1e-12
+
+
+class TestCountingValueTable:
+    @pytest.mark.parametrize("median3", [True, False])
+    @pytest.mark.parametrize("target", ["abs-half", "csv"])
+    def test_equals_the_per_weight_expectation(self, monkeypatch, tmp_path, median3, target):
+        path = tmp_path / "g.csv"
+        path.write_text("0,0.3\n0.2,1.0\n0.45,-0.5\n0.7,0.25\n1,0.8\n")
+        g = target_from_csv(str(path)) if target == "csv" else CORPUS[target]
+        law = median3_amp_pmf if median3 else single_run_amp_pmf
+        for n in (6, 13):
+            M, N = derived_params("counting_median3" if median3 else "counting_single", n)
+            expect = np.array([np.dot(p, g(v)) for v, p in (law(k, N, M) for k in range(N + 1))])
+            # one row per block; 3 rows with a ragged last block; the whole table at once
+            for entries in (1, 3 * (M // 2 + 1), 1 << 40):
+                monkeypatch.setattr(constructors, "_BLOCK_ENTRIES", entries)
+                table = constructors._counting_value_table(g, N, M, median3)
+                assert np.max(np.abs(table - expect)) <= 1e-14, (n, entries)
+
+    @pytest.mark.parametrize("method", ["counting_median3", "counting_single"])
+    def test_one_law_per_weight_and_one_target_call(self, monkeypatch, method):
+        weights, sizes = [], []
+        law = constructors.single_run_amp_pmf
+        monkeypatch.setattr(constructors, "single_run_amp_pmf",
+                            lambda k, N, M: weights.append(k) or law(k, N, M))
+        g = TargetFunction(lambda x: sizes.append(np.size(x)) or np.sqrt(x), name="counted")
+        approx = build_approximant(g, method, 12)
+        assert weights == list(range(approx.N + 1))
+        assert sizes == [approx.M // 2 + 1]
+
+    @pytest.mark.parametrize("method", ["counting_median3", "counting_single"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_target_on_the_support_rejected(self, method, bad):
+        g = TargetFunction(lambda x: np.where(x > 0.5, bad, x), name="bad")
+        with pytest.raises(PreconditionError, match="finite"):
+            build_approximant(g, method, 12)
 
 
 class TestCountingSingle:

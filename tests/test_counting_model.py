@@ -15,7 +15,12 @@ from jacksonlab import (
     single_run_pmf,
     theta_of_weight,
 )
-from jacksonlab.counting_model import _log_binom, binom_weight_matrix, single_run_amp_pmf
+from jacksonlab.counting_model import (
+    _log_binom,
+    amp_support,
+    binom_weight_matrix,
+    single_run_amp_pmf,
+)
 from jacksonlab.qsim import counting_statevector_pmf
 
 
@@ -81,6 +86,24 @@ class TestSingleRunPmf:
         for law in (single_run_amp_pmf, median3_amp_pmf):
             for got, want in zip(law(1, 4, 4.0), law(1, 4, 4)):
                 assert np.array_equal(got, want)
+
+
+class TestSingleRunAmpPmf:
+    @pytest.mark.parametrize("N", [1, 4, 9, 25])
+    def test_one_eigenphase_equals_the_folded_mixture(self, N):
+        # even M covers the outcome z = M/2, which is its own partner M - z
+        for M in range(1, 10):
+            z = np.arange(M)
+            for k in range(N + 1):
+                folded = np.bincount(np.minimum(z, M - z), weights=single_run_pmf(k, N, M))
+                values, probs = single_run_amp_pmf(k, N, M)
+                assert values.shape == probs.shape == (M // 2 + 1,)
+                assert np.max(np.abs(probs - folded)) <= 1e-15, (k, M)
+
+    def test_support_is_read_only(self):
+        for array in amp_support(6):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 class TestAmpEstimate:

@@ -1,0 +1,22 @@
+import numpy as np
+
+from jacksonlab import verify
+from jacksonlab.counting_model import amp_support, theta_of_weight
+from jacksonlab.numerics import circle_dist
+from jacksonlab.phase_dist import pe_probs
+
+TOLERANCE = {name: tol for name, _fn, tol in verify.CHECKS}
+
+
+def test_amp_law_check_passes():
+    assert verify.check_amp_law() <= TOLERANCE["amp_law_vs_statevector"]
+
+
+def test_amp_law_check_catches_a_dropped_fold(monkeypatch):
+    def unfolded(k, N, M):
+        # the law of the eigenphase theta/pi on z <= M/2, without the mass of M - z
+        values, _fold, phases = amp_support(M)
+        return values, pe_probs(M, circle_dist(phases, theta_of_weight(k, N) / np.pi))[: len(values)]
+
+    monkeypatch.setattr(verify, "single_run_amp_pmf", unfolded)
+    assert verify.check_amp_law() > TOLERANCE["amp_law_vs_statevector"]
