@@ -115,6 +115,14 @@ def _blockwise(rows_fn, width):
     return fn
 
 
+def _target_values(g, x, where):
+    """g at the points x as floats; PreconditionError if any value is NaN or infinite."""
+    values = np.asarray(g(x), dtype=float)
+    if not np.isfinite(values).all():
+        raise PreconditionError(f"target values must be finite {where}")
+    return values
+
+
 def _lobatto_form(reference, n):
     return lambda: LobattoPoly(reference(cheb_lobatto_nodes(n + 1)))
 
@@ -152,7 +160,7 @@ def derived_params(method, n):
 
 
 def _bernstein_approximant(g, n):
-    values = np.asarray(g(np.arange(n + 1) / n), dtype=float)
+    values = _target_values(g, np.arange(n + 1) / n, "at the Bernstein nodes k/n")
     fn = _blockwise(lambda x: binom_weight_matrix(n, x) @ values, n + 1)
     return Approximant(method="bernstein", n=n, M=None, N=None, reference=fn,
                        compile=_lobatto_form(fn, n))
@@ -165,9 +173,7 @@ def _counting_value_table(g, N, M, median3):
     and g, evaluated once on the amplitude support, are applied once.
     """
     values = amp_support(M)[0]
-    gvals = np.asarray(g(values), dtype=float)
-    if not np.isfinite(gvals).all():
-        raise PreconditionError("target values must be finite on the counting amplitude support")
+    gvals = _target_values(g, values, "on the counting amplitude support")
 
     def rows(weights):
         laws = np.array([single_run_amp_pmf(k, N, M)[1] for k in weights.astype(int)])
@@ -198,7 +204,7 @@ def _phase_approximant(g, n):
     if not g.periodic:
         raise PreconditionError("phase construction requires a periodic target")
     M, _ = derived_params("phase_median3", n)
-    gvals = np.asarray(g(np.arange(M) / M), dtype=float)
+    gvals = _target_values(g, np.arange(M) / M, "at the phase outcomes z/M")
 
     def rows(x):
         # one outcome law per point, on the g-values of the M outcomes
@@ -219,7 +225,7 @@ def _convolution_samples(g, kernel, quad_points):
         raise PreconditionError(
             "quad_points must be at least 8*(kernel trig degree + 1)"
         )
-    return np.asarray(g(np.arange(quad_points) / quad_points), dtype=float)
+    return _target_values(g, np.arange(quad_points) / quad_points, "at the quadrature nodes")
 
 
 def _quadrature_convolution(kernel, gs):
@@ -305,7 +311,9 @@ def error_report(g, method, n=None, grid=None):
     """
     grid = grid or Grid.uniform(4097)
     approx = method if isinstance(method, Approximant) else build_approximant(g, method, n)
-    sup_err = sup_distance(g, approx, grid)
+    # a non-finite target on the grid is bad input, not a fault of the approximant
+    target = _target_values(g, grid.points, "on the error grid")
+    sup_err = sup_distance(lambda _x: target, approx, grid)
     omega = omega_reference(g, 1.0 / approx.n)
     ratio = sup_err / omega if omega > 0 else 0.0
     return ErrorReport(

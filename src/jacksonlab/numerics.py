@@ -8,6 +8,7 @@ extraction from samples, and effective-degree certification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -181,7 +182,14 @@ class LobattoPoly:
 
 @dataclass(frozen=True)
 class TrigPoly:
-    """Trigonometric polynomial sum_k c_k e^{2 pi i k x}, k in [-m, m]."""
+    """Trigonometric polynomial sum_k c_k e^{2 pi i k x}, k in [-m, m].
+
+    Calls return the real part, Re sum_{k=0..m} b_k e^{2 pi i k x} with
+    b_0 = c_0 and b_k = c_k + conj(c_-k), evaluated baby-step/giant-step:
+    k = aB + r with B = ceil(sqrt(m+1)), so each point needs B + A complex
+    exponentials (A = ceil((m+1)/B)) and one product with the B x A table
+    T[r, a] = b_{aB+r}, not m cosines and m sines.
+    """
 
     coeffs: np.ndarray  # complex, ordered k = -m .. m
 
@@ -189,7 +197,16 @@ class TrigPoly:
         c = np.asarray(self.coeffs, dtype=complex)
         if c.size < 1 or c.size % 2 == 0:
             raise PreconditionError("coefficient vector must have odd length")
+        m = (c.size - 1) // 2
+        baby = math.isqrt(m) + 1  # ceil(sqrt(m + 1))
+        giant = -(-(m + 1) // baby)
+        b = np.zeros(baby * giant, dtype=complex)
+        b[: m + 1] = c[m:]
+        b[1 : m + 1] += np.conj(c[:m][::-1])
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "_table", b.reshape(giant, baby).T.copy())
+        object.__setattr__(self, "_baby_freqs", 2j * np.pi * np.arange(baby))
+        object.__setattr__(self, "_giant_freqs", 2j * np.pi * baby * np.arange(giant))
 
     @property
     def degree(self):
@@ -209,14 +226,13 @@ class TrigPoly:
         return phases @ self.coeffs
 
     def __call__(self, x):
-        # real form, exact for any complex coefficients:
-        # Re c_0 + sum_{k>=1} Re(c_k + c_-k) cos 2 pi k x - Im(c_k - c_-k) sin 2 pi k x
-        m = self.degree
-        c = self.coeffs
-        up, down = c[m + 1 :], c[:m][::-1]  # c_k and c_-k for k = 1..m
-        angles = np.multiply.outer(2.0 * np.pi * np.asarray(x, dtype=float), np.arange(1, m + 1))
-        out = c[m].real + np.cos(angles) @ (up + down).real - np.sin(angles) @ (up - down).imag
-        return _scalarize(out, x)
+        # the phases depend on x mod 1 only; reducing first keeps the angles below 2 pi m
+        xs = np.asarray(x, dtype=float) % 1.0
+        t = xs.reshape(-1)
+        baby = np.exp(np.multiply.outer(t, self._baby_freqs))
+        giant = np.exp(np.multiply.outer(t, self._giant_freqs))
+        out = ((baby @ self._table) * giant).sum(axis=1).real
+        return _scalarize(out.reshape(xs.shape), x)
 
     def imag_residue(self, x):
         """Max |imaginary part| of evaluation at x; small for real polys."""
@@ -265,6 +281,9 @@ def modulus_estimate(f, delta, grid):
             f"grid spacing {spacing:.3g} exceeds delta/8 = {delta / 8.0:.3g}"
         )
     vals = np.asarray(f(pts), dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise PreconditionError(f"non-finite value at x={pts[bad][0]!r}")
     best = 0.0
     tol = delta * (1.0 + 1e-12)
     for shift in range(1, len(pts)):

@@ -65,16 +65,17 @@ def _counting_laws(sizes=(4, 8, 16), m_range=(2, 8)):
                 yield k, N, M, qsim.counting_statevector_pmf(w, M)
 
 
-def check_mixture():
+def check_mixture(laws=None):
+    # laws: the (k, N, M, statevector law) tuples of _counting_laws, simulated here if None
     return max(float(np.max(np.abs(law - single_run_pmf(k, N, M))))
-               for k, N, M, law in _counting_laws())
+               for k, N, M, law in laws or _counting_laws())
 
 
-def check_amp_law():
+def check_amp_law(laws=None):
     # the one-eigenphase amplitude law against the statevector law folded z <-> M-z
     return max(float(np.max(np.abs(np.bincount(amp_support(M)[1], weights=law)
                                    - single_run_amp_pmf(k, N, M)[1])))
-               for k, N, M, law in _counting_laws())
+               for k, N, M, law in laws or _counting_laws())
 
 
 def check_fejer_identity(m_max=64, x_count=32):
@@ -105,13 +106,17 @@ CHECKS = (
     ("kernel_normalization", check_kernel_normalization, 1e-10),
 )
 
+# the checks that take the statevector counting laws, which one run simulates once
+_LAW_CHECKS = ("no_interference_mixture", "amp_law_vs_statevector")
+
 
 def run_verification():
     """Run every cross-check; returns a JSON-serializable manifest."""
     checks = {}
     passed = True
+    laws = list(_counting_laws())
     for name, fn, tol in CHECKS:
-        residual = fn()
+        residual = fn(laws) if name in _LAW_CHECKS else fn()
         ok = residual <= tol
         passed = passed and ok
         checks[name] = {"max_residual": residual, "tolerance": tol, "pass": ok}

@@ -109,6 +109,17 @@ class TestConstruct:
         assert result.exit_code == 2
         assert "bad target CSV" in result.output
 
+    @pytest.mark.parametrize("command,n", [("construct", "6"), ("sweep", "4:6")])
+    @pytest.mark.parametrize("method", ["bernstein", "phase_median3", "jackson_kernel"])
+    def test_nonfinite_target_values_are_usage_error(self, runner, tmp_path, command, n, method):
+        # every knot is finite, but the interpolated target overflows to -inf between them
+        path = tmp_path / "big.csv"
+        path.write_text("0,1.7e308\n0.5,-1.7e308\n1,1.7e308\n")
+        result = runner.invoke(main, [command, "--method", method, "--n", n,
+                                      "--target", str(path), "--periodic"])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
     @pytest.mark.parametrize("command,n", [("construct", "4"), ("sweep", "4:6")])
     def test_unreadable_target_is_io_error(self, runner, tmp_path, command, n):
         result = runner.invoke(

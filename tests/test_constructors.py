@@ -186,6 +186,41 @@ class TestCountingValueTable:
             build_approximant(g, method, 12)
 
 
+class TestNonfiniteTarget:
+    @pytest.mark.parametrize("method", ["bernstein", "phase_median3", "jackson_kernel"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_at_the_samples_the_method_uses(self, method, bad):
+        g = TargetFunction(lambda x: np.where(x > 0.3, bad, x), periodic=True, name="bad")
+        with pytest.raises(PreconditionError, match="finite"):
+            build_approximant(g, method, 12)
+
+    @pytest.mark.parametrize("method", ["bernstein", "phase_median3", "jackson_kernel"])
+    def test_overflowing_csv_target_rejected(self, tmp_path, method):
+        # finite knots whose linear interpolation overflows to -inf between them
+        path = tmp_path / "big.csv"
+        path.write_text("0,1.7e308\n0.5,-1.7e308\n1,1.7e308\n")
+        g = target_from_csv(str(path), periodic=True)
+        with pytest.raises(PreconditionError, match="finite"):
+            build_approximant(g, method, 12)
+
+    def test_rejected_on_the_error_grid(self):
+        # finite at the outcomes 0 and 1/2 that phase_median3 samples at n = 4, infinite between
+        g = TargetFunction(lambda x: np.where(x % 0.5 == 0.0, 1.0, np.inf), periodic=True)
+        approx = build_approximant(g, "phase_median3", 4)
+        with pytest.raises(PreconditionError, match="error grid"):
+            error_report(g, approx)
+
+    def test_rejected_on_the_modulus_grid(self):
+        # finite on the 4097-point error grid and the quadrature nodes, infinite at the
+        # odd multiples of 1/8192, which only omega_reference's finer grid holds
+        def g_of(x):
+            return np.where((x * 8192) % 2 == 1, np.inf, np.cos(2 * np.pi * x))
+
+        g = TargetFunction(g_of, periodic=True)
+        with pytest.raises(PreconditionError, match="finite"):
+            error_report(g, "jackson_kernel", 512)
+
+
 class TestCountingSingle:
     def test_log_factor_gap(self):
         g = CORPUS["abs-half"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -151,6 +153,13 @@ class TestModulusEstimate:
     def test_grid_too_coarse(self):
         with pytest.raises(PreconditionError):
             modulus_estimate(CORPUS["sqrt"], 0.01, Grid.uniform(65))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_value_refused(self, bad):
+        # an infinite value would give omega = inf, a NaN one would be dropped by max()
+        f = TargetFunction(lambda x: np.where(x == 0.5, bad, x))
+        with pytest.raises(PreconditionError, match="finite"):
+            modulus_estimate(f, 0.1, Grid.uniform(101))
 
     def test_monotone_and_subadditive(self):
         g = CORPUS["holder-cusp"]
@@ -332,3 +341,54 @@ class TestDomainTypes:
         assert poly.imag_residue(np.linspace(0, 1, 50)) < 1e-10 * (
             1 + np.max(np.abs(poly.coeffs))
         )
+
+
+def _trig_oracle(c, x):
+    # the defining sum over k = -m..m, with no real-form or two-level split
+    m = (len(c) - 1) // 2
+    return np.real(np.exp(2j * np.pi * np.multiply.outer(x, np.arange(-m, m + 1))) @ c)
+
+
+class TestTrigPolyEvaluation:
+    DEGREES = (0, 1, 2, 3, 7, 8, 15, 16, 200, 512, 1024)
+
+    @pytest.mark.parametrize("m", DEGREES)
+    def test_matches_the_defining_sum(self, m):
+        rng = np.random.default_rng(m)
+        c = rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1)  # not symmetric
+        xs = np.concatenate(([0.0, 0.5, 1.0 - 2.0**-53], rng.uniform(0.0, 1.0, size=200)))
+        err = np.max(np.abs(TrigPoly(c)(xs) - _trig_oracle(c, xs)))
+        assert err <= 1e-13 * (1.0 + np.sum(np.abs(c))), err
+
+    @pytest.mark.parametrize("m", DEGREES)
+    def test_phases_depend_on_x_mod_one_only(self, m):
+        rng = np.random.default_rng(m)
+        poly = TrigPoly(rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1))
+        # dyadic points in [-3, 4), so x + 1000 is exact and only the phase reduction can differ
+        xs = np.arange(-3 * 256, 4 * 256) / 256 + rng.integers(0, 256, size=7 * 256) / 2**16
+        assert np.max(np.abs(poly(xs + 1000.0) - poly(xs))) <= 1e-13
+
+    def test_shapes(self):
+        rng = np.random.default_rng(3)
+        poly = TrigPoly(rng.normal(size=9) + 1j * rng.normal(size=9))
+        assert isinstance(poly(0.3), float)
+        assert isinstance(poly(np.float64(0.3)), float)
+        assert isinstance(poly(np.array(0.3)), float)
+        for shape in ((0,), (5,), (3, 4), (2, 0)):
+            xs = rng.uniform(size=shape)
+            out = poly(xs)
+            assert out.shape == shape and out.dtype == float
+            assert np.max(np.abs(out - _trig_oracle(poly.coeffs, xs)), initial=0.0) <= 1e-13
+
+    def test_grid_needs_no_points_by_degree_temporary(self):
+        rng = np.random.default_rng(4)
+        poly = TrigPoly(rng.normal(size=1025) + 1j * rng.normal(size=1025))
+        grid = np.linspace(0.0, 1.0, 4097)
+        poly(grid)
+        tracemalloc.start()
+        try:
+            poly(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.size * 512 * 8  # one float64 array of shape (4097, 512)

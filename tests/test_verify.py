@@ -20,3 +20,20 @@ def test_amp_law_check_catches_a_dropped_fold(monkeypatch):
 
     monkeypatch.setattr(verify, "single_run_amp_pmf", unfolded)
     assert verify.check_amp_law() > TOLERANCE["amp_law_vs_statevector"]
+
+
+def test_one_run_simulates_each_counting_law_once(monkeypatch):
+    calls = []
+    simulate = verify.qsim.counting_statevector_pmf
+    monkeypatch.setattr(verify.qsim, "counting_statevector_pmf",
+                        lambda w, M: calls.append(M) or simulate(w, M))
+    expect = sum(N + 1 for N in (4, 8, 16)) * len(range(2, 9))  # 217 (k, N, M) triples
+    residuals = []
+    for _run in range(2):  # nothing is kept from one run to the next
+        calls.clear()
+        manifest = verify.run_verification()
+        assert len(calls) == expect
+        residuals.append({name: c["max_residual"] for name, c in manifest["checks"].items()})
+    assert residuals[0] == residuals[1]
+    assert residuals[0]["no_interference_mixture"] == verify.check_mixture()
+    assert residuals[0]["amp_law_vs_statevector"] == verify.check_amp_law()
