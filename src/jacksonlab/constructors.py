@@ -229,8 +229,19 @@ def _convolution_samples(g, kernel, quad_points):
 
 
 def _quadrature_convolution(kernel, gs):
-    s = np.arange(len(gs)) / len(gs)
-    return _blockwise(lambda x: kernel(s[None, :] - x[:, None]) @ gs / len(gs), len(gs))
+    """(1/Q) sum_j kernel(j/Q - x) g(j/Q), entry by entry, with each point's
+    nodes re-centred on it (KernelSpec.quadrature_rows)."""
+    Q = len(gs)
+    rows = kernel.quadrature_rows(Q)
+
+    def sums(x):
+        c, k = rows(x)
+        # window[c[i]] is the samples from node c[i] - Q//2 on, wrapped round
+        wrapped = gs[(np.arange(2 * Q - 1) - Q // 2) % Q]
+        window = np.lib.stride_tricks.sliding_window_view(wrapped, Q)
+        return np.einsum("ij,ij->i", k, window[c]) / Q
+
+    return _blockwise(sums, Q)
 
 
 def kernel_convolve(g, kernel: KernelSpec, quad_points):

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import PreconditionError, circle_dist, median3_pmf
-from .phase_dist import pe_probs
+from .phase_dist import outcome_phases, pe_probs
 
 
 def theta_of_weight(k, N):
@@ -57,10 +57,11 @@ def amp_support(M):
         raise PreconditionError("M must be a positive integer")
     M = int(M)
     z = np.arange(M)
-    out = (np.sin(np.pi * np.arange(M // 2 + 1) / M) ** 2, np.minimum(z, M - z), z / M)
-    for a in out:
+    values = np.sin(np.pi * np.arange(M // 2 + 1) / M) ** 2
+    fold = np.minimum(z, M - z)
+    for a in (values, fold):
         a.flags.writeable = False
-    return out
+    return values, fold, outcome_phases(M)
 
 
 def single_run_amp_pmf(k, N, M):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +27,14 @@ class PhasePMF:
     M: int
     x: float
     probs: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def outcome_phases(M):
+    """Read-only outcome phases z/M, z = 0..M-1, of phase estimation at precision M."""
+    out = np.arange(M) / M
+    out.flags.writeable = False
+    return out
 
 
 def pe_probs(M, d):
@@ -53,7 +62,7 @@ def pe_pmf(M, x):
     if not math.isfinite(x):
         raise PreconditionError(f"phase x must be finite, got {x!r}")
     x %= 1.0
-    return PhasePMF(M=M, x=x, probs=pe_probs(M, circle_dist(np.arange(M) / M, x)))
+    return PhasePMF(M=M, x=x, probs=pe_probs(M, circle_dist(outcome_phases(M), x)))
 
 
 def tail_bound(M, d):
@@ -65,7 +74,7 @@ def tail_bound(M, d):
 
 def expected_circle_error(pmf):
     """E[d(Z/M, x)] under the phase-estimation outcome law."""
-    d = circle_dist(np.arange(pmf.M) / pmf.M, pmf.x)
+    d = circle_dist(outcome_phases(pmf.M), pmf.x)
     return float(np.dot(pmf.probs, d))
 
 
@@ -76,7 +85,7 @@ def median3_circle_error(M, x):
     triple enumeration to rounding.
     """
     pmf = pe_pmf(M, x)
-    d = circle_dist(np.arange(pmf.M) / pmf.M, pmf.x)
+    d = circle_dist(outcome_phases(pmf.M), pmf.x)
     support, probs = median3_pmf(d, pmf.probs)
     return float(np.dot(support, probs))
 
@@ -86,15 +95,33 @@ def fejer_value(n, t):
     n = int(n)
     if n < 1:
         raise PreconditionError("n must be a positive integer")
-    # the ratio is computed everywhere and replaced by its limit n near the
-    # integers, where it is 0/0 or rounding noise
+    # r = t - rint(t) is exact and lies in [-1/2, 1/2], so the ratio keeps its
+    # full relative accuracy up to the integers, where it is 0/0 and takes its
+    # limit n; F_n <= n, which the clamp keeps against rounding
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_arr = np.asarray(t, dtype=float) % 1.0
-        ratio = np.sin(np.pi * n * t_arr) ** 2 / (n * np.sin(np.pi * t_arr) ** 2)
-    d = np.minimum(t_arr, 1.0 - t_arr)
-    out = np.where(d <= _SINGULARITY_EPS, float(n), ratio)
+        t_arr = np.asarray(t, dtype=float)
+        r = t_arr - np.rint(t_arr)
+        ratio = np.sin(np.pi * n * r) ** 2 / (n * np.sin(np.pi * r) ** 2)
+    out = np.where(np.abs(r) <= _SINGULARITY_EPS, float(n), np.minimum(ratio, n))
     if np.ndim(t) == 0:
         return float(out)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _offset_tables(order, Q):
+    """Read-only (2, Q) tables [sin; cos] of pi*order*u and of pi*u at the
+    offsets u = o/Q, o = -(Q//2) .. Q-1-Q//2, of a Q-node uniform rule.
+
+    order*o is reduced to (-Q, Q] in integers first, so every angle lies in
+    (-pi, pi] and each entry is as accurate as one sine there.
+    """
+    o = np.arange(Q) - Q // 2
+    k = (order * o + Q - 1) % (2 * Q) - (Q - 1)
+    out = (np.stack((np.sin(np.pi * k / Q), np.cos(np.pi * k / Q))),
+           np.stack((np.sin(np.pi * o / Q), np.cos(np.pi * o / Q))))
+    for a in out:
+        a.flags.writeable = False
     return out
 
 
@@ -143,6 +170,42 @@ class KernelSpec:
         if self.kind == "fejer":
             return base
         return self.norm_const * base**2
+
+    def quadrature_rows(self, Q):
+        """Row function of the Q-node uniform rule, re-centred on each point.
+
+        rows(x) returns (c, K) for a 1-D x: c[i] = rint(Q x[i]) mod Q, and
+        K[i, o] = kernel(s - x[i]) at the node s = (c[i] + o - Q//2)/Q mod 1.
+        That difference is u - d, with u = (o - Q//2)/Q and
+        d = x - rint(Q x)/Q, |d| <= 1/(2Q).  sin(pi m (u - d)) is expanded by
+        angle addition into a rank-2 product of the per-offset tables with
+        the per-point sin and cos of pi m d, for m = order (numerator) and
+        m = 1 (denominator), so no entry takes a sine.  For u != 0,
+        |u| >= 2|d| and neither difference cancels badly; at u = 0 both are
+        exactly -sin(pi m d), and a point with |d| <= 1e-15 takes the limit
+        F = order there.
+        """
+        n, half = self.order, Q // 2
+
+        def rows(x):
+            num_table, den_table = _offset_tables(n, Q)
+            x = x % 1.0
+            c = np.rint(x * Q)
+            d = x - c / Q
+            a = np.pi * d
+            # in place from here: sin(pi n t) / sin(pi t), then F_n(t), then the kernel
+            k = np.stack((np.cos(n * a), -np.sin(n * a)), axis=1) @ num_table
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k /= np.stack((np.cos(a), -np.sin(a)), axis=1) @ den_table
+            k[np.abs(d) <= _SINGULARITY_EPS, half] = n
+            k *= k
+            k /= n
+            if self.kind == "jackson":
+                k *= k
+                k *= self.norm_const
+            return c.astype(np.intp) % Q, k
+
+        return rows
 
 
 def fejer_kernel(n):

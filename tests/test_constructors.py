@@ -33,6 +33,7 @@ from jacksonlab.numerics import (
     sup_distance,
     trig_coeffs_from_samples,
 )
+from jacksonlab import phase_dist
 from jacksonlab.phase_dist import median3_circle_error
 
 CONST = TargetFunction(lambda x: np.full_like(np.asarray(x, float), 2.5), name="c")
@@ -508,9 +509,6 @@ GATE_CASES += [(method, "skew") for method in TRIG_METHODS]
 @pytest.mark.filterwarnings("ignore:.*degenerates")
 @pytest.mark.parametrize("method,name", GATE_CASES)
 def test_compiled_form_matches_reference(method, name):
-    # jackson_kernel's reference is a direct sum over a kernel matrix whose own
-    # rounding reaches ~3e-11; the compiled form is exact (see the cos test)
-    tol = 1e-10 if method == "jackson_kernel" else 1e-12
     g = GATE_TARGETS[name]
     rng = np.random.default_rng(41)
     worst = 0.0
@@ -518,7 +516,7 @@ def test_compiled_form_matches_reference(method, name):
         approx = build_approximant(g, method, n)
         x = np.concatenate((rng.uniform(size=400), [0.0, 1.0]))
         worst = max(worst, float(np.max(np.abs(approx(x) - approx.reference(x)))))
-    assert worst <= tol
+    assert worst <= 1e-12
 
 
 def _jackson_cos_gain(order):
@@ -536,3 +534,81 @@ def test_jackson_exact_on_cos():
         gain = float(_jackson_cos_gain(max(n // 2, 1)))
         approx = build_approximant(g, "jackson_kernel", n)
         assert np.max(np.abs(approx(x) - gain * np.cos(2 * np.pi * x))) <= 1e-14
+
+
+PI_LD = 4 * np.arctan(np.longdouble(1))
+
+
+def _convolution_oracle(kernel, g, Q, x):
+    """(1/Q) sum_j kernel(j/Q - x) g(j/Q) at each x, every entry in long double."""
+    n = kernel.order
+    gs = np.asarray(g(np.arange(Q) / Q), dtype=np.longdouble)
+    t = np.arange(Q, dtype=np.longdouble)[None, :] / Q - np.asarray(x, np.longdouble)[:, None]
+    r = t - np.rint(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.sin(PI_LD * n * r) ** 2 / (n * np.sin(PI_LD * r) ** 2)
+    f[r == 0] = n
+    k = f if kernel.kind == "fejer" else np.longdouble(kernel.norm_const) * f * f
+    return (k @ gs) / Q
+
+
+def _near_node_points(Q):
+    """0, 1, a few nodes j/Q, and each node +- 10^-k for k = 6..14."""
+    nodes = np.array([0, 1, Q // 3, Q - 1]) / Q
+    h = 10.0 ** -np.arange(6, 15)
+    return np.concatenate(([0.0, 1.0], nodes, (nodes[:, None] + h).ravel(),
+                           (nodes[:, None] - h).ravel()))
+
+
+class TestQuadratureReference:
+    """The Jackson/Fejer quadrature sum, re-centred on each point."""
+
+    @pytest.mark.parametrize("n", (64, 192, 448))
+    def test_jackson_reference_matches_long_double_oracle(self, n):
+        # just above a node, a sine taken at (s - x) mod 1 loses its relative accuracy
+        order = n // 2
+        kernel = jackson_kernel(order)
+        Q = 8 * (kernel.trig_degree + 1)
+        x = np.concatenate((_near_node_points(Q), np.random.default_rng(n).uniform(size=64)))
+        approx = build_approximant(SKEW_P, "jackson_kernel", n)
+        assert np.max(np.abs(approx.reference(x) - _convolution_oracle(kernel, SKEW_P, Q, x))) <= 1e-13
+
+    @pytest.mark.parametrize("kernel,Q", [(fejer_kernel(100), 801), (fejer_kernel(37), 400),
+                                          (jackson_kernel(50), 797)])
+    def test_kernel_convolve_matches_long_double_oracle(self, kernel, Q):
+        x = np.concatenate((_near_node_points(Q), np.random.default_rng(Q).uniform(-2, 3, size=64)))
+        conv = kernel_convolve(SKEW_P, kernel, Q)
+        assert np.max(np.abs(conv(x) - _convolution_oracle(kernel, SKEW_P, Q, x))) <= 1e-13
+
+    @pytest.mark.parametrize("make", [fejer_kernel, jackson_kernel])
+    @pytest.mark.parametrize("order", [1, 2, 7, 96, 256])
+    def test_rows_match_kernel_call(self, make, order):
+        kernel = make(order)
+        for Q in (8 * (kernel.trig_degree + 1), 8 * (kernel.trig_degree + 1) + 3):
+            # points at least 1e-3 node spacings from every node
+            rng = np.random.default_rng(Q)
+            x = (rng.integers(0, Q, size=50) + rng.uniform(0.001, 0.999, size=50)) / Q
+            c, k = kernel.quadrature_rows(Q)(x)
+            assert c.shape == (50,) and np.all((0 <= c) & (c < Q)) and k.shape == (50, Q)
+            s = ((c[:, None] + np.arange(Q) - Q // 2) % Q) / Q
+            expected = kernel(s - x[:, None])
+            # relative to the kernel's peak: near its zeros neither side has relative accuracy
+            assert np.max(np.abs(k - expected)) <= 1e-13 * np.max(expected)
+
+    @pytest.mark.parametrize("order", (1, 7, 224, 1024))
+    def test_offset_tables_match_long_double(self, order):
+        # order*o is reduced in integers: sin(pi*order*o/Q) taken directly is off by 1.8e-13 at 1024
+        Q = 8 * (2 * order - 1) + 1
+        o = np.arange(Q, dtype=np.longdouble) - Q // 2
+        num_table, den_table = phase_dist._offset_tables(order, Q)
+        for table, m in ((num_table, order), (den_table, 1)):
+            assert not table.flags.writeable
+            angle = PI_LD * m * o / Q
+            assert np.max(np.abs(table - np.stack((np.sin(angle), np.cos(angle))))) <= 2e-15
+
+    def test_build_makes_no_tables(self):
+        phase_dist._offset_tables.cache_clear()
+        approx = build_approximant(CORPUS["triangle"], "jackson_kernel", 40)
+        assert phase_dist._offset_tables.cache_info().currsize == 0
+        approx.reference(np.linspace(0.0, 1.0, 5))
+        assert phase_dist._offset_tables.cache_info().currsize == 1

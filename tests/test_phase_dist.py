@@ -15,8 +15,20 @@ from jacksonlab import (
     pe_pmf,
     pe_statevector_pmf,
 )
+from jacksonlab.counting_model import amp_support
 from jacksonlab.numerics import effective_trig_degree, trig_coeffs_from_samples
-from jacksonlab.phase_dist import kernel_integral, tail_bound
+from jacksonlab.phase_dist import kernel_integral, outcome_phases, pe_probs, tail_bound
+
+PI_LD = 4 * np.arctan(np.longdouble(1))
+
+
+def _fejer_oracle(n, t):
+    """F_n at the float64 points t, in long double; r = t - rint(t) is exact."""
+    t = np.asarray(t, dtype=np.longdouble)
+    r = t - np.rint(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sin(PI_LD * n * r) ** 2 / (n * np.sin(PI_LD * r) ** 2)
+    return np.where(r == 0, np.longdouble(n), ratio)
 
 
 class TestPePmf:
@@ -66,6 +78,23 @@ class TestPePmf:
     def test_nonfinite_phase_rejected(self, x):
         with pytest.raises(PreconditionError, match="finite"):
             pe_pmf(4, x)
+
+
+class TestOutcomePhases:
+    def test_cached_read_only_and_shared(self):
+        z = outcome_phases(16)
+        assert np.array_equal(z, np.arange(16) / 16)
+        assert not z.flags.writeable
+        with pytest.raises(ValueError):
+            z[0] = 1.0
+        assert outcome_phases(16) is z
+        amp_support.cache_clear()  # an entry cached earlier may hold an evicted array
+        assert amp_support(16)[2] is outcome_phases(16)
+
+    def test_pe_pmf_unchanged(self):
+        for M, x in ((1, 0.3), (5, 0.71), (64, 3 / 32), (64, 0.123)):
+            expected = pe_probs(M, circle_dist(np.arange(M) / M, x))
+            assert np.array_equal(pe_pmf(M, x).probs, expected)
 
 
 class TestExpectedCircleError:
@@ -139,6 +168,17 @@ class TestFejer:
         assert np.isnan(fejer_value(4, np.nan))
         vals = fejer_value(4, np.array([np.nan, np.inf, 0.0, 1.0]))
         assert np.isnan(vals[:2]).all() and vals[2] == vals[3] == 4.0
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 96, 256))
+    def test_matches_long_double_oracle_next_to_integers(self, n):
+        # just below an integer, t % 1.0 rounds to 1 - |t|: 96.06 at n = 96, t = -3e-13
+        eps = np.array([1e-16, 3e-13, 1e-10, 1e-6])
+        ts = (np.arange(-2, 3)[:, None] + np.concatenate((eps, -eps))).ravel()
+        vals = fejer_value(n, ts)
+        oracle = _fejer_oracle(n, ts)
+        assert np.all(vals <= n)
+        assert np.max(np.abs(vals - oracle) / oracle) <= 1e-14
+        assert fejer_value(n, ts[1]) == vals[1]
 
     def test_unit_integral(self):
         for n in range(1, 33):
