@@ -14,13 +14,10 @@ from .numerics import (
     PreconditionError,
     TargetFunction,
     TrigPoly,
-    cheb_coeffs_from_samples,
     cheb_lobatto_nodes,
-    cheb_nodes,
     circle_dist,
     effective_algebraic_degree,
     effective_trig_degree,
-    median3,
     median3_pmf,
     modulus_estimate,
     sup_distance,
@@ -30,18 +27,13 @@ from .corpus import CORPUS, get_target, target_from_csv
 from .phase_dist import (
     KernelSpec,
     PhasePMF,
-    expected_circle_error,
     fejer_identity_check,
     fejer_kernel,
     fejer_value,
     jackson_kernel,
-    median3_circle_error,
     pe_pmf,
 )
 from .counting_model import (
-    amp_estimate,
-    binom_weights,
-    expected_amp_error,
     median3_amp_pmf,
     single_run_pmf,
     theta_of_weight,

@@ -32,12 +32,13 @@ from .numerics import (
     cheb_lobatto_nodes,
     circle_dist,
     modulus_estimate,
+    positive_int,
     sup_distance,
     trig_coeffs_from_samples,
 )
 from . import numerics
 from .counting_model import amp_support, binom_weight_matrix, single_run_amp_pmf
-from .phase_dist import KernelSpec, jackson_kernel, pe_probs
+from .phase_dist import KernelSpec, jackson_kernel, outcome_phases, pe_probs
 
 ALGEBRAIC_METHODS = ("bernstein", "counting_median3", "counting_single")
 TRIG_METHODS = ("phase_median3", "jackson_kernel")
@@ -204,11 +205,12 @@ def _phase_approximant(g, n):
     if not g.periodic:
         raise PreconditionError("phase construction requires a periodic target")
     M, _ = derived_params("phase_median3", n)
-    gvals = _target_values(g, np.arange(M) / M, "at the phase outcomes z/M")
+    phases = outcome_phases(M)
+    gvals = _target_values(g, phases, "at the phase outcomes z/M")
 
     def rows(x):
         # one outcome law per point, on the g-values of the M outcomes
-        d = circle_dist(np.arange(M) / M, x[:, None] % 1.0)
+        d = circle_dist(phases, x[:, None] % 1.0)
         support, med = numerics.median3_pmf(gvals, pe_probs(M, d))
         return med @ support
 
@@ -277,9 +279,9 @@ def build_approximant(g, method, n):
 
     n must be a positive integer (numpy integers included).
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+    if not isinstance(n, numbers.Integral):
         raise PreconditionError(f"degree budget n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = positive_int(n, "degree budget n")
     if method in TRIG_METHODS and not g.periodic:
         raise PreconditionError(f"method {method!r} requires a periodic target")
     if method == "bernstein":
@@ -306,11 +308,11 @@ def approximant_coefficients(g, approx):
     return approx.form
 
 
-def omega_reference(g, delta, grid_size=None):
+def omega_reference(g, delta):
     """omega_delta(g): analytic when the target ships one, else a grid estimate."""
     if g.analytic_modulus is not None:
         return float(g.analytic_modulus(delta))
-    size = grid_size or max(4097, int(np.ceil(16.0 / delta)) + 1)
+    size = max(4097, int(np.ceil(16.0 / delta)) + 1)
     return modulus_estimate(g, delta, Grid.uniform(size))
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import PreconditionError, circle_dist, median3_pmf
+from .numerics import PreconditionError, circle_dist, median3_pmf, positive_int
 from .phase_dist import outcome_phases, pe_probs
 
 
@@ -34,17 +34,6 @@ def single_run_pmf(k, N, M):
     return 0.5 * probs[0] + 0.5 * probs[1]
 
 
-def amp_estimate(z, M):
-    """Amplitude estimate sin(pi z / M)^2 derived from outcome z."""
-    z = np.asarray(z)
-    if np.any(z < 0) or np.any(z >= M):
-        raise PreconditionError("outcome z must lie in [0, M)")
-    out = np.sin(np.pi * np.asarray(z, dtype=float) / M) ** 2
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 @lru_cache(maxsize=64)
 def amp_support(M):
     """Read-only (values, fold, phases) of a counting run at precision M.
@@ -53,9 +42,7 @@ def amp_support(M):
     j = min(z, M-z) of outcome z's estimate (grouping by index, not by sin^2
     values); phases: the outcome phases z/M.
     """
-    if not float(M).is_integer() or M < 1:
-        raise PreconditionError("M must be a positive integer")
-    M = int(M)
+    M = positive_int(M, "M")
     z = np.arange(M)
     values = np.sin(np.pi * np.arange(M // 2 + 1) / M) ** 2
     fold = np.minimum(z, M - z)
@@ -81,12 +68,6 @@ def median3_amp_pmf(k, N, M):
     return median3_pmf(values, probs)
 
 
-def expected_amp_error(k, N, M):
-    """Exact E[|A' - k/N|] for the median-of-three estimate."""
-    values, probs = median3_amp_pmf(k, N, M)
-    return float(np.dot(probs, np.abs(values - k / N)))
-
-
 @lru_cache(maxsize=8)
 def _log_binom(N):
     """log C(N, k) for k = 0..N, read-only; shared by every block of one N.
@@ -101,11 +82,6 @@ def _log_binom(N):
     out = np.concatenate((half, half[: N - N // 2][::-1]))
     out.flags.writeable = False
     return out
-
-
-def binom_weights(N, x):
-    """Binomial(N, x) pmf over weights 0..N: one row of binom_weight_matrix."""
-    return binom_weight_matrix(int(N), np.array([x]))[0]
 
 
 def binom_weight_matrix(N, xs):

@@ -1,7 +1,7 @@
 """Core function representations and numerical utilities.
 
 Provides target-function and polynomial containers (Chebyshev and
-trigonometric bases), circle distance, median-of-three helpers, sup-norm
+trigonometric bases), circle distance, the median-of-three law, sup-norm
 and modulus-of-continuity estimation on grids, spectral coefficient
 extraction from samples, and effective-degree certification.
 """
@@ -9,7 +9,8 @@ extraction from samples, and effective-degree certification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -21,6 +22,19 @@ class PreconditionError(ValueError):
 
 class EvaluationError(ArithmeticError):
     """A function produced a non-finite value at a named point."""
+
+
+def positive_int(value, name):
+    """value as an int; PreconditionError unless it is a positive whole number.
+
+    A bool is refused; an integral float such as 4.0 is accepted.
+    """
+    if type(value) is int and value > 0:
+        return value  # the common case, spared the numbers.Real check (about 0.4 us)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < 1):
+        raise PreconditionError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _scalarize(out, like):
@@ -36,11 +50,6 @@ def circle_dist(a, b):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def median3(a, b, c):
-    """Middle value of three reals."""
-    return sorted((a, b, c))[1]
 
 
 def median3_pmf(values, probs):
@@ -146,11 +155,12 @@ class LobattoPoly:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        nodes = cheb_lobatto_nodes(v.size)  # refuses fewer than two values
         weights = np.ones(v.size)
         weights[1::2] = -1.0
         weights[[0, -1]] *= 0.5
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_nodes", cheb_lobatto_nodes(v.size))
+        object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_weights", weights)
 
     @property
@@ -212,19 +222,6 @@ class TrigPoly:
     def degree(self):
         return (len(self.coeffs) - 1) // 2
 
-    def coeff(self, k):
-        m = self.degree
-        if abs(k) > m:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[k + m])
-
-    def evaluate_complex(self, x):
-        m = self.degree
-        ks = np.arange(-m, m + 1)
-        x = np.asarray(x, dtype=float)
-        phases = np.exp(2j * np.pi * np.multiply.outer(x, ks))
-        return phases @ self.coeffs
-
     def __call__(self, x):
         # the phases depend on x mod 1 only; reducing first keeps the angles below 2 pi m
         xs = np.asarray(x, dtype=float) % 1.0
@@ -233,17 +230,6 @@ class TrigPoly:
         giant = np.exp(np.multiply.outer(t, self._giant_freqs))
         out = ((baby @ self._table) * giant).sum(axis=1).real
         return _scalarize(out.reshape(xs.shape), x)
-
-    def imag_residue(self, x):
-        """Max |imaginary part| of evaluation at x; small for real polys."""
-        return float(np.max(np.abs(np.imag(self.evaluate_complex(x)))))
-
-    def conjugate_symmetry_defect(self):
-        """Max |c_{-k} - conj(c_k)| relative to the largest coefficient."""
-        c = self.coeffs
-        defect = np.max(np.abs(c[::-1] - np.conj(c)))
-        scale = max(np.max(np.abs(c)), 1e-300)
-        return float(defect / scale)
 
     def truncated(self, n):
         m = self.degree
@@ -296,39 +282,11 @@ def modulus_estimate(f, delta, grid):
     return best
 
 
-def cheb_nodes(count):
-    """count first-kind Chebyshev points mapped to [0,1], increasing."""
-    if count < 1:
-        raise PreconditionError("need at least one node")
-    j = np.arange(count)
-    return (1.0 - np.cos(np.pi * (2 * j + 1) / (2 * count))) / 2.0
-
-
 def cheb_lobatto_nodes(count):
     """count Chebyshev-Lobatto points (1 - cos(pi j/(count-1)))/2, from 0 to 1."""
     if count < 2:
         raise PreconditionError("need at least two nodes")
     return (1.0 - np.cos(np.pi * np.arange(count) / (count - 1))) / 2.0
-
-
-def cheb_coeffs_from_samples(values):
-    """Interpolating ChebPoly through samples at cheb_nodes(len(values)).
-
-    Uses discrete Chebyshev orthogonality, so the round trip through
-    evaluation at the nodes reproduces the inputs to rounding.
-    """
-    values = np.asarray(values, dtype=float)
-    m1 = len(values)
-    if m1 < 1:
-        raise PreconditionError("need at least one sample")
-    j = np.arange(m1)
-    # angles of the nodes in the t = 2x-1 coordinate, matching cheb_nodes order
-    psi = np.pi - np.pi * (2 * j + 1) / (2 * m1)
-    k = np.arange(m1)
-    basis = np.cos(np.outer(k, psi))
-    coeffs = (2.0 / m1) * basis @ values
-    coeffs[0] /= 2.0
-    return ChebPoly(coeffs)
 
 
 def trig_coeffs_from_samples(values):
@@ -352,36 +310,39 @@ class DegreeReport(NamedTuple):
     residual: float  # max |h - truncation| on fresh random points
 
 
-def _fresh_points(count, seed):
-    return np.random.default_rng(seed).uniform(0.0, 1.0, size=count)
+def _fresh_points(seed):
+    # the 512 random points on which a probe compares h with its truncation
+    return np.random.default_rng(seed).uniform(0.0, 1.0, size=512)
 
 
-def effective_algebraic_degree(h, claimed_degree, probe_count, seed=0, fresh_count=512):
+def effective_algebraic_degree(h, claimed_degree, probe_count, seed=0):
     """Certify that h is an algebraic polynomial of degree <= claimed_degree.
 
-    Samples h at probe_count Chebyshev nodes, extracts coefficients, and
+    Samples h at probe_count Chebyshev-Lobatto nodes, takes the Chebyshev
+    coefficients of the interpolant (the FFT of LobattoPoly.chebyshev), and
     reports the relative leakage above the claimed degree plus the max
     deviation between h and its truncation on fresh random points.  A
     small residual certifies the degree bound regardless of aliasing.
     """
     n = int(claimed_degree)
-    if probe_count < 4 * n + 1:
-        raise PreconditionError("probe_count must be at least 4*claimed_degree + 1")
-    nodes = cheb_nodes(probe_count)
-    vals = np.asarray(h(nodes), dtype=float)
+    if probe_count < max(4 * n + 1, 2):
+        raise PreconditionError(
+            "probe_count must be at least 4*claimed_degree + 1, and at least 2 nodes"
+        )
+    vals = np.asarray(h(cheb_lobatto_nodes(probe_count)), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("non-finite sample during degree probe")
-    poly = cheb_coeffs_from_samples(vals)
+    poly = LobattoPoly(vals).chebyshev()
     c = np.abs(poly.coeffs)
     scale = max(float(np.max(c)), 1e-300)
     leak = float(np.max(c[n + 1 :])) / scale if len(c) > n + 1 else 0.0
     trunc = poly.truncated(n)
-    pts = _fresh_points(fresh_count, seed)
+    pts = _fresh_points(seed)
     residual = float(np.max(np.abs(np.asarray(h(pts), dtype=float) - trunc(pts))))
     return DegreeReport(leak=leak, residual=residual)
 
 
-def effective_trig_degree(h, claimed_degree, probe_count, seed=0, fresh_count=512):
+def effective_trig_degree(h, claimed_degree, probe_count, seed=0):
     """Trigonometric analogue of effective_algebraic_degree.
 
     Uses uniform sampling on [0,1) with an odd sample count and Fourier
@@ -403,6 +364,6 @@ def effective_trig_degree(h, claimed_degree, probe_count, seed=0, fresh_count=51
     outside = np.concatenate((mags[: half - n], mags[half + n + 1 :]))
     leak = float(np.max(outside)) / scale if outside.size else 0.0
     trunc = poly.truncated(n)
-    pts = _fresh_points(fresh_count, seed)
+    pts = _fresh_points(seed)
     residual = float(np.max(np.abs(np.asarray(h(pts), dtype=float) - trunc(pts))))
     return DegreeReport(leak=leak, residual=residual)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import PreconditionError, circle_dist, median3_pmf
+from .numerics import PreconditionError, circle_dist, positive_int
 
 # below this circle distance the removable singularity is replaced by its limit
 _SINGULARITY_EPS = 1e-15
@@ -55,9 +55,7 @@ def pe_pmf(M, x):
     x must be finite and is reduced mod 1; the probabilities are
     pe_probs at the circle distances from z/M to x.
     """
-    M = int(M)
-    if M < 1:
-        raise PreconditionError("M must be a positive integer")
+    M = positive_int(M, "M")
     x = float(x)
     if not math.isfinite(x):
         raise PreconditionError(f"phase x must be finite, got {x!r}")
@@ -72,29 +70,9 @@ def tail_bound(M, d):
         return 1.0 / (4.0 * M**2 * d**2)
 
 
-def expected_circle_error(pmf):
-    """E[d(Z/M, x)] under the phase-estimation outcome law."""
-    d = circle_dist(outcome_phases(pmf.M), pmf.x)
-    return float(np.dot(pmf.probs, d))
-
-
-def median3_circle_error(M, x):
-    """Exact E[median of three i.i.d. circle errors d(Z_i/M, x)].
-
-    Computed by value-aggregated order statistics; agrees with full M^3
-    triple enumeration to rounding.
-    """
-    pmf = pe_pmf(M, x)
-    d = circle_dist(outcome_phases(pmf.M), pmf.x)
-    support, probs = median3_pmf(d, pmf.probs)
-    return float(np.dot(support, probs))
-
-
 def fejer_value(n, t):
     """1-periodic Fejer kernel of order n; equals n at integers, NaN at NaN/inf."""
-    n = int(n)
-    if n < 1:
-        raise PreconditionError("n must be a positive integer")
+    n = positive_int(n, "n")
     # r = t - rint(t) is exact and lies in [-1/2, 1/2], so the ratio keeps its
     # full relative accuracy up to the integers, where it is 0/0 and takes its
     # limit n; F_n <= n, which the clamp keeps against rounding
@@ -130,7 +108,7 @@ def fejer_identity_check(M, x):
 
     Requires M*x not an integer (the exact-phase case is a point mass).
     """
-    M = int(M)
+    M = positive_int(M, "M")
     if abs(M * x - round(M * x)) < 1e-12:
         raise PreconditionError("M*x must not be an integer")
     pmf = pe_pmf(M, x)
@@ -209,9 +187,7 @@ class KernelSpec:
 
 
 def fejer_kernel(n):
-    if int(n) < 1:
-        raise PreconditionError("n must be a positive integer")
-    return KernelSpec(kind="fejer", order=int(n), norm_const=1.0)
+    return KernelSpec(kind="fejer", order=positive_int(n, "n"), norm_const=1.0)
 
 
 def jackson_kernel(n):
@@ -220,15 +196,11 @@ def jackson_kernel(n):
     The normalization constant is the reciprocal of the constant Fourier
     coefficient of F_n^2, sum_{|k|<n} (1 - |k|/n)^2 = (2n^2 + 1)/(3n).
     """
-    n = int(n)
-    if n < 1:
-        raise PreconditionError("n must be a positive integer")
+    n = positive_int(n, "n")
     return KernelSpec(kind="jackson", order=n, norm_const=3.0 * n / (2.0 * n * n + 1.0))
 
 
-def kernel_integral(kernel, sample_count=None):
+def kernel_integral(kernel):
     """Integral over one period, via the constant Fourier coefficient."""
-    m = sample_count or (2 * kernel.trig_degree + 1)
-    if m % 2 == 0:
-        m += 1
+    m = 2 * kernel.trig_degree + 1
     return float(np.mean(kernel(np.arange(m) / m)))

@@ -12,23 +12,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import PreconditionError
+from .numerics import PreconditionError, positive_int
 
 
 class ResourceError(RuntimeError):
     """Requested simulation exceeds the supported desk-scale dimensions."""
-
-
-def unitarity_residual(U):
-    """Max elementwise |U U^dagger - I|."""
-    U = np.asarray(U)
-    return float(np.max(np.abs(U @ U.conj().T - np.eye(U.shape[0]))))
-
-
-def norm_residual(state):
-    """|  ||state||^2 - 1 |."""
-    state = np.asarray(state)
-    return float(abs(np.vdot(state, state).real - 1.0))
 
 
 def _inverse_dft(M):
@@ -43,9 +31,7 @@ def pe_statevector_pmf(M, x):
     e^{2 pi i x y}, applies the inverse DFT matrix over Z_M, and returns
     the squared magnitudes of the result.
     """
-    M = int(M)
-    if M < 1:
-        raise PreconditionError("M must be a positive integer")
+    M = positive_int(M, "M")
     y = np.arange(M)
     state = np.exp(2j * np.pi * x * y) / np.sqrt(M)
     amps = _inverse_dft(M) @ state

@@ -34,7 +34,7 @@ def check_tail_bound(m_max=64, x_count=32):
     for M in range(2, m_max + 1):
         for x in _x_sweep(x_count):
             pmf = phase_dist.pe_pmf(M, x)
-            d = np.atleast_1d(circle_dist(np.arange(M) / M, pmf.x))
+            d = np.atleast_1d(circle_dist(phase_dist.outcome_phases(M), pmf.x))
             far = d > 0
             bound = phase_dist.tail_bound(M, d[far])
             worst = max(worst, float(np.max(pmf.probs[far] - bound, initial=0.0)))

@@ -7,11 +7,7 @@ import pytest
 
 from jacksonlab import (
     PreconditionError,
-    amp_estimate,
-    binom_weights,
-    expected_amp_error,
     median3_amp_pmf,
-    median3_circle_error,
     single_run_pmf,
     theta_of_weight,
 )
@@ -22,6 +18,7 @@ from jacksonlab.counting_model import (
     single_run_amp_pmf,
 )
 from jacksonlab.qsim import counting_statevector_pmf
+from oracles import expected_amp_error, median3_circle_error
 
 
 class TestThetaOfWeight:
@@ -107,18 +104,15 @@ class TestSingleRunAmpPmf:
 
 
 class TestAmpEstimate:
+    # the estimate sin(pi z/M)^2 of outcome z, on the support amp_support(M)[0]
     def test_zero(self):
-        assert amp_estimate(0, 8) == 0.0
+        assert amp_support(8)[0][0] == 0.0
 
     def test_half_m(self):
-        assert amp_estimate(4, 8) == pytest.approx(1.0, abs=1e-15)
+        assert amp_support(8)[0][4] == pytest.approx(1.0, abs=1e-15)
 
     def test_quarter_m(self):
-        assert amp_estimate(2, 8) == pytest.approx(0.5, abs=1e-15)
-
-    def test_out_of_range(self):
-        with pytest.raises(PreconditionError):
-            amp_estimate(8, 8)
+        assert amp_support(8)[0][2] == pytest.approx(0.5, abs=1e-15)
 
 
 def _median3_amp_brute(k, N, M):
@@ -191,19 +185,19 @@ class TestExpectedAmpError:
 
 class TestBinomWeights:
     def test_endpoint_zero(self):
-        w = binom_weights(5, 0.0)
+        w = binom_weight_matrix(5, [0.0])[0]
         assert w[0] == 1.0 and w[1:].sum() == 0.0
 
     def test_endpoint_one(self):
-        w = binom_weights(5, 1.0)
+        w = binom_weight_matrix(5, [1.0])[0]
         assert w[5] == 1.0 and w[:5].sum() == 0.0
 
     def test_small_exact(self):
-        assert binom_weights(2, 0.5) == pytest.approx([0.25, 0.5, 0.25], abs=1e-14)
+        assert binom_weight_matrix(2, [0.5])[0] == pytest.approx([0.25, 0.5, 0.25], abs=1e-14)
 
     def test_large_n_mean_and_spread(self):
         N, x = 1296, 0.3
-        w = binom_weights(N, x)
+        w = binom_weight_matrix(N, [x])[0]
         k = np.arange(N + 1)
         assert abs(np.dot(w, k / N) - x) < 1e-10
         assert np.dot(w, np.abs(x - k / N)) <= np.sqrt(x * (1 - x) / N)
@@ -212,7 +206,7 @@ class TestBinomWeights:
         from math import comb
 
         N, x = 60, 0.37
-        w = binom_weights(N, x)
+        w = binom_weight_matrix(N, [x])[0]
         direct = np.array([comb(N, k) * x**k * (1 - x) ** (N - k) for k in range(N + 1)])
         assert np.max(np.abs(w - direct) / direct) < 1e-11
 
@@ -220,15 +214,15 @@ class TestBinomWeights:
         xs = np.array([0.0, 0.123, 0.5, 0.987, 1.0])
         mat = binom_weight_matrix(10, xs)
         for row, x in zip(mat, xs):
-            assert row == pytest.approx(binom_weights(10, x), abs=1e-14)
+            assert row == pytest.approx(binom_weight_matrix(10, [x])[0], abs=1e-14)
 
     def test_out_of_range(self):
         with pytest.raises(PreconditionError):
-            binom_weights(4, 1.5)
+            binom_weight_matrix(4, [1.5])
 
     def test_nan_rejected(self):
         with pytest.raises(PreconditionError):
-            binom_weights(4, np.nan)
+            binom_weight_matrix(4, [np.nan])
         with pytest.raises(PreconditionError):
             binom_weight_matrix(4, np.array([0.5, np.nan]))
 

@@ -11,13 +11,10 @@ from jacksonlab import (
     PreconditionError,
     TargetFunction,
     TrigPoly,
-    cheb_coeffs_from_samples,
     cheb_lobatto_nodes,
-    cheb_nodes,
     circle_dist,
     effective_algebraic_degree,
     effective_trig_degree,
-    median3,
     median3_pmf,
     modulus_estimate,
     sup_distance,
@@ -26,6 +23,7 @@ from jacksonlab import (
 from jacksonlab.corpus import CORPUS
 from jacksonlab.constructors import build_approximant
 from jacksonlab.phase_dist import fejer_value
+from oracles import conjugate_symmetry_defect, fourier_sum, imag_residue, median3
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -181,33 +179,35 @@ class TestModulusEstimate:
 
 
 class TestChebCoeffs:
+    # the Chebyshev coefficients of samples at the Lobatto nodes, as the degree probe takes them
     def test_constant(self):
-        poly = cheb_coeffs_from_samples(np.full(5, 3.25))
+        poly = LobattoPoly(np.full(5, 3.25)).chebyshev()
         assert poly.coeffs[0] == pytest.approx(3.25, abs=1e-14)
         assert np.max(np.abs(poly.coeffs[1:])) < 1e-14
 
     def test_t2_basis_function(self):
-        nodes = cheb_nodes(6)
-        poly = cheb_coeffs_from_samples(8 * nodes**2 - 8 * nodes + 1)
+        nodes = cheb_lobatto_nodes(6)
+        poly = LobattoPoly(8 * nodes**2 - 8 * nodes + 1).chebyshev()
         assert poly.coeffs[2] == pytest.approx(1.0, abs=1e-13)
         others = np.delete(poly.coeffs, 2)
         assert np.max(np.abs(others)) < 1e-13
 
     def test_cubic_round_trip(self):
-        poly = cheb_coeffs_from_samples(cheb_nodes(8) ** 3)
+        poly = LobattoPoly(cheb_lobatto_nodes(8) ** 3).chebyshev()
         fresh = np.random.default_rng(0).uniform(size=100)
         assert np.max(np.abs(poly(fresh) - fresh**3)) < 1e-13
 
     def test_node_round_trip(self):
         rng = np.random.default_rng(1)
         vals = rng.normal(size=17)
-        poly = cheb_coeffs_from_samples(vals)
+        poly = LobattoPoly(vals).chebyshev()
         scale = 1e-12 * (1 + np.max(np.abs(vals)))
-        assert np.max(np.abs(poly(cheb_nodes(17)) - vals)) < scale
+        assert np.max(np.abs(poly(cheb_lobatto_nodes(17)) - vals)) < scale
 
     def test_empty_rejected(self):
-        with pytest.raises(PreconditionError):
-            cheb_coeffs_from_samples(np.array([]))
+        for vals in (np.array([]), np.array([1.0])):
+            with pytest.raises(PreconditionError):
+                LobattoPoly(vals)
 
 
 class TestLobattoPoly:
@@ -249,21 +249,23 @@ class TestTrigCoeffs:
     def test_cosine(self):
         xs = np.arange(9) / 9
         poly = trig_coeffs_from_samples(np.cos(2 * np.pi * xs))
-        assert poly.coeff(1) == pytest.approx(0.5, abs=1e-13)
-        assert poly.coeff(-1) == pytest.approx(0.5, abs=1e-13)
-        assert abs(poly.coeff(0)) < 1e-13
+        c, m = poly.coeffs, poly.degree
+        assert c[m + 1] == pytest.approx(0.5, abs=1e-13)
+        assert c[m - 1] == pytest.approx(0.5, abs=1e-13)
+        assert abs(c[m]) < 1e-13
 
     def test_constant(self):
         poly = trig_coeffs_from_samples(np.ones(7))
-        assert poly.coeff(0) == pytest.approx(1.0, abs=1e-14)
+        assert poly.coeffs[poly.degree] == pytest.approx(1.0, abs=1e-14)
 
     def test_fejer3_triangular_profile(self):
         # F_3 = sum_{|k|<=2} (3-|k|)/3 e^{2 pi i k t}; verified by quadrature
         poly = trig_coeffs_from_samples(fejer_value(3, np.arange(11) / 11))
         for k in range(-4, 5):
             expect = (3 - abs(k)) / 3 if abs(k) <= 2 else 0.0
-            assert poly.coeff(k).real == pytest.approx(expect, abs=1e-12)
-            assert abs(poly.coeff(k).imag) < 1e-12
+            c_k = poly.coeffs[poly.degree + k]
+            assert c_k.real == pytest.approx(expect, abs=1e-12)
+            assert abs(c_k.imag) < 1e-12
 
     def test_even_count_rejected(self):
         with pytest.raises(PreconditionError):
@@ -291,6 +293,25 @@ class TestEffectiveDegree:
     def test_probe_count_precondition(self):
         with pytest.raises(PreconditionError):
             effective_algebraic_degree(lambda x: x, 3, 10)
+
+    def test_needs_two_nodes(self):
+        # claimed degree 0 allows probe_count 1, but a Lobatto rule has both endpoints
+        with pytest.raises(PreconditionError, match="at least 2 nodes"):
+            effective_algebraic_degree(lambda x: np.ones_like(x), 0, 1)
+        rep = effective_algebraic_degree(lambda x: np.full_like(x, 0.5), 0, 2)
+        assert rep.leak == 0.0 and rep.residual == 0.0
+
+    def test_probe_memory_is_linear_in_the_probe(self):
+        # no probe_count x probe_count matrix: at degree 1000 that alone was 257 MB
+        h = ChebPoly(np.random.default_rng(8).normal(size=1001))
+        tracemalloc.start()
+        try:
+            rep = effective_algebraic_degree(h, 1000, 4001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert rep.residual <= 1e-10
 
     def test_trig_within_degree(self):
         rep = effective_trig_degree(lambda x: np.cos(2 * np.pi * 2 * x), 2, 9)
@@ -331,22 +352,16 @@ class TestDomainTypes:
         rng = np.random.default_rng(6)
         poly = TrigPoly(rng.normal(size=13) + 1j * rng.normal(size=13))  # not symmetric
         xs = rng.uniform(-1.0, 2.0, size=300)
-        assert np.max(np.abs(poly(xs) - np.real(poly.evaluate_complex(xs)))) < 1e-13
+        assert np.max(np.abs(poly(xs) - np.real(fourier_sum(poly.coeffs, xs)))) < 1e-13
         assert isinstance(poly(0.3), float)
         assert TrigPoly(np.array([1.5 + 2j]))(np.array([0.1, 0.7])).tolist() == [1.5, 1.5]
 
     def test_trigpoly_conjugate_symmetry(self):
         poly = trig_coeffs_from_samples(fejer_value(4, np.arange(13) / 13))
-        assert poly.conjugate_symmetry_defect() < 1e-10
-        assert poly.imag_residue(np.linspace(0, 1, 50)) < 1e-10 * (
+        assert conjugate_symmetry_defect(poly.coeffs) < 1e-10
+        assert imag_residue(poly.coeffs, np.linspace(0, 1, 50)) < 1e-10 * (
             1 + np.max(np.abs(poly.coeffs))
         )
-
-
-def _trig_oracle(c, x):
-    # the defining sum over k = -m..m, with no real-form or two-level split
-    m = (len(c) - 1) // 2
-    return np.real(np.exp(2j * np.pi * np.multiply.outer(x, np.arange(-m, m + 1))) @ c)
 
 
 class TestTrigPolyEvaluation:
@@ -357,7 +372,7 @@ class TestTrigPolyEvaluation:
         rng = np.random.default_rng(m)
         c = rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1)  # not symmetric
         xs = np.concatenate(([0.0, 0.5, 1.0 - 2.0**-53], rng.uniform(0.0, 1.0, size=200)))
-        err = np.max(np.abs(TrigPoly(c)(xs) - _trig_oracle(c, xs)))
+        err = np.max(np.abs(TrigPoly(c)(xs) - fourier_sum(c, xs).real))
         assert err <= 1e-13 * (1.0 + np.sum(np.abs(c))), err
 
     @pytest.mark.parametrize("m", DEGREES)
@@ -378,7 +393,7 @@ class TestTrigPolyEvaluation:
             xs = rng.uniform(size=shape)
             out = poly(xs)
             assert out.shape == shape and out.dtype == float
-            assert np.max(np.abs(out - _trig_oracle(poly.coeffs, xs)), initial=0.0) <= 1e-13
+            assert np.max(np.abs(out - fourier_sum(poly.coeffs, xs).real), initial=0.0) <= 1e-13
 
     def test_grid_needs_no_points_by_degree_temporary(self):
         rng = np.random.default_rng(4)

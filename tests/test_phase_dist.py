@@ -6,18 +6,17 @@ import pytest
 from jacksonlab import (
     PreconditionError,
     circle_dist,
-    expected_circle_error,
     fejer_identity_check,
     fejer_kernel,
     fejer_value,
     jackson_kernel,
-    median3_circle_error,
     pe_pmf,
     pe_statevector_pmf,
 )
 from jacksonlab.counting_model import amp_support
 from jacksonlab.numerics import effective_trig_degree, trig_coeffs_from_samples
 from jacksonlab.phase_dist import kernel_integral, outcome_phases, pe_probs, tail_bound
+from oracles import expected_circle_error, median3_circle_error
 
 PI_LD = 4 * np.arctan(np.longdouble(1))
 
@@ -95,6 +94,43 @@ class TestOutcomePhases:
         for M, x in ((1, 0.3), (5, 0.71), (64, 3 / 32), (64, 0.123)):
             expected = pe_probs(M, circle_dist(np.arange(M) / M, x))
             assert np.array_equal(pe_pmf(M, x).probs, expected)
+
+
+class TestOrderMustBeAnInteger:
+    # each of these was truncated by int(): pe_pmf(2.7, x) ran at M = 2, fejer_kernel(True) at 1
+    BAD = (2.7, 2.5, 2.9, True, False, np.nan, np.inf, "3")
+
+    @pytest.mark.parametrize("M", BAD)
+    def test_pe_pmf(self, M):
+        with pytest.raises(PreconditionError, match="M must be a positive integer"):
+            pe_pmf(M, 0.1)
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_jackson_kernel(self, n):
+        with pytest.raises(PreconditionError, match="n must be a positive integer"):
+            jackson_kernel(n)
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_fejer_kernel(self, n):
+        with pytest.raises(PreconditionError, match="n must be a positive integer"):
+            fejer_kernel(n)
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_fejer_value(self, n):
+        with pytest.raises(PreconditionError, match="n must be a positive integer"):
+            fejer_value(n, np.array([0.1, 0.3]))
+
+    @pytest.mark.parametrize("M", BAD)
+    def test_fejer_identity_check_and_statevector(self, M):
+        for law in (fejer_identity_check, pe_statevector_pmf):
+            with pytest.raises(PreconditionError, match="M must be a positive integer"):
+                law(M, 0.1)
+
+    def test_integral_values_accepted(self):
+        assert np.array_equal(pe_pmf(4.0, 0.1).probs, pe_pmf(4, 0.1).probs)
+        assert jackson_kernel(np.int64(3)) == jackson_kernel(3.0) == jackson_kernel(3)
+        assert fejer_kernel(np.int64(5)).order == 5
+        assert fejer_value(3.0, 0.2) == fejer_value(3, 0.2)
 
 
 class TestExpectedCircleError:

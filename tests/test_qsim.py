@@ -10,7 +10,8 @@ from jacksonlab import (
     pe_statevector_pmf,
     single_run_pmf,
 )
-from jacksonlab.qsim import ResourceError, norm_residual, unitarity_residual
+from jacksonlab.qsim import ResourceError
+from oracles import norm_residual, unitarity_residual
 
 
 def _weight_string(k, N):
