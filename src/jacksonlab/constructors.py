@@ -37,7 +37,12 @@ from .numerics import (
     trig_coeffs_from_samples,
 )
 from . import numerics
-from .counting_model import amp_support, binom_weight_matrix, single_run_amp_pmf
+from .counting_model import (
+    amp_support,
+    binom_band_width,
+    binom_weight_matrix,
+    single_run_amp_pmf,
+)
 from .phase_dist import KernelSpec, jackson_kernel, outcome_phases, pe_probs
 
 ALGEBRAIC_METHODS = ("bernstein", "counting_median3", "counting_single")
@@ -144,9 +149,7 @@ def derived_params(method, n):
     is a polynomial of degree M-1 in k/N, and 3(M-1) for the median of
     three, which is cubic in that law.
     """
-    n = int(n)
-    if n < 1:
-        raise PreconditionError("degree budget n must be >= 1")
+    n = positive_int(n, "degree budget n")
     if method == "bernstein":
         return None, None
     if method == "counting_median3":
@@ -160,9 +163,25 @@ def derived_params(method, n):
     raise PreconditionError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
 
 
+def _binomial_mixture(N, table):
+    """Reference x -> sum_k P[Binomial(N, x) = k] table[k], over each x's band.
+
+    The band (binom_weight_matrix) leaves out at most 2e^-80 of the mass, so
+    the sum is the full mixture to rounding, at O(sqrt N) weights per point.
+    """
+    W = binom_band_width(N)
+    windows = np.lib.stride_tricks.sliding_window_view(table, W)
+
+    def rows(x):
+        lo, w = binom_weight_matrix(N, x)
+        return np.einsum("ij,ij->i", w, windows[lo])
+
+    return _blockwise(rows, W)
+
+
 def _bernstein_approximant(g, n):
     values = _target_values(g, np.arange(n + 1) / n, "at the Bernstein nodes k/n")
-    fn = _blockwise(lambda x: binom_weight_matrix(n, x) @ values, n + 1)
+    fn = _binomial_mixture(n, values)
     return Approximant(method="bernstein", n=n, M=None, N=None, reference=fn,
                        compile=_lobatto_form(fn, n))
 
@@ -196,7 +215,7 @@ def _counting_approximant(g, n, median3):
             stacklevel=3,
         )
     table = _counting_value_table(g, N, M, median3)
-    fn = _blockwise(lambda x: binom_weight_matrix(N, x) @ table, N + 1)
+    fn = _binomial_mixture(N, table)
     return Approximant(method=method, n=n, M=M, N=N, reference=fn,
                        compile=_lobatto_form(fn, n), degenerate=degenerate)
 

@@ -9,6 +9,7 @@ the median of three independent runs sharpens its concentration.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -84,28 +85,48 @@ def _log_binom(N):
     return out
 
 
-def binom_weight_matrix(N, xs):
-    """Binomial(N, x) pmf over weights 0..N for each x in xs; shape (len(xs), N+1).
+# log of the mass each binomial tail outside its band may hold, at most
+_TAIL_LOG = 80.0
 
+
+def binom_band_width(N):
+    """Width W = min(N+1, 2h+1) of every Binomial(N, x) band, whatever x is.
+
+    Bernstein's inequality bounds P[|K - Nx| >= t] per tail by
+    exp(-t^2 / (2(Nx(1-x) + t/3))); with Nx(1-x) <= N/4 that is exp(-L) at
+    t = L/3 + sqrt(L^2/9 + 2L N/4), L = _TAIL_LOG.  h is t rounded up, plus
+    one for centring the band on rint(Nx), so each tail outside the band
+    holds at most e^-80.  h grows as sqrt(N): O(n) weights for N = n^2.
+    """
+    L = _TAIL_LOG
+    h = math.ceil(L / 3 + math.sqrt(L * L / 9 + 2 * L * N / 4)) + 1
+    return min(N + 1, 2 * h + 1)
+
+
+def binom_weight_matrix(N, xs):
+    """Band of the Binomial(N, x) pmf for each x in xs, as (lo, w).
+
+    w has shape (len(xs), binom_band_width(N)) and w[i, j] = P[K = lo[i] + j]
+    for x = xs[i]; the band is centred on rint(N x) and clipped into 0..N.
     Computed in log space.  Rows for x in {0, 1} are exact point masses;
-    the others are renormalized to sum to 1.
+    the others are renormalized over their band.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise PreconditionError("all x must lie in [0, 1]")
-    k = np.arange(N + 1)
-    logc = _log_binom(N)
-    out = np.zeros((len(xs), N + 1))
+    W = binom_band_width(N)
+    lo = np.clip(np.rint(N * xs).astype(int) - W // 2, 0, N + 1 - W)
     interior = (xs > 0.0) & (xs < 1.0)
-    if interior.any():
-        xi = xs[interior]
-        logw = (
-            logc[None, :]
-            + np.outer(np.log(xi), k)
-            + np.outer(np.log1p(-xi), N - k)
-        )
-        w = np.exp(logw)
-        out[interior] = w / w.sum(axis=1, keepdims=True)
-    out[xs == 0.0, 0] = 1.0
-    out[xs == 1.0, N] = 1.0
-    return out
+    x = np.where(interior, xs, 0.5)[:, None]  # endpoint rows are overwritten below
+    # log C(N, k) + k log x + (N - k) log(1 - x), in place: a block's working
+    # set is three (points x W) arrays
+    k = lo[:, None] + np.arange(W)
+    w = _log_binom(N)[k]
+    w += np.log(x) * k
+    w += np.log1p(-x) * np.subtract(N, k, out=k)
+    np.exp(w, out=w)
+    w /= np.where(interior, w.sum(axis=1), 1.0)[:, None]
+    w[~interior] = 0.0
+    w[xs == 0.0, 0] = 1.0
+    w[xs == 1.0, W - 1] = 1.0
+    return lo, w

@@ -24,16 +24,18 @@ class EvaluationError(ArithmeticError):
     """A function produced a non-finite value at a named point."""
 
 
-def positive_int(value, name):
-    """value as an int; PreconditionError unless it is a positive whole number.
+def positive_int(value, name, low=1):
+    """value as an int; PreconditionError unless it is a whole number >= low.
 
-    A bool is refused; an integral float such as 4.0 is accepted.
+    low is 1 for an order or a precision, 0 for a degree.  A bool is
+    refused; an integral float such as 4.0 is accepted.
     """
-    if type(value) is int and value > 0:
+    if type(value) is int and value >= low:
         return value  # the common case, spared the numbers.Real check (about 0.4 us)
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer() or value < 1):
-        raise PreconditionError(f"{name} must be a positive integer, got {value!r}")
+            or not float(value).is_integer() or value < low):
+        kind = "a positive integer" if low == 1 else f"an integer >= {low}"
+        raise PreconditionError(f"{name} must be {kind}, got {value!r}")
     return int(value)
 
 
@@ -324,7 +326,7 @@ def effective_algebraic_degree(h, claimed_degree, probe_count, seed=0):
     deviation between h and its truncation on fresh random points.  A
     small residual certifies the degree bound regardless of aliasing.
     """
-    n = int(claimed_degree)
+    n = positive_int(claimed_degree, "claimed_degree", low=0)
     if probe_count < max(4 * n + 1, 2):
         raise PreconditionError(
             "probe_count must be at least 4*claimed_degree + 1, and at least 2 nodes"
@@ -348,7 +350,7 @@ def effective_trig_degree(h, claimed_degree, probe_count, seed=0):
     Uses uniform sampling on [0,1) with an odd sample count and Fourier
     analysis; residual is measured on fresh random points in [0,1).
     """
-    n = int(claimed_degree)
+    n = positive_int(claimed_degree, "claimed_degree", low=0)
     if probe_count < 4 * n + 1:
         raise PreconditionError("probe_count must be at least 4*claimed_degree + 1")
     m = int(probe_count)

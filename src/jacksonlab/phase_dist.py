@@ -43,10 +43,9 @@ def pe_probs(M, d):
     d is the circle distance from z/M to the eigenphase; the removable
     singularity at d = 0 takes its limit 1.
     """
-    probs = np.ones_like(d)
     far = d > _SINGULARITY_EPS
-    probs[far] = np.sin(np.pi * M * d[far]) ** 2 / (M**2 * np.sin(np.pi * d[far]) ** 2)
-    return probs
+    s = np.where(far, np.sin(np.pi * d), 1.0)
+    return np.where(far, np.sin(np.pi * M * d) ** 2 / (M**2 * s**2), 1.0)
 
 
 def pe_pmf(M, x):

@@ -107,10 +107,10 @@ def counting_statevector_pmf(w, M):
     register, and traces out the second register.
     """
     w, N = _check_bitstring(w)
-    M = int(M)
+    M = positive_int(M, "M")
     if N > 256:
         raise ResourceError("bitstring length capped at 2^8 for counting")
-    if M < 1 or M > 32:
+    if M > 32:
         raise ResourceError("precision M capped at 32")
     U = grover_unitary(w)
     u = np.ones(N, dtype=complex) / np.sqrt(N)

@@ -1,10 +1,13 @@
 """Brute-force oracles and exact error statistics used by the tests.
 
 The oracles (the triple median, the direct Fourier sum and the checks
-built on it, the unitarity and norm residuals) import nothing from
-jacksonlab, so they stay independent of the code they check.  The
-statistics are exact expectations under the public outcome laws.
+built on it, the unitarity and norm residuals, the full-width binomial
+mixture) import nothing from jacksonlab, so they stay independent of the
+code they check.  The statistics are exact expectations under the public
+outcome laws.
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -45,6 +48,26 @@ def norm_residual(state):
     """|  ||state||^2 - 1 |."""
     state = np.asarray(state)
     return float(abs(np.vdot(state, state).real - 1.0))
+
+
+def binomial_mixture(N, table, x):
+    """sum_{k=0..N} C(N, k) x^k (1-x)^(N-k) table[k] over every weight, at 40 digits.
+
+    x is taken exactly as the float it is; the result is rounded once, to float.
+    """
+    if x == 0.0:
+        return float(table[0])
+    if x == 1.0:
+        return float(table[N])
+    with localcontext() as ctx:
+        ctx.prec = 40
+        p = Decimal(float(x))
+        ratio = p / (1 - p)
+        term, total = (1 - p) ** N, Decimal(0)
+        for k in range(N + 1):
+            total += term * Decimal(float(table[k]))
+            term = term * (N - k) / (k + 1) * ratio
+        return float(total)
 
 
 def _outcome_distances(pmf):

@@ -28,13 +28,19 @@ from jacksonlab.constructors import (
 from jacksonlab.corpus import CORPUS, PERIODIC_NAMES, target_from_csv
 from jacksonlab.counting_model import median3_amp_pmf, single_run_amp_pmf, theta_of_weight
 from jacksonlab.numerics import (
+    cheb_lobatto_nodes,
     effective_algebraic_degree,
     effective_trig_degree,
     sup_distance,
     trig_coeffs_from_samples,
 )
 from jacksonlab import phase_dist
-from oracles import conjugate_symmetry_defect, imag_residue, median3_circle_error
+from oracles import (
+    binomial_mixture,
+    conjugate_symmetry_defect,
+    imag_residue,
+    median3_circle_error,
+)
 
 CONST = TargetFunction(lambda x: np.full_like(np.asarray(x, float), 2.5), name="c")
 CONST_P = TargetFunction(
@@ -55,6 +61,13 @@ class TestDerivedParams:
     def test_unknown_method(self):
         with pytest.raises(PreconditionError):
             derived_params("remez", 8)
+
+    @pytest.mark.parametrize("n", [12.9, 2.5, 0, -3, True])
+    def test_budget_must_be_a_positive_integer(self, n):
+        # int() truncated 12.9 to the n = 12 parameters
+        with pytest.raises(PreconditionError, match="n must be a positive integer"):
+            derived_params("counting_median3", n)
+        assert derived_params("counting_median3", 12.0) == derived_params("counting_median3", 12)
 
 
 class TestBernstein:
@@ -185,6 +198,26 @@ class TestCountingValueTable:
         g = TargetFunction(lambda x: np.where(x > 0.5, bad, x), name="bad")
         with pytest.raises(PreconditionError, match="finite"):
             build_approximant(g, method, 12)
+
+
+class TestBinomialMixtureReference:
+    # the reference sums each point's band only; the oracle sums all N+1 weights
+    @pytest.mark.filterwarnings("ignore:.*degenerates")
+    @pytest.mark.parametrize("n", [4, 13, 96])
+    @pytest.mark.parametrize("method", ALGEBRAIC_METHODS)
+    def test_reference_is_the_full_width_mixture(self, n, method):
+        g = CORPUS["abs-half"]
+        approx = build_approximant(g, method, n)
+        if method == "bernstein":
+            N, table = n, g(np.arange(n + 1) / n)
+        else:
+            N = approx.N
+            table = constructors._counting_value_table(g, N, approx.M, method == "counting_median3")
+        nodes = cheb_lobatto_nodes(n + 1)
+        xs = np.concatenate(([0.0, 1e-3, 0.137, 0.5, 0.861, 0.999, 1.0],
+                             nodes[[1, 2, n // 2, -3, -2]]))
+        want = np.array([binomial_mixture(N, table, x) for x in xs])
+        assert np.max(np.abs(approx.reference(xs) - want)) <= 1e-15 * np.max(np.abs(table))
 
 
 class TestNonfiniteTarget:

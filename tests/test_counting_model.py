@@ -1,6 +1,6 @@
 import itertools
 from decimal import Decimal, localcontext
-from math import comb, sqrt
+from math import comb, isqrt, sqrt
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from jacksonlab import (
 from jacksonlab.counting_model import (
     _log_binom,
     amp_support,
+    binom_band_width,
     binom_weight_matrix,
     single_run_amp_pmf,
 )
@@ -183,21 +184,30 @@ class TestExpectedAmpError:
                     assert expected_amp_error(k, N, M) <= bound + 1e-12
 
 
+def _dense_rows(N, xs):
+    """binom_weight_matrix's bands scattered into full rows over weights 0..N."""
+    lo, w = binom_weight_matrix(N, xs)
+    out = np.zeros((len(w), N + 1))
+    for row, start, band in zip(out, lo, w):
+        row[start : start + len(band)] = band
+    return out
+
+
 class TestBinomWeights:
     def test_endpoint_zero(self):
-        w = binom_weight_matrix(5, [0.0])[0]
+        w = _dense_rows(5, [0.0])[0]
         assert w[0] == 1.0 and w[1:].sum() == 0.0
 
     def test_endpoint_one(self):
-        w = binom_weight_matrix(5, [1.0])[0]
+        w = _dense_rows(5, [1.0])[0]
         assert w[5] == 1.0 and w[:5].sum() == 0.0
 
     def test_small_exact(self):
-        assert binom_weight_matrix(2, [0.5])[0] == pytest.approx([0.25, 0.5, 0.25], abs=1e-14)
+        assert _dense_rows(2, [0.5])[0] == pytest.approx([0.25, 0.5, 0.25], abs=1e-14)
 
     def test_large_n_mean_and_spread(self):
         N, x = 1296, 0.3
-        w = binom_weight_matrix(N, [x])[0]
+        w = _dense_rows(N, [x])[0]
         k = np.arange(N + 1)
         assert abs(np.dot(w, k / N) - x) < 1e-10
         assert np.dot(w, np.abs(x - k / N)) <= np.sqrt(x * (1 - x) / N)
@@ -206,15 +216,15 @@ class TestBinomWeights:
         from math import comb
 
         N, x = 60, 0.37
-        w = binom_weight_matrix(N, [x])[0]
+        w = _dense_rows(N, [x])[0]
         direct = np.array([comb(N, k) * x**k * (1 - x) ** (N - k) for k in range(N + 1)])
         assert np.max(np.abs(w - direct) / direct) < 1e-11
 
     def test_matrix_agrees_with_rows(self):
         xs = np.array([0.0, 0.123, 0.5, 0.987, 1.0])
-        mat = binom_weight_matrix(10, xs)
+        mat = _dense_rows(10, xs)
         for row, x in zip(mat, xs):
-            assert row == pytest.approx(binom_weight_matrix(10, [x])[0], abs=1e-14)
+            assert row == pytest.approx(_dense_rows(10, [x])[0], abs=1e-14)
 
     def test_out_of_range(self):
         with pytest.raises(PreconditionError):
@@ -227,21 +237,26 @@ class TestBinomWeights:
             binom_weight_matrix(4, np.array([0.5, np.nan]))
 
 
-def _exact_binomial_window(N, x, sigmas=12, floor=Decimal("1e-250")):
-    """{k: Binomial(N, x) pmf at k} within sigmas standard deviations, at 50 digits."""
-    sd = sqrt(N * x * (1 - x))
-    lo, hi = max(0, int(N * x - sigmas * sd)), min(N, int(N * x + sigmas * sd) + 1)
+def _exact_binomial_terms(N, x, lo, count):
+    """Binomial(N, x) pmf at k = lo..lo+count-1, at 50 digits."""
     with localcontext() as ctx:
         ctx.prec = 50
         p = Decimal(x)
         ratio = p / (1 - p)
         term = Decimal(comb(N, lo)) * p**lo * (1 - p) ** (N - lo)
-        out = {}
-        for k in range(lo, hi + 1):
-            if term > floor:
-                out[k] = term
+        out = []
+        for k in range(lo, lo + count):
+            out.append(term)
             term = term * (N - k) / (k + 1) * ratio
     return out
+
+
+def _exact_binomial_window(N, x, sigmas=12, floor=Decimal("1e-250")):
+    """{k: Binomial(N, x) pmf at k} within sigmas standard deviations, at 50 digits."""
+    sd = sqrt(N * x * (1 - x))
+    lo, hi = max(0, int(N * x - sigmas * sd)), min(N, int(N * x + sigmas * sd) + 1)
+    terms = _exact_binomial_terms(N, x, lo, hi - lo + 1)
+    return {k: term for k, term in enumerate(terms, lo) if term > floor}
 
 
 class TestLogBinom:
@@ -264,12 +279,45 @@ class TestLogBinom:
     @pytest.mark.parametrize("N", [16, 400, 1600, 9216, 40000])
     def test_weights_match_exact_binomial(self, N):
         xs = np.array([0.013, 0.3, 0.5, 0.71234, 0.999])
-        weights = binom_weight_matrix(N, xs)
+        weights = _dense_rows(N, xs)
         worst = 0.0
         for row, x in zip(weights, xs):
             for k, exact in _exact_binomial_window(N, float(x)).items():
                 worst = max(worst, float(abs(Decimal(row[k]) - exact) / exact))
         assert worst <= max(1e-13, 4e-15 * N)
+
+
+class TestBinomBand:
+    @pytest.mark.parametrize("N", [1600, 160000])
+    def test_band_at_the_outer_lobatto_nodes_against_50_digits(self, N):
+        # at the first interior node for n = 400, Nx is about 2.5: a 12 sigma
+        # cut there would drop about 4e-13 of the mass
+        n = isqrt(N)
+        xs = (1.0 - np.cos(np.pi * np.array([1, n - 1]) / n)) / 2.0
+        lo, w = binom_weight_matrix(N, xs)
+        assert w.shape == (2, binom_band_width(N)) and w.shape[1] < N + 1
+        for start, row, x in zip(lo, w, xs):
+            exact = _exact_binomial_terms(N, float(x), int(start), len(row))
+            with localcontext() as ctx:
+                ctx.prec = 50
+                assert 1 - sum(exact) <= 2 * Decimal(-80).exp()
+            worst = max(float(abs(Decimal(v) - e) / e)
+                        for v, e in zip(row, exact) if e > Decimal("1e-250"))
+            assert worst <= max(1e-13, 4e-15 * N)
+
+    def test_width_is_the_whole_row_for_small_orders(self):
+        assert [binom_band_width(N) for N in (1, 2, 16, 200, 256)] == [2, 3, 17, 201, 257]
+        assert binom_band_width(400) == 315 and binom_band_width(160000) == 5117
+
+    def test_band_is_placed_inside_the_row(self):
+        N = 1600
+        W = binom_band_width(N)
+        xs = np.array([0.0, 1e-9, 0.25, 0.5, 0.999, 1.0])
+        lo, w = binom_weight_matrix(N, xs)
+        assert np.array_equal(lo, np.clip(np.rint(N * xs).astype(int) - W // 2, 0, N + 1 - W))
+        assert lo[0] == 0 and lo[-1] == N + 1 - W
+        assert w[0, 0] == 1.0 and w[-1, -1] == 1.0
+        assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-14
 
 
 class TestCountingModel:

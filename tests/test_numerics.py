@@ -313,6 +313,14 @@ class TestEffectiveDegree:
         assert peak < 16 * 2**20
         assert rep.residual <= 1e-10
 
+    @pytest.mark.parametrize("degree", [2.9, -1, True])
+    def test_claimed_degree_must_be_a_whole_number(self, degree):
+        # int() truncated 2.9, so a cubic was certified as degree 2
+        for probe in (effective_algebraic_degree, effective_trig_degree):
+            with pytest.raises(PreconditionError, match="claimed_degree must be an integer >= 0"):
+                probe(lambda x: x**3, degree, 17)
+        assert effective_algebraic_degree(lambda x: x**3, 3.0, 13).residual < 1e-12
+
     def test_trig_within_degree(self):
         rep = effective_trig_degree(lambda x: np.cos(2 * np.pi * 2 * x), 2, 9)
         assert rep.residual < 1e-12

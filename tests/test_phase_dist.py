@@ -96,6 +96,18 @@ class TestOutcomePhases:
             assert np.array_equal(pe_pmf(M, x).probs, expected)
 
 
+class TestPeProbs:
+    @pytest.mark.parametrize("M", [3, 7, 17, 37, 67])
+    def test_bit_identical_to_the_mask_form(self, M):
+        rng = np.random.default_rng(M)
+        points = np.concatenate(([0.0, 1e-16, 1e-15, 2e-15], rng.uniform(size=40), np.arange(M) / M))
+        for d in (points, circle_dist(outcome_phases(M), points[:, None])):
+            want = np.ones_like(d)
+            far = d > 1e-15
+            want[far] = np.sin(np.pi * M * d[far]) ** 2 / (M**2 * np.sin(np.pi * d[far]) ** 2)
+            assert np.array_equal(pe_probs(M, d), want)
+
+
 class TestOrderMustBeAnInteger:
     # each of these was truncated by int(): pe_pmf(2.7, x) ran at M = 2, fejer_kernel(True) at 1
     BAD = (2.7, 2.5, 2.9, True, False, np.nan, np.inf, "3")

@@ -135,3 +135,11 @@ class TestCountingStatevector:
             counting_statevector_pmf(_weight_string(1, 512), 4)
         with pytest.raises(ResourceError):
             counting_statevector_pmf(_weight_string(1, 8), 64)
+        with pytest.raises(ResourceError):
+            counting_statevector_pmf(_weight_string(1, 8), 33)
+
+    @pytest.mark.parametrize("M", [2.5, 0, -1, True])
+    def test_precision_must_be_a_positive_integer(self, M):
+        # int() ran 2.5 at M = 2, and M = 0 hit the size cap
+        with pytest.raises(PreconditionError, match="M must be a positive integer"):
+            counting_statevector_pmf(_weight_string(1, 8), M)
