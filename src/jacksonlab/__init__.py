@@ -6,8 +6,6 @@ error certification, and a statevector oracle."""
 __version__ = "0.1.0"
 
 from .numerics import (
-    ChebPoly,
-    DegreeReport,
     EvaluationError,
     Grid,
     LobattoPoly,

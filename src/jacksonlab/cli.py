@@ -130,11 +130,8 @@ def main(config):
 
 def _degree_residual(approx, seed):
     """Degree certificate of the defining expectation, not of the compiled form."""
-    n = approx.n
-    probe = 4 * n + 1
-    if approx.method in TRIG_METHODS:
-        return effective_trig_degree(approx.reference, n, probe, seed=seed).residual
-    return effective_algebraic_degree(approx.reference, n, probe, seed=seed).residual
+    probe = effective_trig_degree if approx.method in TRIG_METHODS else effective_algebraic_degree
+    return probe(approx.reference, approx.n, seed=seed)
 
 
 @main.command()
@@ -153,16 +150,16 @@ def construct(method, n, target, periodic, grid_size, seed, output):
     try:
         approx = build_approximant(g, method, n)
         report = error_report(g, approx, grid=Grid.uniform(grid_size))
-        coeffs = approximant_coefficients(g, approx)
+        coeffs = approximant_coefficients(approx)
         residual = _degree_residual(approx, seed)
     except PreconditionError as exc:
         raise click.UsageError(str(exc))
     if method in TRIG_METHODS:
         basis = "fourier"
-        coeff_list = [[float(c.real), float(c.imag)] for c in coeffs.coeffs]
+        coeff_list = [[float(c.real), float(c.imag)] for c in coeffs]
     else:
         basis = "chebyshev"
-        coeff_list = [float(c) for c in coeffs.coeffs]
+        coeff_list = [float(c) for c in coeffs]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "method": method,

@@ -316,15 +316,16 @@ def build_approximant(g, method, n):
     raise PreconditionError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
 
 
-def approximant_coefficients(g, approx):
+def approximant_coefficients(approx):
     """Spectral coefficients of a built approximant, from its stored form.
 
-    Chebyshev (a ChebPoly) for the algebraic methods, Fourier (a
-    TrigPoly) for the trigonometric ones; both of degree n.
+    A real array of Chebyshev coefficients in 2x-1, degree 0..n, for the
+    algebraic methods; the complex Fourier coefficients, k = -n..n, for
+    the trigonometric ones.
     """
     if approx.method in ALGEBRAIC_METHODS:
         return approx.form.chebyshev()
-    return approx.form
+    return approx.form.coeffs
 
 
 def omega_reference(g, delta):

@@ -1,9 +1,10 @@
 """Core function representations and numerical utilities.
 
-Provides target-function and polynomial containers (Chebyshev and
-trigonometric bases), circle distance, the median-of-three law, sup-norm
-and modulus-of-continuity estimation on grids, spectral coefficient
-extraction from samples, and effective-degree certification.
+Provides target-function and polynomial containers (values at
+Chebyshev-Lobatto nodes, trigonometric coefficients), circle distance, the
+median-of-three law, sup-norm and modulus-of-continuity estimation on
+grids, spectral coefficient extraction from samples, and effective-degree
+certification.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,6 +38,14 @@ def positive_int(value, name, low=1):
         kind = "a positive integer" if low == 1 else f"an integer >= {low}"
         raise PreconditionError(f"{name} must be {kind}, got {value!r}")
     return int(value)
+
+
+def finite_phase(x):
+    """x as a float; PreconditionError unless it is finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise PreconditionError(f"phase x must be finite, got {x!r}")
+    return x
 
 
 def _scalarize(out, like):
@@ -98,13 +107,12 @@ class Grid:
     """Strictly increasing evaluation points in [0,1]."""
 
     points: np.ndarray
-    kind: str = "explicit"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.size == 0:
             raise PreconditionError("grid must be nonempty")
-        if pts.min() < 0.0 or pts.max() > 1.0:
+        if not (pts.min() >= 0.0 and pts.max() <= 1.0):  # NaN fails too
             raise PreconditionError("grid points must lie in [0,1]")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise PreconditionError("grid points must be strictly increasing")
@@ -115,33 +123,7 @@ class Grid:
 
     @staticmethod
     def uniform(size):
-        return Grid(np.linspace(0.0, 1.0, size), kind="uniform")
-
-
-@dataclass(frozen=True)
-class ChebPoly:
-    """Algebraic polynomial in the Chebyshev basis, mapped to [0,1]."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.size < 1:
-            raise PreconditionError("need at least one coefficient")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        t = 2.0 * np.asarray(x, dtype=float) - 1.0
-        out = np.polynomial.chebyshev.chebval(t, self.coeffs)
-        return _scalarize(out, x)
-
-    def truncated(self, n):
-        """Drop all coefficients above degree n."""
-        return ChebPoly(self.coeffs[: n + 1].copy())
+        return Grid(np.linspace(0.0, 1.0, size))
 
 
 @dataclass(frozen=True)
@@ -171,7 +153,7 @@ class LobattoPoly:
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
-        if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+        if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):  # NaN fails too
             raise PreconditionError("all x must lie in [0, 1]")
         diff = xs.reshape(-1)[:, None] - self._nodes
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -182,14 +164,14 @@ class LobattoPoly:
         return _scalarize(out.reshape(xs.shape), x)
 
     def chebyshev(self):
-        """The same polynomial as a ChebPoly (Chebyshev coefficients in 2x-1)."""
+        """Chebyshev coefficients in 2x-1 of the same polynomial, degree 0..n."""
         n = self.degree
         # values at t = cos(pi k/n), k = 0..n, are the stored ones reversed;
         # the DCT-I of those is a real FFT of their even extension
         f = self.values[::-1]
         coeffs = np.fft.rfft(np.concatenate((f, f[-2:0:-1]))).real / n
         coeffs[[0, n]] /= 2.0
-        return ChebPoly(coeffs)
+        return coeffs
 
 
 @dataclass(frozen=True)
@@ -232,12 +214,6 @@ class TrigPoly:
         giant = np.exp(np.multiply.outer(t, self._giant_freqs))
         out = ((baby @ self._table) * giant).sum(axis=1).real
         return _scalarize(out.reshape(xs.shape), x)
-
-    def truncated(self, n):
-        m = self.degree
-        if n >= m:
-            return self
-        return TrigPoly(self.coeffs[m - n : m + n + 1].copy())
 
 
 def sup_distance(f, h, grid):
@@ -307,65 +283,44 @@ def trig_coeffs_from_samples(values):
     return TrigPoly(coeffs)
 
 
-class DegreeReport(NamedTuple):
-    leak: float      # relative coefficient magnitude above the claimed degree
-    residual: float  # max |h - truncation| on fresh random points
+def _probe_residual(h, trunc, seed):
+    """max |h - trunc| at 512 fresh random points in [0,1); h must be finite there."""
+    pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=512)
+    hv = np.asarray(h(pts), dtype=float)
+    if not np.all(np.isfinite(hv)):
+        raise EvaluationError("non-finite value at a fresh point of the degree probe")
+    return float(np.max(np.abs(hv - trunc(pts))))
 
 
-def _fresh_points(seed):
-    # the 512 random points on which a probe compares h with its truncation
-    return np.random.default_rng(seed).uniform(0.0, 1.0, size=512)
+def effective_algebraic_degree(h, claimed_degree, seed=0):
+    """Certify that h is an algebraic polynomial of degree <= claimed_degree n.
 
-
-def effective_algebraic_degree(h, claimed_degree, probe_count, seed=0):
-    """Certify that h is an algebraic polynomial of degree <= claimed_degree.
-
-    Samples h at probe_count Chebyshev-Lobatto nodes, takes the Chebyshev
-    coefficients of the interpolant (the FFT of LobattoPoly.chebyshev), and
-    reports the relative leakage above the claimed degree plus the max
-    deviation between h and its truncation on fresh random points.  A
-    small residual certifies the degree bound regardless of aliasing.
+    Samples h at max(4n+1, 2) Chebyshev-Lobatto nodes, keeps the Chebyshev
+    coefficients of degree <= n of the interpolant (LobattoPoly.chebyshev),
+    and returns the max deviation between h and that truncation on fresh
+    random points.  A small residual certifies the degree bound regardless
+    of aliasing.
     """
     n = positive_int(claimed_degree, "claimed_degree", low=0)
-    if probe_count < max(4 * n + 1, 2):
-        raise PreconditionError(
-            "probe_count must be at least 4*claimed_degree + 1, and at least 2 nodes"
-        )
-    vals = np.asarray(h(cheb_lobatto_nodes(probe_count)), dtype=float)
+    vals = np.asarray(h(cheb_lobatto_nodes(max(4 * n + 1, 2))), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("non-finite sample during degree probe")
-    poly = LobattoPoly(vals).chebyshev()
-    c = np.abs(poly.coeffs)
-    scale = max(float(np.max(c)), 1e-300)
-    leak = float(np.max(c[n + 1 :])) / scale if len(c) > n + 1 else 0.0
-    trunc = poly.truncated(n)
-    pts = _fresh_points(seed)
-    residual = float(np.max(np.abs(np.asarray(h(pts), dtype=float) - trunc(pts))))
-    return DegreeReport(leak=leak, residual=residual)
+    coeffs = LobattoPoly(vals).chebyshev()[: n + 1]
+    return _probe_residual(
+        h, lambda x: np.polynomial.chebyshev.chebval(2.0 * x - 1.0, coeffs), seed)
 
 
-def effective_trig_degree(h, claimed_degree, probe_count, seed=0):
+def effective_trig_degree(h, claimed_degree, seed=0):
     """Trigonometric analogue of effective_algebraic_degree.
 
-    Uses uniform sampling on [0,1) with an odd sample count and Fourier
-    analysis; residual is measured on fresh random points in [0,1).
+    Samples h at 4n+1 equispaced points of [0,1), keeps the Fourier
+    coefficients of degree <= n, and returns the max deviation between h
+    and that truncation on fresh random points.
     """
     n = positive_int(claimed_degree, "claimed_degree", low=0)
-    if probe_count < 4 * n + 1:
-        raise PreconditionError("probe_count must be at least 4*claimed_degree + 1")
-    m = int(probe_count)
-    if m % 2 == 0:
-        m += 1
+    m = 4 * n + 1
     samples = np.asarray(h(np.arange(m) / m), dtype=float)
     if not np.all(np.isfinite(samples)):
         raise EvaluationError("non-finite sample during degree probe")
-    poly = trig_coeffs_from_samples(samples)
-    mags = np.abs(poly.coeffs)
-    scale = max(float(np.max(mags)), 1e-300)
-    half = poly.degree
-    outside = np.concatenate((mags[: half - n], mags[half + n + 1 :]))
-    leak = float(np.max(outside)) / scale if outside.size else 0.0
-    trunc = poly.truncated(n)
-    pts = _fresh_points(seed)
-    residual = float(np.max(np.abs(np.asarray(h(pts), dtype=float) - trunc(pts))))
-    return DegreeReport(leak=leak, residual=residual)
+    coeffs = trig_coeffs_from_samples(samples).coeffs  # k = -2n .. 2n
+    return _probe_residual(h, TrigPoly(coeffs[n : 3 * n + 1]), seed)

@@ -8,13 +8,12 @@ normalized square of the Fejer kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .numerics import PreconditionError, circle_dist, positive_int
+from .numerics import PreconditionError, circle_dist, finite_phase, positive_int
 
 # below this circle distance the removable singularity is replaced by its limit
 _SINGULARITY_EPS = 1e-15
@@ -55,10 +54,7 @@ def pe_pmf(M, x):
     pe_probs at the circle distances from z/M to x.
     """
     M = positive_int(M, "M")
-    x = float(x)
-    if not math.isfinite(x):
-        raise PreconditionError(f"phase x must be finite, got {x!r}")
-    x %= 1.0
+    x = finite_phase(x) % 1.0
     return PhasePMF(M=M, x=x, probs=pe_probs(M, circle_dist(outcome_phases(M), x)))
 
 
@@ -105,9 +101,11 @@ def _offset_tables(order, Q):
 def fejer_identity_check(M, x):
     """Max deviation between the phase pmf and F_M(z/M - x)/M.
 
-    Requires M*x not an integer (the exact-phase case is a point mass).
+    Requires x finite and M*x not an integer (the exact-phase case is a
+    point mass).
     """
     M = positive_int(M, "M")
+    x = finite_phase(x)
     if abs(M * x - round(M * x)) < 1e-12:
         raise PreconditionError("M*x must not be an integer")
     pmf = pe_pmf(M, x)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import PreconditionError, positive_int
+from .numerics import PreconditionError, finite_phase, positive_int
 
 
 class ResourceError(RuntimeError):
@@ -29,9 +29,10 @@ def pe_statevector_pmf(M, x):
 
     Builds the uniform superposition, applies the phase kicks
     e^{2 pi i x y}, applies the inverse DFT matrix over Z_M, and returns
-    the squared magnitudes of the result.
+    the squared magnitudes of the result.  x must be finite.
     """
     M = positive_int(M, "M")
+    x = finite_phase(x)
     y = np.arange(M)
     state = np.exp(2j * np.pi * x * y) / np.sqrt(M)
     amps = _inverse_dft(M) @ state

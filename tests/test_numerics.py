@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jacksonlab import (
-    ChebPoly,
+    EvaluationError,
     Grid,
     LobattoPoly,
     PreconditionError,
@@ -26,6 +26,11 @@ from jacksonlab.phase_dist import fejer_value
 from oracles import conjugate_symmetry_defect, fourier_sum, imag_residue, median3
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+def _cheb_series(coeffs):
+    """The Chebyshev series in 2x-1 with these coefficients, as a function of x."""
+    return lambda x: np.polynomial.chebyshev.chebval(2.0 * np.asarray(x) - 1.0, coeffs)
 
 
 class TestCircleDist:
@@ -181,28 +186,29 @@ class TestModulusEstimate:
 class TestChebCoeffs:
     # the Chebyshev coefficients of samples at the Lobatto nodes, as the degree probe takes them
     def test_constant(self):
-        poly = LobattoPoly(np.full(5, 3.25)).chebyshev()
-        assert poly.coeffs[0] == pytest.approx(3.25, abs=1e-14)
-        assert np.max(np.abs(poly.coeffs[1:])) < 1e-14
+        c = LobattoPoly(np.full(5, 3.25)).chebyshev()
+        assert c.shape == (5,)
+        assert c[0] == pytest.approx(3.25, abs=1e-14)
+        assert np.max(np.abs(c[1:])) < 1e-14
 
     def test_t2_basis_function(self):
         nodes = cheb_lobatto_nodes(6)
-        poly = LobattoPoly(8 * nodes**2 - 8 * nodes + 1).chebyshev()
-        assert poly.coeffs[2] == pytest.approx(1.0, abs=1e-13)
-        others = np.delete(poly.coeffs, 2)
+        c = LobattoPoly(8 * nodes**2 - 8 * nodes + 1).chebyshev()
+        assert c[2] == pytest.approx(1.0, abs=1e-13)
+        others = np.delete(c, 2)
         assert np.max(np.abs(others)) < 1e-13
 
     def test_cubic_round_trip(self):
-        poly = LobattoPoly(cheb_lobatto_nodes(8) ** 3).chebyshev()
+        c = LobattoPoly(cheb_lobatto_nodes(8) ** 3).chebyshev()
         fresh = np.random.default_rng(0).uniform(size=100)
-        assert np.max(np.abs(poly(fresh) - fresh**3)) < 1e-13
+        assert np.max(np.abs(_cheb_series(c)(fresh) - fresh**3)) < 1e-13
 
     def test_node_round_trip(self):
         rng = np.random.default_rng(1)
         vals = rng.normal(size=17)
-        poly = LobattoPoly(vals).chebyshev()
+        c = LobattoPoly(vals).chebyshev()
         scale = 1e-12 * (1 + np.max(np.abs(vals)))
-        assert np.max(np.abs(poly(cheb_lobatto_nodes(17)) - vals)) < scale
+        assert np.max(np.abs(_cheb_series(c)(cheb_lobatto_nodes(17)) - vals)) < scale
 
     def test_empty_rejected(self):
         for vals in (np.array([]), np.array([1.0])):
@@ -226,11 +232,11 @@ class TestLobattoPoly:
 
     def test_matches_the_chebyshev_series(self):
         coeffs = np.random.default_rng(4).normal(size=10)
-        series = ChebPoly(coeffs)
+        series = _cheb_series(coeffs)
         poly = LobattoPoly(series(cheb_lobatto_nodes(10)))
         fresh = np.random.default_rng(5).uniform(size=200)
         assert np.max(np.abs(poly(fresh) - series(fresh))) < 1e-13
-        assert np.max(np.abs(poly.chebyshev().coeffs - coeffs)) < 1e-13
+        assert np.max(np.abs(poly.chebyshev() - coeffs)) < 1e-13
 
     def test_shapes_and_scalar(self):
         poly = LobattoPoly(np.array([2.5, 2.5]))
@@ -240,7 +246,8 @@ class TestLobattoPoly:
 
     def test_outside_interval_refused(self):
         poly = LobattoPoly(np.arange(4.0))
-        for x in (-0.1, 1.1, np.array([0.2, 1.0 + 1e-12])):
+        # NaN compares false both ways, so it slipped past a test for x < 0 or x > 1
+        for x in (-0.1, 1.1, np.array([0.2, 1.0 + 1e-12]), np.nan, np.array([0.2, np.nan, 0.7])):
             with pytest.raises(PreconditionError):
                 poly(x)
 
@@ -281,53 +288,52 @@ class TestTrigCoeffs:
 
 class TestEffectiveDegree:
     def test_low_degree_poly(self):
-        poly = ChebPoly(np.array([1.0, -0.5, 0.25, 0.125]))
-        rep = effective_algebraic_degree(poly, 3, 13)
-        assert rep.leak < 1e-12
-        assert rep.residual < 1e-12
+        h = _cheb_series(np.array([1.0, -0.5, 0.25, 0.125]))
+        assert effective_algebraic_degree(h, 3) < 1e-12
 
     def test_x5_exceeds_degree3(self):
-        rep = effective_algebraic_degree(lambda x: x**5, 3, 25)
-        assert rep.residual > 1e-3
-
-    def test_probe_count_precondition(self):
-        with pytest.raises(PreconditionError):
-            effective_algebraic_degree(lambda x: x, 3, 10)
+        assert effective_algebraic_degree(lambda x: x**5, 3) > 1e-3
 
     def test_needs_two_nodes(self):
-        # claimed degree 0 allows probe_count 1, but a Lobatto rule has both endpoints
-        with pytest.raises(PreconditionError, match="at least 2 nodes"):
-            effective_algebraic_degree(lambda x: np.ones_like(x), 0, 1)
-        rep = effective_algebraic_degree(lambda x: np.full_like(x, 0.5), 0, 2)
-        assert rep.leak == 0.0 and rep.residual == 0.0
+        # at claimed degree 0, 4n+1 is one node, but a Lobatto rule has both endpoints
+        assert effective_algebraic_degree(lambda x: np.full_like(x, 0.5), 0) == 0.0
+        assert effective_algebraic_degree(lambda x: x, 0) > 0.4
 
     def test_probe_memory_is_linear_in_the_probe(self):
-        # no probe_count x probe_count matrix: at degree 1000 that alone was 257 MB
-        h = ChebPoly(np.random.default_rng(8).normal(size=1001))
+        # no (4n+1) x (4n+1) matrix: at degree 1000 that alone was 257 MB
+        h = _cheb_series(np.random.default_rng(8).normal(size=1001))
         tracemalloc.start()
         try:
-            rep = effective_algebraic_degree(h, 1000, 4001)
+            residual = effective_algebraic_degree(h, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        assert rep.residual <= 1e-10
+        assert residual <= 1e-10
 
     @pytest.mark.parametrize("degree", [2.9, -1, True])
     def test_claimed_degree_must_be_a_whole_number(self, degree):
         # int() truncated 2.9, so a cubic was certified as degree 2
         for probe in (effective_algebraic_degree, effective_trig_degree):
             with pytest.raises(PreconditionError, match="claimed_degree must be an integer >= 0"):
-                probe(lambda x: x**3, degree, 17)
-        assert effective_algebraic_degree(lambda x: x**3, 3.0, 13).residual < 1e-12
+                probe(lambda x: x**3, degree)
+        assert effective_algebraic_degree(lambda x: x**3, 3.0) < 1e-12
 
     def test_trig_within_degree(self):
-        rep = effective_trig_degree(lambda x: np.cos(2 * np.pi * 2 * x), 2, 9)
-        assert rep.residual < 1e-12
+        assert effective_trig_degree(lambda x: np.cos(2 * np.pi * 2 * x), 2) < 1e-12
 
     def test_trig_exceeds_degree(self):
-        rep = effective_trig_degree(lambda x: np.cos(2 * np.pi * 4 * x), 2, 17)
-        assert rep.residual >= 0.5
+        assert effective_trig_degree(lambda x: np.cos(2 * np.pi * 4 * x), 2) >= 0.5
+
+    def test_nonfinite_between_the_nodes_raises(self):
+        # finite at every node (5 Lobatto nodes, 5 equispaced points), so the
+        # residual at the fresh points came back NaN or inf
+        h = lambda x: np.where((x > 0.30) & (x < 0.45), np.nan, x)
+        with pytest.raises(EvaluationError, match="fresh point"):
+            effective_algebraic_degree(h, 1, seed=5)
+        h = lambda x: np.where((x > 0.30) & (x < 0.38), np.inf, np.cos(2 * np.pi * x))
+        with pytest.raises(EvaluationError, match="fresh point"):
+            effective_trig_degree(h, 1)
 
 
 class TestDomainTypes:
@@ -338,6 +344,8 @@ class TestDomainTypes:
             Grid(np.array([0.0, 1.5]))
         with pytest.raises(PreconditionError):
             Grid(np.array([0.5, 0.25]))
+        with pytest.raises(PreconditionError):
+            Grid(np.array([np.nan]))
 
     def test_periodic_targets_wrap(self):
         xs = np.linspace(0.0, 1.0, 33)

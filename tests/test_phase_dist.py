@@ -75,8 +75,10 @@ class TestPePmf:
 
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
     def test_nonfinite_phase_rejected(self, x):
-        with pytest.raises(PreconditionError, match="finite"):
-            pe_pmf(4, x)
+        # the statevector pmf was all NaN; the identity check raised ValueError or OverflowError
+        for law in (pe_pmf, pe_statevector_pmf, fejer_identity_check):
+            with pytest.raises(PreconditionError, match="finite"):
+                law(4, x)
 
 
 class TestOutcomePhases:
@@ -274,8 +276,7 @@ class TestJacksonKernel:
     def test_trig_degree(self):
         spec = jackson_kernel(8)
         assert spec.trig_degree == 14
-        rep = effective_trig_degree(spec, 14, 4 * 14 + 1)
-        assert rep.residual < 1e-10
+        assert effective_trig_degree(spec, 14) < 1e-10
 
     def test_nonnegative(self):
         ts = np.linspace(0, 1, 10_000)
