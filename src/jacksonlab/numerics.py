@@ -48,6 +48,14 @@ def finite_phase(x):
     return x
 
 
+def finite_phases(x):
+    """x, a phase or an array of them, as floats; PreconditionError unless all are finite."""
+    xs = np.asarray(x, dtype=float)
+    if not np.isfinite(xs).all():
+        raise PreconditionError(f"phase x must be finite, got {x!r}")
+    return xs
+
+
 def _scalarize(out, like):
     if np.isscalar(like) or np.ndim(like) == 0:
         return float(out)

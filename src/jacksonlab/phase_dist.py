@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import PreconditionError, circle_dist, finite_phase, positive_int
+from .numerics import PreconditionError, circle_dist, finite_phase, finite_phases, positive_int
 
 # below this circle distance the removable singularity is replaced by its limit
 _SINGULARITY_EPS = 1e-15
@@ -56,6 +56,11 @@ def pe_pmf(M, x):
     M = positive_int(M, "M")
     x = finite_phase(x) % 1.0
     return PhasePMF(M=M, x=x, probs=pe_probs(M, circle_dist(outcome_phases(M), x)))
+
+
+def pe_pmf_rows(M, xs):
+    """pe_pmf(M, x).probs, bit for bit, as one row per finite phase x of the 1-D xs; M an int."""
+    return pe_probs(M, circle_dist(outcome_phases(M), np.asarray(xs)[..., None] % 1.0))
 
 
 def tail_bound(M, d):
@@ -101,17 +106,15 @@ def _offset_tables(order, Q):
 def fejer_identity_check(M, x):
     """Max deviation between the phase pmf and F_M(z/M - x)/M.
 
-    Requires x finite and M*x not an integer (the exact-phase case is a
-    point mass).
+    x is a finite phase or a 1-D array of them, the max taken over all;
+    no M*x may be an integer (the exact-phase case is a point mass).
     """
     M = positive_int(M, "M")
-    x = finite_phase(x)
-    if abs(M * x - round(M * x)) < 1e-12:
+    xs = finite_phases(x) % 1.0  # reduced first, so M*x cannot overflow
+    if np.any(np.abs(M * xs - np.rint(M * xs)) < 1e-12):
         raise PreconditionError("M*x must not be an integer")
-    pmf = pe_pmf(M, x)
-    z = np.arange(M)
-    kernel_side = fejer_value(M, z / M - pmf.x) / M
-    return float(np.max(np.abs(pmf.probs - kernel_side)))
+    kernel_side = fejer_value(M, outcome_phases(M) - xs[..., None]) / M
+    return float(np.max(np.abs(pe_pmf_rows(M, xs) - kernel_side)))
 
 
 @dataclass(frozen=True)

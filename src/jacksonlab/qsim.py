@@ -8,20 +8,25 @@ are validated.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import PreconditionError, finite_phase, positive_int
+from .numerics import PreconditionError, finite_phases, positive_int
 
 
 class ResourceError(RuntimeError):
     """Requested simulation exceeds the supported desk-scale dimensions."""
 
 
+@lru_cache(maxsize=64)
 def _inverse_dft(M):
+    """Read-only dense inverse DFT matrix over Z_M, entries e^{-2 pi i z y/M}/sqrt(M)."""
     zy = np.outer(np.arange(M), np.arange(M))
-    return np.exp(-2j * np.pi * zy / M) / np.sqrt(M)
+    out = np.exp(-2j * np.pi * zy / M) / np.sqrt(M)
+    out.flags.writeable = False
+    return out
 
 
 def pe_statevector_pmf(M, x):
@@ -29,24 +34,24 @@ def pe_statevector_pmf(M, x):
 
     Builds the uniform superposition, applies the phase kicks
     e^{2 pi i x y}, applies the inverse DFT matrix over Z_M, and returns
-    the squared magnitudes of the result.  x must be finite.
+    the squared magnitudes of the result.  x is a finite phase, giving
+    shape (M,), or a 1-D array of them, giving one row per phase.
     """
     M = positive_int(M, "M")
-    x = finite_phase(x)
-    y = np.arange(M)
-    state = np.exp(2j * np.pi * x * y) / np.sqrt(M)
-    amps = _inverse_dft(M) @ state
-    return np.abs(amps) ** 2
+    # e^{2 pi i x y} depends only on x mod 1 for integer y; reducing first keeps x*y finite
+    xs = finite_phases(x) % 1.0
+    states = np.exp(2j * np.pi * np.multiply.outer(xs, np.arange(M))) / np.sqrt(M)
+    return np.abs(states @ _inverse_dft(M).T) ** 2
 
 
 def _check_bitstring(w):
-    w = np.asarray(w, dtype=int)
+    w = np.asarray(w)
     N = len(w)
     if N < 2 or (N & (N - 1)) != 0:
         raise PreconditionError("bitstring length must be a power of two >= 2")
-    if np.any((w != 0) & (w != 1)):
+    if not np.all((w == 0) | (w == 1)):  # before the int cast, which would truncate 0.5 to 0
         raise PreconditionError("bitstring entries must be 0 or 1")
-    return w, N
+    return w.astype(int), N
 
 
 def _hadamard(N):

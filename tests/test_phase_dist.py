@@ -257,6 +257,23 @@ class TestFejerIdentity:
         with pytest.raises(PreconditionError):
             fejer_identity_check(4, 0.5)
 
+    def test_huge_phases_reduced_mod_one(self):
+        # M*x overflowed to inf, and round(inf) raised OverflowError; 1e308 is an integer
+        with pytest.raises(PreconditionError, match=r"M\*x must not be an integer"):
+            fejer_identity_check(4, 1e308)
+        assert fejer_identity_check(8, 1e6 + 0.3) < 1e-12
+
+    def test_array_gives_the_max_of_the_scalar_calls(self):
+        xs = (np.arange(32) + 0.5) / 32 + 1e-4  # the verify grid
+        for M in range(2, 65):
+            assert fejer_identity_check(M, xs) == max(fejer_identity_check(M, x) for x in xs)
+
+    def test_array_refuses_any_bad_phase(self):
+        with pytest.raises(PreconditionError, match="finite"):
+            fejer_identity_check(4, [0.1, np.nan])
+        with pytest.raises(PreconditionError, match="integer"):
+            fejer_identity_check(4, [0.1, 0.25])
+
 
 class TestJacksonKernel:
     def test_order_one_is_constant(self):

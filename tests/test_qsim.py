@@ -10,7 +10,8 @@ from jacksonlab import (
     pe_statevector_pmf,
     single_run_pmf,
 )
-from jacksonlab.qsim import ResourceError
+from jacksonlab.qsim import ResourceError, _inverse_dft
+from jacksonlab.verify import _x_sweep
 from oracles import norm_residual, unitarity_residual
 
 
@@ -39,6 +40,34 @@ class TestPeStatevector:
         # the inverse transform is a dense matrix, so any M works
         pmf = pe_statevector_pmf(5, 0.23)
         assert abs(pmf.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("M", [1, 2, 7, 64])
+    def test_rows_match_scalar_calls(self, M):
+        xs = _x_sweep(32)
+        rows = pe_statevector_pmf(M, xs)
+        assert rows.shape == (32, M)
+        for x, row in zip(xs, rows):
+            assert np.max(np.abs(row - pe_statevector_pmf(M, x))) <= 1e-15
+
+    def test_one_nan_in_an_array_rejected(self):
+        xs = _x_sweep(32)
+        xs[5] = np.nan
+        with pytest.raises(PreconditionError, match="finite"):
+            pe_statevector_pmf(8, xs)
+
+    def test_huge_phases_reduced_mod_one(self):
+        # 2 pi x y overflowed to inf, so the pmf was all NaN
+        assert pe_statevector_pmf(4, 1e308) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
+        gap = pe_statevector_pmf(8, 1e6 + 0.3) - pe_pmf(8, 1e6 + 0.3).probs
+        assert np.max(np.abs(gap)) < 1e-12
+
+    def test_inverse_dft_cached_and_read_only(self):
+        F = _inverse_dft(16)
+        assert _inverse_dft(16) is F
+        assert not F.flags.writeable
+        with pytest.raises(ValueError):
+            F[0, 0] = 0.0
+        assert np.max(np.abs(F @ F.conj().T - np.eye(16))) < 1e-14
 
 
 class TestGroverUnitary:
@@ -69,6 +98,22 @@ class TestGroverUnitary:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(PreconditionError):
             grover_unitary(np.array([1, 0, 0]))
+
+
+class TestBitstring:
+    @pytest.mark.parametrize("build", [
+        lambda: counting_statevector_pmf([0.5, 1, 0, 0], 2),  # ran as [0, 1, 0, 0]
+        lambda: grover_unitary([1.9, 0]),                     # ran as [1, 0]
+        lambda: grover_unitary([np.nan, 0]),                  # raised a bare ValueError
+    ])
+    def test_entries_tested_before_the_int_cast(self, build):
+        with pytest.raises(PreconditionError, match="bitstring entries must be 0 or 1"):
+            build()
+
+    def test_bool_entries_accepted(self):
+        assert np.array_equal(grover_unitary([True, False]), grover_unitary([1, 0]))
+        assert np.array_equal(counting_statevector_pmf(np.array([True, False, True, False]), 4),
+                              counting_statevector_pmf([1, 0, 1, 0], 4))
 
 
 class TestEigencheck:

@@ -1,11 +1,16 @@
 import numpy as np
 
-from jacksonlab import verify
+import pytest
+
+from jacksonlab import phase_dist, verify
 from jacksonlab.counting_model import amp_support, theta_of_weight
 from jacksonlab.numerics import circle_dist
-from jacksonlab.phase_dist import pe_probs
+from jacksonlab.phase_dist import pe_pmf, pe_pmf_rows, pe_probs
 
 TOLERANCE = {name: tol for name, _fn, tol in verify.CHECKS}
+CHECK = {name: fn for name, fn, _tol in verify.CHECKS}
+# the phase grids of the three phase-estimation checks
+PE_GRIDS = (verify._x_sweep(32), (np.arange(32) + 0.5) / 32 + 1e-4)
 
 
 def test_amp_law_check_passes():
@@ -37,3 +42,29 @@ def test_one_run_simulates_each_counting_law_once(monkeypatch):
     assert residuals[0] == residuals[1]
     assert residuals[0]["no_interference_mixture"] == verify.check_mixture()
     assert residuals[0]["amp_law_vs_statevector"] == verify.check_amp_law()
+
+
+def test_checked_rows_are_pe_pmf_bit_for_bit():
+    # the batched checks certify exactly what pe_pmf returns
+    for xs in PE_GRIDS:
+        for M in range(2, 65):
+            expect = np.array([pe_pmf(M, x).probs for x in xs])
+            assert np.array_equal(pe_pmf_rows(M, xs), expect)
+
+
+@pytest.mark.parametrize("name", ["pe_closed_form_vs_statevector", "quadratic_tail_bound",
+                                  "fejer_identity"])
+def test_phase_check_catches_shifted_closed_form(monkeypatch, name):
+    assert CHECK[name]() <= TOLERANCE[name]
+    monkeypatch.setattr(phase_dist, "pe_pmf_rows",
+                        lambda M, xs: pe_pmf_rows(M, np.asarray(xs) + 0.5 / M))
+    assert CHECK[name]() > TOLERANCE[name]
+
+
+def test_manifest_reports_runtimes():
+    manifest = verify.run_verification()
+    assert manifest["laws_s"] > 0.0
+    assert list(manifest["checks"]) == list(TOLERANCE)
+    for c in manifest["checks"].values():
+        assert c["runtime_s"] >= 0.0
+        assert c["max_residual"] <= c["tolerance"] and c["pass"]
