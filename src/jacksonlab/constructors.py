@@ -30,7 +30,6 @@ from .numerics import (
     PreconditionError,
     TrigPoly,
     cheb_lobatto_nodes,
-    circle_dist,
     modulus_estimate,
     positive_int,
     sup_distance,
@@ -43,7 +42,7 @@ from .counting_model import (
     binom_weight_matrix,
     single_run_amp_pmf,
 )
-from .phase_dist import KernelSpec, jackson_kernel, outcome_phases, pe_probs
+from .phase_dist import KernelSpec, jackson_kernel, outcome_phases, pe_pmf_rows
 
 ALGEBRAIC_METHODS = ("bernstein", "counting_median3", "counting_single")
 TRIG_METHODS = ("phase_median3", "jackson_kernel")
@@ -196,7 +195,7 @@ def _counting_value_table(g, N, M, median3):
     gvals = _target_values(g, values, "on the counting amplitude support")
 
     def rows(weights):
-        laws = np.array([single_run_amp_pmf(k, N, M)[1] for k in weights.astype(int)])
+        laws = np.array([single_run_amp_pmf(k, N, M)[1] for k in weights.astype(int).tolist()])
         if median3:
             laws = numerics.median3_pmf(values, laws)[1]
         return laws @ gvals
@@ -221,16 +220,12 @@ def _counting_approximant(g, n, median3):
 
 
 def _phase_approximant(g, n):
-    if not g.periodic:
-        raise PreconditionError("phase construction requires a periodic target")
     M, _ = derived_params("phase_median3", n)
-    phases = outcome_phases(M)
-    gvals = _target_values(g, phases, "at the phase outcomes z/M")
+    gvals = _target_values(g, outcome_phases(M), "at the phase outcomes z/M")
 
     def rows(x):
         # one outcome law per point, on the g-values of the M outcomes
-        d = circle_dist(phases, x[:, None] % 1.0)
-        support, med = numerics.median3_pmf(gvals, pe_probs(M, d))
+        support, med = numerics.median3_pmf(gvals, pe_pmf_rows(M, x))
         return med @ support
 
     fn = _blockwise(rows, M)

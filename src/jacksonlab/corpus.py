@@ -82,7 +82,7 @@ def get_target(name):
         raise PreconditionError(f"unknown target {name!r}; valid names: {valid}") from None
 
 
-def target_from_csv(path, periodic=False, name=None):
+def target_from_csv(path, periodic=False):
     """Piecewise-linear target from a two-column x,y CSV file.
 
     x must be strictly increasing with first x = 0 and last x = 1, and
@@ -124,9 +124,4 @@ def target_from_csv(path, periodic=False, name=None):
         evaluator = lambda t: np.interp(np.asarray(t, dtype=float) % 1.0, xs, ys)
     else:
         evaluator = lambda t: np.interp(np.asarray(t, dtype=float), xs, ys)
-    return TargetFunction(
-        evaluator,
-        periodic=periodic,
-        analytic_modulus=None,
-        name=name or str(path),
-    )
+    return TargetFunction(evaluator, periodic=periodic, name=str(path))

@@ -14,34 +14,33 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import PreconditionError, circle_dist, median3_pmf, positive_int
-from .phase_dist import outcome_phases, pe_probs
+from .numerics import PreconditionError, median3_pmf, positive_int
+from .phase_dist import pe_pmf_rows
 
 
 def theta_of_weight(k, N):
-    """Grover angle arcsin(sqrt(k/N)) in [0, pi/2]."""
-    if N < 1:
-        raise PreconditionError("N must be a positive integer")
-    if not (0 <= k <= N):
+    """Grover angle arcsin(sqrt(k/N)) in [0, pi/2]; k and N whole numbers."""
+    N = positive_int(N, "N")
+    k = positive_int(k, "weight k", low=0)
+    if k > N:
         raise PreconditionError("weight k must lie in [0, N]")
     return float(np.arcsin(np.sqrt(k / N)))
 
 
 def single_run_pmf(k, N, M):
     """Outcome pmf of one counting run: equal mixture of the two eigenphases."""
-    phases = amp_support(M)[2]
     phi = theta_of_weight(k, N) / np.pi
-    probs = pe_probs(int(M), circle_dist(phases, np.array([[phi], [1.0 - phi]]) % 1.0))
+    probs = pe_pmf_rows(positive_int(M, "M"), np.array([phi, 1.0 - phi]))
     return 0.5 * probs[0] + 0.5 * probs[1]
 
 
 @lru_cache(maxsize=64)
 def amp_support(M):
-    """Read-only (values, fold, phases) of a counting run at precision M.
+    """Read-only (values, fold) of a counting run at precision M.
 
     values: the distinct estimates sin(pi j/M)^2, j = 0..M//2; fold: the index
     j = min(z, M-z) of outcome z's estimate (grouping by index, not by sin^2
-    values); phases: the outcome phases z/M.
+    values).
     """
     M = positive_int(M, "M")
     z = np.arange(M)
@@ -49,7 +48,7 @@ def amp_support(M):
     fold = np.minimum(z, M - z)
     for a in (values, fold):
         a.flags.writeable = False
-    return values, fold, outcome_phases(M)
+    return values, fold
 
 
 def single_run_amp_pmf(k, N, M):
@@ -58,8 +57,8 @@ def single_run_amp_pmf(k, N, M):
     One eigenphase is enough: 1 - theta/pi puts on z the mass theta/pi puts
     on M-z, which the fold merges with z, so this is the folded mixture.
     """
-    values, fold, phases = amp_support(M)
-    probs = pe_probs(int(M), circle_dist(phases, theta_of_weight(k, N) / np.pi))
+    values, fold = amp_support(M)
+    probs = pe_pmf_rows(int(M), theta_of_weight(k, N) / np.pi)
     return values, np.bincount(fold, weights=probs)
 
 

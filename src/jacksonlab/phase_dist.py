@@ -51,16 +51,20 @@ def pe_pmf(M, x):
     """Exact pmf of the phase-estimation outcome Z at precision M, phase x.
 
     x must be finite and is reduced mod 1; the probabilities are
-    pe_probs at the circle distances from z/M to x.
+    pe_pmf_rows(M, x).
     """
     M = positive_int(M, "M")
-    x = finite_phase(x) % 1.0
-    return PhasePMF(M=M, x=x, probs=pe_probs(M, circle_dist(outcome_phases(M), x)))
+    x = finite_phase(x)
+    return PhasePMF(M=M, x=x % 1.0, probs=pe_pmf_rows(M, x))
 
 
 def pe_pmf_rows(M, xs):
-    """pe_pmf(M, x).probs, bit for bit, as one row per finite phase x of the 1-D xs; M an int."""
-    return pe_probs(M, circle_dist(outcome_phases(M), np.asarray(xs)[..., None] % 1.0))
+    """Outcome law of phase estimation at precision M (an int): the (M,) law
+    of a float phase xs, or one row per phase of a 1-D xs.  Every outcome law
+    is built here, as pe_probs at the circle distances from z/M to xs mod 1.
+    """
+    x = xs % 1.0 if isinstance(xs, float) else np.asarray(xs)[..., None] % 1.0
+    return pe_probs(M, circle_dist(outcome_phases(M), x))
 
 
 def tail_bound(M, d):

@@ -46,9 +46,9 @@ def pe_statevector_pmf(M, x):
 
 def _check_bitstring(w):
     w = np.asarray(w)
-    N = len(w)
+    N = len(w) if w.ndim == 1 else 0
     if N < 2 or (N & (N - 1)) != 0:
-        raise PreconditionError("bitstring length must be a power of two >= 2")
+        raise PreconditionError("bitstring must be 1-D, its length a power of two >= 2")
     if not np.all((w == 0) | (w == 1)):  # before the int cast, which would truncate 0.5 to 0
         raise PreconditionError("bitstring entries must be 0 or 1")
     return w.astype(int), N

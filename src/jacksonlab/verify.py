@@ -16,22 +16,28 @@ from .counting_model import amp_support, single_run_amp_pmf, single_run_pmf
 from .numerics import circle_dist
 
 
-def _x_sweep(count):
+# the phase checks' precisions and phase count; the counting checks' bitstring lengths
+_PE_M = range(2, 65)
+_X_COUNT = 32
+_SIZES = (4, 8, 16)
+
+
+def _x_sweep():
     # includes exact-phase points (multiples of 1/M for small M) and irrationals
-    return np.linspace(0.0, 1.0, count, endpoint=False)
+    return np.linspace(0.0, 1.0, _X_COUNT, endpoint=False)
 
 
-def check_pe_equivalence(m_max=64, x_count=32):
-    xs = _x_sweep(x_count)
+def check_pe_equivalence():
+    xs = _x_sweep()
     return max(float(np.max(np.abs(qsim.pe_statevector_pmf(M, xs)
                                     - phase_dist.pe_pmf_rows(M, xs))))
-               for M in range(2, m_max + 1))
+               for M in _PE_M)
 
 
-def check_tail_bound(m_max=64, x_count=32):
+def check_tail_bound():
     worst = 0.0
-    xs = _x_sweep(x_count)
-    for M in range(2, m_max + 1):
+    xs = _x_sweep()
+    for M in _PE_M:
         d = circle_dist(phase_dist.outcome_phases(M), xs[:, None])
         far = d > 0
         bound = phase_dist.tail_bound(M, d[far])
@@ -39,9 +45,9 @@ def check_tail_bound(m_max=64, x_count=32):
     return worst
 
 
-def check_eigenstructure(sizes=(4, 8, 16)):
+def check_eigenstructure():
     worst = 0.0
-    for N in sizes:
+    for N in _SIZES:
         for k in range(1, N):
             w = np.array([1] * k + [0] * (N - k))
             ec = qsim.eigencheck(w)
@@ -55,11 +61,11 @@ def check_eigenstructure(sizes=(4, 8, 16)):
     return worst
 
 
-def _counting_laws(sizes=(4, 8, 16), m_range=(2, 8)):
-    for N in sizes:
+def _counting_laws():
+    for N in _SIZES:
         for k in range(N + 1):
             w = np.array([1] * k + [0] * (N - k))
-            for M in range(m_range[0], m_range[1] + 1):
+            for M in range(2, 9):
                 yield k, N, M, qsim.counting_statevector_pmf(w, M)
 
 
@@ -76,14 +82,14 @@ def check_amp_law(laws=None):
                for k, N, M, law in laws or _counting_laws())
 
 
-def check_fejer_identity(m_max=64, x_count=32):
-    xs = (np.arange(x_count) + 0.5) / x_count + 1e-4  # avoid M*x integer
-    return max(phase_dist.fejer_identity_check(M, xs) for M in range(2, m_max + 1))
+def check_fejer_identity():
+    xs = (np.arange(_X_COUNT) + 0.5) / _X_COUNT + 1e-4  # avoid M*x integer
+    return max(phase_dist.fejer_identity_check(M, xs) for M in _PE_M)
 
 
-def check_kernel_normalization(n_max=32):
+def check_kernel_normalization():
     worst = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(1, 33):
         worst = max(worst, abs(phase_dist.kernel_integral(phase_dist.fejer_kernel(n)) - 1.0))
         worst = max(worst, abs(phase_dist.kernel_integral(phase_dist.jackson_kernel(n)) - 1.0))
     worst = max(worst, abs(phase_dist.jackson_kernel(2).norm_const - 2.0 / 3.0))

@@ -191,6 +191,7 @@ class TestCountingValueTable:
         g = TargetFunction(lambda x: sizes.append(np.size(x)) or np.sqrt(x), name="counted")
         approx = build_approximant(g, method, 12)
         assert weights == list(range(approx.N + 1))
+        assert {type(k) for k in weights} == {int}  # positive_int's fast path
         assert sizes == [approx.M // 2 + 1]
 
     @pytest.mark.parametrize("method", ["counting_median3", "counting_single"])

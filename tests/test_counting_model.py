@@ -47,6 +47,19 @@ class TestThetaOfWeight:
             with pytest.raises(PreconditionError, match="N must be a positive integer"):
                 theta_of_weight(0, N)
 
+    @pytest.mark.parametrize("call", [
+        lambda: single_run_pmf(1.5, 4, 4),   # returned a law
+        lambda: median3_amp_pmf(2, 4.5, 3),  # returned a law
+        lambda: theta_of_weight(True, 4),    # took True for k = 1
+        lambda: theta_of_weight(1, True),
+    ])
+    def test_weight_and_length_must_be_whole_numbers(self, call):
+        with pytest.raises(PreconditionError, match="must be (a positive integer|an integer >= 0)"):
+            call()
+
+    def test_integral_floats_accepted(self):
+        assert theta_of_weight(4.0, 16.0) == theta_of_weight(4, 16)
+
 
 class TestSingleRunPmf:
     def test_zero_weight_point_mass(self):

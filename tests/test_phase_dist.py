@@ -5,15 +5,19 @@ import pytest
 
 from jacksonlab import (
     PreconditionError,
+    build_approximant,
     circle_dist,
     fejer_identity_check,
     fejer_kernel,
     fejer_value,
+    get_target,
     jackson_kernel,
     pe_pmf,
     pe_statevector_pmf,
+    phase_dist,
+    single_run_pmf,
 )
-from jacksonlab.counting_model import amp_support
+from jacksonlab.counting_model import single_run_amp_pmf
 from jacksonlab.numerics import effective_trig_degree, trig_coeffs_from_samples
 from jacksonlab.phase_dist import kernel_integral, outcome_phases, pe_probs, tail_bound
 from oracles import expected_circle_error, median3_circle_error
@@ -89,13 +93,27 @@ class TestOutcomePhases:
         with pytest.raises(ValueError):
             z[0] = 1.0
         assert outcome_phases(16) is z
-        amp_support.cache_clear()  # an entry cached earlier may hold an evicted array
-        assert amp_support(16)[2] is outcome_phases(16)
 
     def test_pe_pmf_unchanged(self):
         for M, x in ((1, 0.3), (5, 0.71), (64, 3 / 32), (64, 0.123)):
             expected = pe_probs(M, circle_dist(np.arange(M) / M, x))
             assert np.array_equal(pe_pmf(M, x).probs, expected)
+
+
+class TestOneOutcomeLawKernel:
+    def test_every_law_comes_from_pe_pmf_rows(self, monkeypatch):
+        # a wrong pe_probs reaches every outcome law, so none rebuilds the formula itself
+        reference = build_approximant(get_target("triangle"), "phase_median3", 12).reference
+        xs = np.array([0.1, 0.37, 0.8])
+
+        def laws():
+            return (pe_pmf(7, 0.3).probs, single_run_pmf(3, 16, 7),
+                    single_run_amp_pmf(3, 16, 7)[1], reference(xs))
+
+        before = laws()
+        monkeypatch.setattr(phase_dist, "pe_probs", lambda M, d: np.cos(np.pi * d) ** 2)
+        for right, wrong in zip(before, laws()):
+            assert np.max(np.abs(right - wrong)) > 1e-3
 
 
 class TestPeProbs:

@@ -43,14 +43,14 @@ class TestPeStatevector:
 
     @pytest.mark.parametrize("M", [1, 2, 7, 64])
     def test_rows_match_scalar_calls(self, M):
-        xs = _x_sweep(32)
+        xs = _x_sweep()
         rows = pe_statevector_pmf(M, xs)
         assert rows.shape == (32, M)
         for x, row in zip(xs, rows):
             assert np.max(np.abs(row - pe_statevector_pmf(M, x))) <= 1e-15
 
     def test_one_nan_in_an_array_rejected(self):
-        xs = _x_sweep(32)
+        xs = _x_sweep()
         xs[5] = np.nan
         with pytest.raises(PreconditionError, match="finite"):
             pe_statevector_pmf(8, xs)
@@ -108,6 +108,16 @@ class TestBitstring:
     ])
     def test_entries_tested_before_the_int_cast(self, build):
         with pytest.raises(PreconditionError, match="bitstring entries must be 0 or 1"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: grover_unitary([[0, 1], [1, 0]]),              # returned a (1, 2, 2) array
+        lambda: counting_statevector_pmf([[0, 1], [1, 0]], 2),  # numpy matmul ValueError
+        lambda: eigencheck([[0, 1], [1, 0]]),                   # "needs 0 < |w| < N"
+        lambda: grover_unitary(1),                              # len() of an unsized object
+    ])
+    def test_bitstring_must_be_one_dimensional(self, build):
+        with pytest.raises(PreconditionError, match="bitstring must be 1-D"):
             build()
 
     def test_bool_entries_accepted(self):

@@ -4,13 +4,12 @@ import pytest
 
 from jacksonlab import phase_dist, verify
 from jacksonlab.counting_model import amp_support, theta_of_weight
-from jacksonlab.numerics import circle_dist
-from jacksonlab.phase_dist import pe_pmf, pe_pmf_rows, pe_probs
+from jacksonlab.phase_dist import pe_pmf, pe_pmf_rows
 
 TOLERANCE = {name: tol for name, _fn, tol in verify.CHECKS}
 CHECK = {name: fn for name, fn, _tol in verify.CHECKS}
 # the phase grids of the three phase-estimation checks
-PE_GRIDS = (verify._x_sweep(32), (np.arange(32) + 0.5) / 32 + 1e-4)
+PE_GRIDS = (verify._x_sweep(), (np.arange(32) + 0.5) / 32 + 1e-4)
 
 
 def test_amp_law_check_passes():
@@ -20,8 +19,8 @@ def test_amp_law_check_passes():
 def test_amp_law_check_catches_a_dropped_fold(monkeypatch):
     def unfolded(k, N, M):
         # the law of the eigenphase theta/pi on z <= M/2, without the mass of M - z
-        values, _fold, phases = amp_support(M)
-        return values, pe_probs(M, circle_dist(phases, theta_of_weight(k, N) / np.pi))[: len(values)]
+        values, _fold = amp_support(M)
+        return values, pe_pmf_rows(M, theta_of_weight(k, N) / np.pi)[: len(values)]
 
     monkeypatch.setattr(verify, "single_run_amp_pmf", unfolded)
     assert verify.check_amp_law() > TOLERANCE["amp_law_vs_statevector"]
@@ -45,11 +44,12 @@ def test_one_run_simulates_each_counting_law_once(monkeypatch):
 
 
 def test_checked_rows_are_pe_pmf_bit_for_bit():
-    # the batched checks certify exactly what pe_pmf returns
+    # the batched checks certify exactly what pe_pmf returns, and a float phase gives one row
     for xs in PE_GRIDS:
         for M in range(2, 65):
             expect = np.array([pe_pmf(M, x).probs for x in xs])
             assert np.array_equal(pe_pmf_rows(M, xs), expect)
+            assert all(np.array_equal(pe_pmf_rows(M, float(x)), row) for x, row in zip(xs, expect))
 
 
 @pytest.mark.parametrize("name", ["pe_closed_form_vs_statevector", "quadratic_tail_bound",
