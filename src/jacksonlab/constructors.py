@@ -15,6 +15,7 @@ methods, 2n+1 Fourier coefficients for the trigonometric ones.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .numerics import (
     cheb_lobatto_nodes,
     modulus_estimate,
     positive_int,
+    real_x,
     sup_distance,
     trig_coeffs_from_samples,
 )
@@ -84,8 +86,9 @@ class Approximant:
         return self.compile()
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
+        # a single number stays a float, so the form takes its scalar path
+        x = real_x(x)
+        if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
             raise EvaluationError(f"non-finite x passed to the {self.method} approximant")
         return self.form(x)
 
@@ -236,7 +239,7 @@ def _phase_approximant(g, n):
 def _convolution_samples(g, kernel, quad_points):
     if not g.periodic:
         raise PreconditionError("kernel convolution requires a periodic target")
-    quad_points = int(quad_points)
+    quad_points = positive_int(quad_points, "quad_points")
     if quad_points < 8 * (kernel.trig_degree + 1):
         raise PreconditionError(
             "quad_points must be at least 8*(kernel trig degree + 1)"

@@ -40,17 +40,34 @@ def positive_int(value, name, low=1):
     return int(value)
 
 
+def real_x(x):
+    """x as a float, or as a float array when it has a dimension.
+
+    PreconditionError unless x is a real number (numpy scalars included)
+    or an array of them: a str or bytes is not parsed, a bool is not read
+    as 0 or 1, and None is refused.
+    """
+    if isinstance(x, float):  # np.float64 included
+        return x
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        return float(x)
+    xs = np.asarray(x)
+    if xs.dtype.kind not in "iuf":
+        raise PreconditionError(f"x must be a real number or an array of them, got {x!r}")
+    return np.asarray(xs, dtype=float) if xs.ndim else float(xs)
+
+
 def finite_phase(x):
-    """x as a float; PreconditionError unless it is finite."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise PreconditionError(f"phase x must be finite, got {x!r}")
+    """x as a float; PreconditionError unless it is one finite real number."""
+    x = real_x(x)
+    if not isinstance(x, float) or not math.isfinite(x):
+        raise PreconditionError(f"phase x must be a finite real number, got {x!r}")
     return x
 
 
 def finite_phases(x):
-    """x, a phase or an array of them, as floats; PreconditionError unless all are finite."""
-    xs = np.asarray(x, dtype=float)
+    """x, a phase or an array of them, as floats; PreconditionError unless all are finite reals."""
+    xs = np.asarray(real_x(x))
     if not np.isfinite(xs).all():
         raise PreconditionError(f"phase x must be finite, got {x!r}")
     return xs
@@ -131,7 +148,7 @@ class Grid:
 
     @staticmethod
     def uniform(size):
-        return Grid(np.linspace(0.0, 1.0, size))
+        return Grid(np.linspace(0.0, 1.0, positive_int(size, "grid size")))
 
 
 @dataclass(frozen=True)
@@ -160,6 +177,15 @@ class LobattoPoly:
         return len(self.values) - 1
 
     def __call__(self, x):
+        if isinstance(x, float):
+            # one point: the same arithmetic as a row of the array path below
+            if not 0.0 <= x <= 1.0:  # NaN fails too
+                raise PreconditionError("all x must lie in [0, 1]")
+            i = self._nodes.searchsorted(x)  # x <= 1, the last node, so i is in range
+            if self._nodes[i] == x:
+                return float(self.values[i])
+            q = self._weights / (x - self._nodes)
+            return float((q @ self.values) / q.sum())
         xs = np.asarray(x, dtype=float)
         if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):  # NaN fails too
             raise PreconditionError("all x must lie in [0, 1]")
@@ -216,6 +242,11 @@ class TrigPoly:
 
     def __call__(self, x):
         # the phases depend on x mod 1 only; reducing first keeps the angles below 2 pi m
+        if isinstance(x, float):
+            # one point: the same arithmetic as a row of the array path below
+            t = x % 1.0
+            out = (np.exp(t * self._baby_freqs) @ self._table) * np.exp(t * self._giant_freqs)
+            return float(out.sum().real)
         xs = np.asarray(x, dtype=float) % 1.0
         t = xs.reshape(-1)
         baby = np.exp(np.multiply.outer(t, self._baby_freqs))

@@ -363,6 +363,17 @@ class TestKernelConvolve:
         with pytest.raises(PreconditionError):
             kernel_convolve(CORPUS["cos"], jackson_kernel(4), 16)
 
+    @pytest.mark.parametrize("quad_points", [48.9, "64", np.nan, np.inf, True])
+    def test_quad_points_must_be_a_whole_number(self, quad_points):
+        # int() ran 48.9 as the 48-node rule and parsed "64"; nan and inf raised ValueError and OverflowError
+        with pytest.raises(PreconditionError, match="quad_points"):
+            kernel_convolve(CORPUS["cos"], jackson_kernel(3), quad_points)
+
+    def test_integral_float_quad_points_accepted(self):
+        x = np.linspace(0.0, 1.0, 9)
+        conv = kernel_convolve(CORPUS["cos"], jackson_kernel(3), 48.0)
+        assert np.array_equal(conv(x), kernel_convolve(CORPUS["cos"], jackson_kernel(3), 48)(x))
+
     def test_nonperiodic_rejected(self):
         with pytest.raises(PreconditionError):
             kernel_convolve(CORPUS["sqrt"], jackson_kernel(4), 128)
@@ -454,9 +465,18 @@ class TestCallDomain:
     @pytest.mark.parametrize("method", ALGEBRAIC_METHODS)
     def test_outside_unit_interval_raises(self, method):
         approx = build_approximant(CORPUS["sqrt"], method, 6)
-        for x in (1.5, -0.25, np.array([0.5, 1.5])):
-            with pytest.raises(PreconditionError):
+        for x in (1.5, -0.25, 2, np.float32(1.5), np.array(-1e-300), np.array([0.5, 1.5])):
+            with pytest.raises(PreconditionError, match=r"all x must lie in \[0, 1\]"):
                 approx(x)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("x", ["0.3", b"0.3", None, True, False, np.bool_(True),
+                                   np.array(["0.3"]), np.array([True, False]), [0.3, None]])
+    def test_x_must_be_real(self, method, x):
+        # a string was parsed, a bool ran at 0 or 1, and None was reported as a non-finite x
+        approx = build_approximant(CORPUS["triangle"], method, 6)
+        with pytest.raises(PreconditionError, match="real number"):
+            approx(x)
 
 
 class TestCompiledForm:
@@ -479,6 +499,24 @@ class TestCompiledForm:
         for method in METHODS:
             y = build_approximant(CORPUS["triangle"], method, 6)(0.3)
             assert isinstance(y, float)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_scalar_call_is_the_array_path_bit_for_bit(self, method):
+        # a single x takes the forms' scalar path, which has no arrays
+        n = 24
+        approx = build_approximant(CORPUS["triangle"], method, n)
+        points = [*cheb_lobatto_nodes(n + 1).tolist(), 0.0, 1.0, -0.0,
+                  *np.random.default_rng(11).uniform(size=500).tolist()]
+        ints = [0, 1]
+        if method in TRIG_METHODS:
+            points += [5.3, -1e-300, 1e308]
+            ints += [-3, 7]
+        for x in points + ints:
+            kinds = [x, np.float64(x), np.array(x)] + ([np.float32(x)] if abs(x) < 1e38 else [])
+            for arg in kinds:
+                y = approx(arg)
+                assert type(y) is float, (arg, type(y))
+                assert y == approx(np.array([arg]))[0], arg
 
 
 class TestBlockwiseReference:

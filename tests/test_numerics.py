@@ -228,7 +228,8 @@ class TestLobattoPoly:
         vals = np.random.default_rng(3).normal(size=12)
         poly = LobattoPoly(vals)
         assert np.array_equal(poly(cheb_lobatto_nodes(12)), vals)
-        assert poly(0.0) == vals[0] and poly(1.0) == vals[-1]
+        assert poly(0.0) == vals[0] and poly(1.0) == vals[-1] and poly(-0.0) == vals[0]
+        assert [poly(x) for x in cheb_lobatto_nodes(12).tolist()] == vals.tolist()
 
     def test_matches_the_chebyshev_series(self):
         coeffs = np.random.default_rng(4).normal(size=10)
@@ -236,6 +237,8 @@ class TestLobattoPoly:
         poly = LobattoPoly(series(cheb_lobatto_nodes(10)))
         fresh = np.random.default_rng(5).uniform(size=200)
         assert np.max(np.abs(poly(fresh) - series(fresh))) < 1e-13
+        # a float takes the scalar path, which must give the one-point array path's bits
+        assert [poly(x) for x in fresh.tolist()] == [poly(fresh[i : i + 1])[0] for i in range(200)]
         assert np.max(np.abs(poly.chebyshev() - coeffs)) < 1e-13
 
     def test_shapes_and_scalar(self):
@@ -346,6 +349,10 @@ class TestDomainTypes:
             Grid(np.array([0.5, 0.25]))
         with pytest.raises(PreconditionError):
             Grid(np.array([np.nan]))
+        for size in (2.5, "64", np.nan, 0):  # linspace raised TypeError on 2.5 and parsed "64"
+            with pytest.raises(PreconditionError):
+                Grid.uniform(size)
+        assert np.array_equal(Grid.uniform(5.0).points, Grid.uniform(5).points)
 
     def test_periodic_targets_wrap(self):
         xs = np.linspace(0.0, 1.0, 33)
@@ -388,8 +395,12 @@ class TestTrigPolyEvaluation:
         rng = np.random.default_rng(m)
         c = rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1)  # not symmetric
         xs = np.concatenate(([0.0, 0.5, 1.0 - 2.0**-53], rng.uniform(0.0, 1.0, size=200)))
-        err = np.max(np.abs(TrigPoly(c)(xs) - fourier_sum(c, xs).real))
+        poly = TrigPoly(c)
+        err = np.max(np.abs(poly(xs) - fourier_sum(c, xs).real))
         assert err <= 1e-13 * (1.0 + np.sum(np.abs(c))), err
+        # a float takes the scalar path, which must give the one-point array path's bits
+        xs = np.concatenate((xs, [-0.0, 5.3, -1e-300, 1e308, -2.0]))
+        assert [poly(x) for x in xs.tolist()] == [poly(xs[i : i + 1])[0] for i in range(xs.size)]
 
     @pytest.mark.parametrize("m", DEGREES)
     def test_phases_depend_on_x_mod_one_only(self, m):

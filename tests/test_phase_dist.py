@@ -77,11 +77,13 @@ class TestPePmf:
         with pytest.raises(PreconditionError):
             pe_pmf(0, 0.3)
 
-    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, "0.3", b"0.3", None, True])
     def test_nonfinite_phase_rejected(self, x):
-        # the statevector pmf was all NaN; the identity check raised ValueError or OverflowError
+        # the statevector pmf was all NaN; the identity check raised ValueError or OverflowError;
+        # a string was parsed and a bool ran at x = 1
+        match = "finite" if isinstance(x, float) else "real number"
         for law in (pe_pmf, pe_statevector_pmf, fejer_identity_check):
-            with pytest.raises(PreconditionError, match="finite"):
+            with pytest.raises(PreconditionError, match=match):
                 law(4, x)
 
 
