@@ -95,18 +95,41 @@ def median3_pmf(values, probs):
     identity P[med <= v] = F(v)^2 (3 - 2 F(v)).  Returns (support, probs)
     with support sorted increasing and duplicates merged.  probs may have
     shape (..., len(values)): each row is one law on the same values, and
-    the returned probs have shape (..., len(support)).
+    the returned probs have shape (..., len(support)).  values must not
+    hold NaN.
     """
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
-    support, inverse = np.unique(values, return_inverse=True)
-    agg = np.zeros(probs.shape[:-1] + (len(support),))
-    np.add.at(agg.T, inverse, probs.T)
-    cdf = np.clip(np.cumsum(agg, axis=-1), 0.0, 1.0)
-    med_cdf = cdf * cdf * (3.0 - 2.0 * cdf)
-    med_probs = med_cdf.copy()
-    med_probs[..., 1:] -= med_cdf[..., :-1]
-    return support, med_probs
+    if probs.shape[-1:] != values.shape:
+        raise PreconditionError("median3_pmf: probs must end in an axis of len(values)")
+    # a stable sort keeps each group of equal values in index order, and each
+    # group is summed in that order, its j-th duplicate added in round j
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    if ordered.size and math.isnan(ordered[-1]):  # NaN sorts last
+        raise PreconditionError("median3_pmf: values must not be NaN")
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    # take and compress keep the rows C-ordered, as the products downstream expect
+    probs = np.take(probs, order, axis=-1)
+    cdf = np.compress(first, probs, axis=-1)
+    if cdf.shape[-1] < ordered.size:
+        starts = np.flatnonzero(first)
+        sizes = np.diff(starts, append=ordered.size)
+        for j in range(1, sizes.max()):
+            grown = np.flatnonzero(sizes > j)
+            cdf[..., grown] += probs[..., starts[grown] + j]
+    # in place from here: F, clipped, then F^2 (3 - 2F), then its differences
+    np.cumsum(cdf, axis=-1, out=cdf)
+    np.clip(cdf, 0.0, 1.0, out=cdf)
+    med = 2.0 * cdf
+    np.subtract(3.0, med, out=med)
+    cdf *= cdf
+    cdf *= med
+    med[..., :1] = cdf[..., :1]
+    np.subtract(cdf[..., 1:], cdf[..., :-1], out=med[..., 1:])
+    return ordered[first], med
 
 
 @dataclass(frozen=True)
@@ -151,6 +174,13 @@ class Grid:
         return Grid(np.linspace(0.0, 1.0, positive_int(size, "grid size")))
 
 
+# x - 0 below the smallest normal float makes w/(x - 0) overflow, so such an x
+# has its differences scaled by a power of two: exact, and the barycentric
+# ratio is unchanged (no other node is near enough 0 for a subnormal gap)
+_TINY = float(np.finfo(float).tiny)
+_SUBNORMAL_SCALE = 2.0**1000
+
+
 @dataclass(frozen=True)
 class LobattoPoly:
     """Algebraic polynomial on [0,1] held by its values at cheb_lobatto_nodes.
@@ -184,12 +214,18 @@ class LobattoPoly:
             i = self._nodes.searchsorted(x)  # x <= 1, the last node, so i is in range
             if self._nodes[i] == x:
                 return float(self.values[i])
-            q = self._weights / (x - self._nodes)
+            diff = x - self._nodes
+            if x < _TINY:
+                diff *= _SUBNORMAL_SCALE
+            q = self._weights / diff
             return float((q @ self.values) / q.sum())
         xs = np.asarray(x, dtype=float)
-        if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):  # NaN fails too
+        lo, hi = (xs.min(), xs.max()) if xs.size else (1.0, 1.0)
+        if not (lo >= 0.0 and hi <= 1.0):  # NaN fails too
             raise PreconditionError("all x must lie in [0, 1]")
         diff = xs.reshape(-1)[:, None] - self._nodes
+        if lo < _TINY:
+            diff[diff[:, 0] < _TINY] *= _SUBNORMAL_SCALE
         with np.errstate(divide="ignore", invalid="ignore"):
             q = self._weights / diff
             out = (q @ self.values) / q.sum(axis=1)

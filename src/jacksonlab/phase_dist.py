@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import PreconditionError, circle_dist, finite_phase, finite_phases, positive_int
+from .numerics import PreconditionError, finite_phase, finite_phases, positive_int
 
 # below this circle distance the removable singularity is replaced by its limit
 _SINGULARITY_EPS = 1e-15
@@ -40,11 +40,25 @@ def pe_probs(M, d):
     """Pr[Z=z] = sin(pi M d)^2 / (M sin(pi d))^2 at circle distances d, any shape.
 
     d is the circle distance from z/M to the eigenphase; the removable
-    singularity at d = 0 takes its limit 1.
+    singularity at d = 0 takes its limit 1.  d is left unmodified; a float or
+    0-d d gives a 0-d array.
     """
-    far = d > _SINGULARITY_EPS
-    s = np.where(far, np.sin(np.pi * d), 1.0)
-    return np.where(far, np.sin(np.pi * M * d) ** 2 / (M**2 * s**2), 1.0)
+    near = d <= _SINGULARITY_EPS
+    s = np.pi * d
+    try:
+        np.sin(s, out=s)
+    except TypeError:  # s is a scalar: the same arithmetic on one element
+        return pe_probs(M, np.reshape(d, 1)).reshape(())
+    # in place from here: the denominator (M sin(pi d))^2, then the law
+    s *= s
+    s *= M**2
+    s[near] = 1.0
+    out = (np.pi * M) * d
+    np.sin(out, out=out)
+    out *= out
+    out /= s
+    out[near] = 1.0
+    return out
 
 
 def pe_pmf(M, x):
@@ -64,7 +78,11 @@ def pe_pmf_rows(M, xs):
     is built here, as pe_probs at the circle distances from z/M to xs mod 1.
     """
     x = xs % 1.0 if isinstance(xs, float) else np.asarray(xs)[..., None] % 1.0
-    return pe_probs(M, circle_dist(outcome_phases(M), x))
+    # the circle distance, in place
+    d = outcome_phases(M) - x
+    d %= 1.0
+    np.minimum(d, 1.0 - d, out=d)
+    return pe_probs(M, d)
 
 
 def tail_bound(M, d):

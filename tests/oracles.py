@@ -2,7 +2,8 @@
 
 The oracles (the triple median, the direct Fourier sum and the checks
 built on it, the unitarity and norm residuals, the full-width binomial
-mixture) import nothing from jacksonlab, so they stay independent of the
+mixture, the np.unique form of the median-of-three law and the
+np.where form of the phase-estimation law) import nothing from jacksonlab, so they stay independent of the
 code they check.  The statistics are exact expectations under the public
 outcome laws.
 """
@@ -17,6 +18,31 @@ from jacksonlab import median3_amp_pmf, median3_pmf, pe_pmf
 def median3(a, b, c):
     """Middle value of three reals."""
     return sorted((a, b, c))[1]
+
+
+def median3_pmf_by_unique(values, probs):
+    """The median-of-three law with duplicates merged by np.unique and np.add.at.
+
+    np.add.at adds each value's probability into its group in index order;
+    rows of probs are laws on the same values, as in numerics.median3_pmf.
+    """
+    values = np.asarray(values, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    support, inverse = np.unique(values, return_inverse=True)
+    agg = np.zeros(probs.shape[:-1] + (len(support),))
+    np.add.at(agg.T, inverse, probs.T)
+    cdf = np.clip(np.cumsum(agg, axis=-1), 0.0, 1.0)
+    med_cdf = cdf * cdf * (3.0 - 2.0 * cdf)
+    med_probs = med_cdf.copy()
+    med_probs[..., 1:] -= med_cdf[..., :-1]
+    return support, med_probs
+
+
+def pe_probs_by_where(M, d):
+    """sin(pi M d)^2 / (M sin(pi d))^2 with the limit 1 where d <= 1e-15, by np.where."""
+    far = d > 1e-15
+    s = np.where(far, np.sin(np.pi * d), 1.0)
+    return np.where(far, np.sin(np.pi * M * d) ** 2 / (M**2 * s**2), 1.0)
 
 
 def fourier_sum(coeffs, x):

@@ -518,6 +518,37 @@ class TestCompiledForm:
                 assert type(y) is float, (arg, type(y))
                 assert y == approx(np.array([arg]))[0], arg
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_batch_within_the_stated_bound_of_the_scalar_path(self, method):
+        # a batch sums in its BLAS call's order, not the scalar path's: the README
+        # bounds the gap by 4(n+1) eps times the sum of the terms' magnitudes
+        n = 24
+        approx = build_approximant(CORPUS["triangle"], method, n)
+        xs = np.random.default_rng(12).uniform(size=500)
+        gap = np.abs(approx(xs) - np.array([approx(x) for x in xs.tolist()]))
+        assert np.all(gap <= 4 * (n + 1) * np.finfo(float).eps * _term_magnitudes(approx.form, xs))
+
+
+def _term_magnitudes(form, xs):
+    """Sum of |terms| of the stored form at each x in xs (none a node).
+
+    Barycentric: sum_j |l_j(x)| (|v_j| + |p(x)|), the terms of numerator and
+    denominator over the denominator, l_j = q_j / sum q.  Trigonometric:
+    sum_k |b_k|, b_0 = c_0 and b_k = c_k + conj(c_-k).
+    """
+    if isinstance(form, TrigPoly):
+        c, m = form.coeffs, form.degree
+        b = c[m:].copy()
+        b[1:] += np.conj(c[:m][::-1])
+        return np.full(len(xs), np.abs(b).sum())
+    v = form.values
+    w = np.ones(v.size)
+    w[1::2] = -1.0
+    w[[0, -1]] *= 0.5
+    q = w / (xs[:, None] - cheb_lobatto_nodes(v.size))
+    lagrange = q / q.sum(axis=1, keepdims=True)
+    return np.abs(lagrange) @ np.abs(v) + np.abs(lagrange).sum(axis=1) * np.abs(lagrange @ v)
+
 
 class TestBlockwiseReference:
     def test_blocks_cover_the_points_in_order(self, monkeypatch):

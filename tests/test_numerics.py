@@ -23,7 +23,7 @@ from jacksonlab import (
 from jacksonlab.corpus import CORPUS
 from jacksonlab.constructors import build_approximant
 from jacksonlab.phase_dist import fejer_value
-from oracles import conjugate_symmetry_defect, fourier_sum, imag_residue, median3
+from oracles import conjugate_symmetry_defect, fourier_sum, imag_residue, median3, median3_pmf_by_unique
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -113,6 +113,52 @@ class TestMedian3Pmf:
             row_support, row_med = median3_pmf(values, probs[row])
             assert np.array_equal(row_support, support)
             assert np.array_equal(row_med, med[row])
+
+    DUPLICATE_HEAVY = {
+        "cos-odd": np.cos(2 * np.pi * np.arange(17) / 17),
+        "cos-even": np.cos(2 * np.pi * np.arange(64) / 64),
+        "constant": np.full(9, 0.3),
+        "single": np.array([0.7]),
+        "three-levels": np.random.default_rng(2).integers(0, 3, size=40) / 2.0,
+    }
+
+    @pytest.mark.parametrize("name", DUPLICATE_HEAVY)
+    @pytest.mark.parametrize("rows", [(), (6,), (3, 4)])
+    def test_bit_identical_to_the_unique_form(self, name, rows):
+        values = self.DUPLICATE_HEAVY[name]
+        rng = np.random.default_rng(len(values))
+        # magnitudes 1e-16..1, so the order in which a group is summed shows in the last bits
+        probs = rng.uniform(size=rows + values.shape) * 10.0 ** rng.integers(-16, 1, size=rows + values.shape)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        support, med = median3_pmf(values, probs)
+        want_support, want_med = median3_pmf_by_unique(values, probs)
+        assert np.array_equal(support, want_support)
+        assert np.array_equal(med, want_med)
+        # C order too: a product with the law sums in a layout-dependent order
+        assert med.shape == rows + support.shape and med.flags.c_contiguous
+
+    def test_group_sums_in_index_order(self):
+        # 0.5 + 2^-54 rounds back to 0.5, twice; summed pairwise, the group would be 0.5 + 2^-53
+        support, med = median3_pmf([0.3, 0.3, 0.3], [0.5, 2.0**-54, 2.0**-54])
+        assert support.tolist() == [0.3] and med.tolist() == [0.5]
+
+    def test_empty_values(self):
+        support, med = median3_pmf([], [])
+        assert support.shape == (0,) and med.shape == (0,)
+        assert median3_pmf([], np.zeros((3, 0)))[1].shape == (3, 0)
+
+    @pytest.mark.parametrize("values", [[np.nan], [0.2, np.nan, 0.2], [np.nan, 0.1, np.nan]])
+    def test_nan_value_refused(self, values):
+        # np.unique merged the NaNs into one support point with a probability
+        probs = np.full(len(values), 1.0 / len(values))
+        for p in (probs, np.stack((probs, probs))):
+            with pytest.raises(PreconditionError, match="NaN"):
+                median3_pmf(values, p)
+
+    def test_probs_must_end_in_the_values_axis(self):
+        for probs in ([0.5, 0.3, 0.2], [[1.0]], 1.0):
+            with pytest.raises(PreconditionError):
+                median3_pmf([0.1, 0.2], probs)
 
 
 class TestSupDistance:
@@ -246,6 +292,30 @@ class TestLobattoPoly:
         assert poly(0.4) == pytest.approx(2.5) and isinstance(poly(0.4), float)
         assert poly(np.zeros((2, 3))).shape == (2, 3)
         assert poly(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("x", [1e-310, 5e-324, 1.1e-308, np.nextafter(2.2250738585072014e-308, 0.0)])
+    def test_subnormal_x_matches_the_reference(self, x):
+        # w/(x - 0) overflowed, and both paths gave inf/inf = NaN
+        approx = build_approximant(CORPUS["sqrt"], "bernstein", 8)
+        want = approx.reference(x)
+        for got in (approx(x), approx(np.array([x, 0.5]))[0], approx(np.array([[x]]))[0, 0]):
+            assert abs(got - want) <= 1e-12 * want + 2 * 5e-324, (x, got, want)
+
+    def test_next_to_every_node(self):
+        coeffs = np.random.default_rng(6).normal(size=12)
+        series = _cheb_series(coeffs)
+        nodes = cheb_lobatto_nodes(12)
+        poly = LobattoPoly(series(nodes))
+        near = np.concatenate((np.nextafter(nodes[1:], 0.0), np.nextafter(nodes[:-1], 1.0)))
+        assert near.min() == 5e-324
+        assert np.max(np.abs(poly(near) - series(near))) < 1e-13
+        assert max(abs(poly(x) - series(x)) for x in near.tolist()) < 1e-13
+
+    def test_scaling_leaves_the_other_points_alone(self):
+        poly = LobattoPoly(np.random.default_rng(8).normal(size=9))
+        xs = np.random.default_rng(9).uniform(size=64)
+        with_tiny = np.concatenate((xs[:-1], [1e-310]))
+        assert np.array_equal(poly(with_tiny)[:-1], poly(xs)[:-1])
 
     def test_outside_interval_refused(self):
         poly = LobattoPoly(np.arange(4.0))

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from jacksonlab import (
     PreconditionError,
@@ -19,8 +20,9 @@ from jacksonlab import (
 )
 from jacksonlab.counting_model import single_run_amp_pmf
 from jacksonlab.numerics import effective_trig_degree, trig_coeffs_from_samples
-from jacksonlab.phase_dist import kernel_integral, outcome_phases, pe_probs, tail_bound
-from oracles import expected_circle_error, median3_circle_error
+from jacksonlab.numerics import median3_pmf
+from jacksonlab.phase_dist import kernel_integral, outcome_phases, pe_pmf_rows, pe_probs, tail_bound
+from oracles import expected_circle_error, median3_circle_error, pe_probs_by_where
 
 PI_LD = 4 * np.arctan(np.longdouble(1))
 
@@ -128,6 +130,72 @@ class TestPeProbs:
             far = d > 1e-15
             want[far] = np.sin(np.pi * M * d[far]) ** 2 / (M**2 * np.sin(np.pi * d[far]) ** 2)
             assert np.array_equal(pe_probs(M, d), want)
+
+    def test_scalar_and_0d_input_give_a_0d_law(self):
+        # a float, a numpy scalar or a 0-d array takes the array arithmetic on one element
+        assert float(pe_probs(4, np.float64(0.1))) == pytest.approx(0.5920085, abs=1e-7)
+        for d in (0.1, np.float64(0.1), np.array(0.1), 0.0, 1e-16, 2e-15, 0.5, 0):
+            got = pe_probs(4, d)
+            assert type(got) is np.ndarray and got.shape == (), d
+            assert got == pe_probs_by_where(4, np.array([d], dtype=float))[0], d
+
+    def test_d_left_unmodified(self):
+        for d in (circle_dist(outcome_phases(16), np.array([0.0, 0.3, 1e-16])[:, None]),
+                  np.array(0.25)):
+            before = d.copy()
+            d.flags.writeable = False  # a write into d would raise
+            pe_probs(16, d)
+            assert np.array_equal(d, before)
+
+    def test_nan_distance_gives_nan_not_the_limit(self):
+        # the np.where form read a NaN distance as the singular point and gave it mass 1
+        assert np.isnan(pe_probs(8, np.array([np.nan, 0.25]))[0])
+        assert np.isnan(pe_pmf_rows(8, np.array([np.nan]))).all()
+
+
+# phases z/M, next to them, both zeros, subnormal, next below 1 and huge
+def _edge_phases(M):
+    z = np.arange(M) / M
+    return np.concatenate((z, z + 1e-16, [0.0, -0.0, 1e-300, -1e-300, 1 - 1e-17, 5e15, -2.5]))
+
+
+class TestInPlaceKernel:
+    @pytest.mark.parametrize("M", [*range(1, 65), 67, 100, 127, 128, 171, 255, 256])
+    def test_rows_are_the_where_form_bit_for_bit(self, M):
+        xs = _edge_phases(M)
+        want = pe_probs_by_where(M, circle_dist(outcome_phases(M), xs[:, None] % 1.0))
+        assert np.array_equal(pe_pmf_rows(M, xs), want)
+        for x, row in zip(xs.tolist(), want):
+            assert np.array_equal(pe_pmf_rows(M, x), row), x
+
+
+phases = st.floats(allow_nan=False, allow_infinity=False)
+orders = st.integers(min_value=1, max_value=256)
+
+
+class TestKernelProperties:
+    @given(orders, phases)
+    def test_law_is_a_probability_vector(self, M, x):
+        probs = pe_pmf(M, x).probs
+        assert probs.min() >= 0.0
+        assert abs(probs.sum() - 1.0) <= 1e-12
+
+    @given(orders, st.lists(phases, min_size=1, max_size=8))
+    def test_each_row_is_the_float_law(self, M, xs):
+        rows = pe_pmf_rows(M, np.array(xs))
+        for x, row in zip(xs, rows):
+            assert np.array_equal(row, pe_pmf_rows(M, float(x)))
+
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 7.0]), phases),
+                              st.floats(min_value=0.0, max_value=1.0)),
+                    min_size=1, max_size=40))
+    def test_median3_law_is_sorted_merged_and_normalized(self, draws):
+        values, weights = (np.array(a) for a in zip(*draws))
+        if not weights.sum() > 0.0:
+            weights = np.ones_like(weights)
+        support, probs = median3_pmf(values, weights / weights.sum())
+        assert np.all(np.diff(support) > 0) and np.array_equal(support, np.unique(values))
+        assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 class TestOrderMustBeAnInteger:
