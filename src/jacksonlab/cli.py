@@ -130,7 +130,7 @@ def main(config):
 
 def _degree_residual(approx, seed):
     """Degree certificate of the defining expectation, not of the compiled form."""
-    probe = effective_trig_degree if approx.method in TRIG_METHODS else effective_algebraic_degree
+    probe = effective_trig_degree if approx.basis == "fourier" else effective_algebraic_degree
     return probe(approx.reference, approx.n, seed=seed)
 
 
@@ -144,8 +144,6 @@ def _degree_residual(approx, seed):
 @click.option("--output", type=click.Path(), default=None)
 def construct(method, n, target, periodic, grid_size, seed, output):
     """Build one approximant; emit coefficients and its error report as JSON."""
-    if n < 1:
-        raise click.UsageError("n must be >= 1")
     g = _resolve_target(target, periodic_hint=periodic or method in TRIG_METHODS)
     try:
         approx = build_approximant(g, method, n)
@@ -154,11 +152,9 @@ def construct(method, n, target, periodic, grid_size, seed, output):
         residual = _degree_residual(approx, seed)
     except PreconditionError as exc:
         raise click.UsageError(str(exc))
-    if method in TRIG_METHODS:
-        basis = "fourier"
+    if approx.basis == "fourier":
         coeff_list = [[float(c.real), float(c.imag)] for c in coeffs]
     else:
-        basis = "chebyshev"
         coeff_list = [float(c) for c in coeffs]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -169,7 +165,7 @@ def construct(method, n, target, periodic, grid_size, seed, output):
         "N": approx.N,
         "degenerate": approx.degenerate,
         "seed": seed,
-        "basis": basis,
+        "basis": approx.basis,
         "coefficients": coeff_list,
         "degree_residual": residual,
         "error_report": {

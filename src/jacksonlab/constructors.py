@@ -4,7 +4,8 @@ Given a degree budget n, builds: the Bernstein operator of order n, the
 quantum-counting polynomial (median-of-three, or the single-run variant
 that loses a log factor), the phase-estimation trigonometric polynomial,
 and convolution with the Jackson kernel.  All expectations are exact
-sums; no sampling is involved anywhere.
+sums; no sampling is involved anywhere.  Each method is one row of
+``_METHOD_TABLE``: its (M, N) rule, its builder and its basis.
 
 Each construction keeps its defining expectation as
 ``Approximant.reference`` and answers calls through its exact
@@ -19,8 +20,8 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,10 +46,6 @@ from .counting_model import (
     single_run_amp_pmf,
 )
 from .phase_dist import KernelSpec, jackson_kernel, outcome_phases, pe_pmf_rows
-
-ALGEBRAIC_METHODS = ("bernstein", "counting_median3", "counting_single")
-TRIG_METHODS = ("phase_median3", "jackson_kernel")
-METHODS = ALGEBRAIC_METHODS + TRIG_METHODS
 
 
 @dataclass(frozen=True)
@@ -80,6 +77,11 @@ class Approximant:
     reference: Callable
     compile: Callable
     degenerate: bool = False
+
+    @property
+    def basis(self):
+        """"chebyshev" for the algebraic methods, "fourier" for the trigonometric ones."""
+        return _METHOD_TABLE[self.method].basis
 
     @cached_property
     def form(self):
@@ -152,17 +154,9 @@ def derived_params(method, n):
     three, which is cubic in that law.
     """
     n = positive_int(n, "degree budget n")
-    if method == "bernstein":
-        return None, None
-    if method == "counting_median3":
-        return n // 6 + 1, n * n
-    if method == "counting_single":
-        return n // 2 + 1, n * n
-    if method == "phase_median3":
-        return n // 3 + 1, None
-    if method == "jackson_kernel":
-        return None, None
-    raise PreconditionError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
+    if not (isinstance(method, str) and method in _METHOD_TABLE):  # a list is refused too
+        raise PreconditionError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
+    return _METHOD_TABLE[method].params(n)
 
 
 def _binomial_mixture(N, table):
@@ -181,11 +175,10 @@ def _binomial_mixture(N, table):
     return _blockwise(rows, W)
 
 
-def _bernstein_approximant(g, n):
+def _bernstein(g, n, M, N):
     values = _target_values(g, np.arange(n + 1) / n, "at the Bernstein nodes k/n")
     fn = _binomial_mixture(n, values)
-    return Approximant(method="bernstein", n=n, M=None, N=None, reference=fn,
-                       compile=_lobatto_form(fn, n))
+    return fn, _lobatto_form(fn, n)
 
 
 def _counting_value_table(g, N, M, median3):
@@ -206,24 +199,12 @@ def _counting_value_table(g, N, M, median3):
     return _blockwise(rows, len(values))(np.arange(N + 1))
 
 
-def _counting_approximant(g, n, median3):
-    method = "counting_median3" if median3 else "counting_single"
-    M, N = derived_params(method, n)
-    degenerate = M == 1
-    if degenerate:
-        warnings.warn(
-            f"{method} with n={n} gives precision M=1: the approximant "
-            "degenerates to the constant g(0)",
-            stacklevel=3,
-        )
-    table = _counting_value_table(g, N, M, median3)
-    fn = _binomial_mixture(N, table)
-    return Approximant(method=method, n=n, M=M, N=N, reference=fn,
-                       compile=_lobatto_form(fn, n), degenerate=degenerate)
+def _counting(g, n, M, N, median3):
+    fn = _binomial_mixture(N, _counting_value_table(g, N, M, median3))
+    return fn, _lobatto_form(fn, n)
 
 
-def _phase_approximant(g, n):
-    M, _ = derived_params("phase_median3", n)
+def _phase(g, n, M, N):
     gvals = _target_values(g, outcome_phases(M), "at the phase outcomes z/M")
 
     def rows(x):
@@ -232,8 +213,7 @@ def _phase_approximant(g, n):
         return med @ support
 
     fn = _blockwise(rows, M)
-    return Approximant(method="phase_median3", n=n, M=M, N=None, reference=fn,
-                       compile=_fourier_form(fn, n))
+    return fn, _fourier_form(fn, n)
 
 
 def _convolution_samples(g, kernel, quad_points):
@@ -272,7 +252,7 @@ def kernel_convolve(g, kernel: KernelSpec, quad_points):
     return _quadrature_convolution(kernel, _convolution_samples(g, kernel, quad_points))
 
 
-def _jackson_approximant(g, n):
+def _jackson(g, n, M, N):
     order = max(n // 2, 1)
     kernel = jackson_kernel(order)
     quad = 8 * (kernel.trig_degree + 1)
@@ -287,31 +267,50 @@ def _jackson_approximant(g, n):
         coeffs[n - d : n + d + 1] = kernel.fourier_coeffs() * spectrum[np.arange(-d, d + 1)]
         return TrigPoly(coeffs)
 
-    return Approximant(method="jackson_kernel", n=n, M=None, N=None,
-                       reference=_quadrature_convolution(kernel, gs), compile=jackson_form)
+    return _quadrature_convolution(kernel, gs), jackson_form
+
+
+class _Method(NamedTuple):
+    params: Callable  # n -> (M, N) at degree budget n
+    build: Callable   # (g, n, M, N) -> (reference, compile)
+    basis: str        # "chebyshev" or "fourier": the form's coefficients
+
+
+# every method is declared here, once
+_METHOD_TABLE = {
+    "bernstein": _Method(lambda n: (None, None), _bernstein, "chebyshev"),
+    "counting_median3": _Method(lambda n: (n // 6 + 1, n * n),
+                                partial(_counting, median3=True), "chebyshev"),
+    "counting_single": _Method(lambda n: (n // 2 + 1, n * n),
+                               partial(_counting, median3=False), "chebyshev"),
+    "phase_median3": _Method(lambda n: (n // 3 + 1, None), _phase, "fourier"),
+    "jackson_kernel": _Method(lambda n: (None, None), _jackson, "fourier"),
+}
+METHODS = tuple(_METHOD_TABLE)
+ALGEBRAIC_METHODS = tuple(m for m in METHODS if _METHOD_TABLE[m].basis == "chebyshev")
+TRIG_METHODS = tuple(m for m in METHODS if _METHOD_TABLE[m].basis == "fourier")
 
 
 def build_approximant(g, method, n):
     """Build the named construction for target g at degree budget n.
 
-    n must be a positive integer (numpy integers included).
+    n must be a positive integer (numpy integers included).  A precision
+    M = 1 leaves one outcome: the approximant is the constant g(0), flagged
+    ``degenerate`` with a warning.
     """
     if not isinstance(n, numbers.Integral):
         raise PreconditionError(f"degree budget n must be a positive integer, got {n!r}")
-    n = positive_int(n, "degree budget n")
-    if method in TRIG_METHODS and not g.periodic:
+    M, N = derived_params(method, n)  # refuses a bad n or an unknown name first
+    n, row = int(n), _METHOD_TABLE[method]
+    if row.basis == "fourier" and not g.periodic:
         raise PreconditionError(f"method {method!r} requires a periodic target")
-    if method == "bernstein":
-        return _bernstein_approximant(g, n)
-    if method == "counting_median3":
-        return _counting_approximant(g, n, median3=True)
-    if method == "counting_single":
-        return _counting_approximant(g, n, median3=False)
-    if method == "phase_median3":
-        return _phase_approximant(g, n)
-    if method == "jackson_kernel":
-        return _jackson_approximant(g, n)
-    raise PreconditionError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
+    degenerate = M == 1
+    if degenerate:
+        warnings.warn(f"{method} with n={n} gives precision M=1: the approximant "
+                      "degenerates to the constant g(0)", stacklevel=2)
+    reference, compile_form = row.build(g, n, M, N)
+    return Approximant(method=method, n=n, M=M, N=N, reference=reference,
+                       compile=compile_form, degenerate=degenerate)
 
 
 def approximant_coefficients(approx):
@@ -321,7 +320,7 @@ def approximant_coefficients(approx):
     algebraic methods; the complex Fourier coefficients, k = -n..n, for
     the trigonometric ones.
     """
-    if approx.method in ALGEBRAIC_METHODS:
+    if approx.basis == "chebyshev":
         return approx.form.chebyshev()
     return approx.form.coeffs
 

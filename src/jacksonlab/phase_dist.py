@@ -73,11 +73,14 @@ def pe_pmf(M, x):
 
 
 def pe_pmf_rows(M, xs):
-    """Outcome law of phase estimation at precision M (an int): the (M,) law
-    of a float phase xs, or one row per phase of a 1-D xs.  Every outcome law
-    is built here, as pe_probs at the circle distances from z/M to xs mod 1.
+    """Outcome law of phase estimation at precision M (a positive int): the
+    (M,) law of a float phase xs, or one row per phase of a 1-D xs.  Every
+    outcome law is built here, as pe_probs at the circle distances from z/M
+    to xs mod 1.  A NaN or infinite phase raises PreconditionError.
     """
-    x = xs % 1.0 if isinstance(xs, float) else np.asarray(xs)[..., None] % 1.0
+    M = positive_int(M, "M")
+    # checked before the remainder, which warns on a NaN
+    x = finite_phase(xs) % 1.0 if isinstance(xs, float) else finite_phases(xs)[..., None] % 1.0
     # the circle distance, in place
     d = outcome_phases(M) - x
     d %= 1.0

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 import jacksonlab
 from jacksonlab.cli import main
+from jacksonlab.constructors import METHODS, TRIG_METHODS
 
 
 @pytest.fixture
@@ -17,18 +18,19 @@ def runner():
 
 
 class TestConstruct:
-    def test_smoke(self, runner):
-        result = runner.invoke(
-            main, ["construct", "--method", "bernstein", "--n", "8", "--target", "abs-half"]
-        )
+    @pytest.mark.parametrize("method", METHODS)
+    def test_smoke(self, runner, method):
+        trig = method in TRIG_METHODS
+        result = runner.invoke(main, ["construct", "--method", method, "--n", "8",
+                                      "--target", "triangle" if trig else "abs-half"])
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["schema_version"] == 1
-        assert doc["method"] == "bernstein"
+        assert doc["method"] == method
         assert doc["error_report"]["sup_err"] > 0
         assert "ratio" in doc["error_report"]
-        assert doc["basis"] == "chebyshev"
-        assert len(doc["coefficients"]) == 9
+        assert doc["basis"] == ("fourier" if trig else "chebyshev")
+        assert len(doc["coefficients"]) == (17 if trig else 9)
 
     def test_trig_method_emits_fourier(self, runner):
         result = runner.invoke(
@@ -48,6 +50,25 @@ class TestConstruct:
             )
         assert result.exit_code == 0
         assert json.loads(result.output)["degenerate"] is True
+
+    @pytest.mark.parametrize("n,degenerate", [("1", True), ("2", True), ("3", False)])
+    def test_phase_degenerate_flag(self, runner, n, degenerate):
+        args = ["construct", "--method", "phase_median3", "--n", n, "--target", "cos"]
+        if degenerate:
+            with pytest.warns(UserWarning, match="degenerates"):
+                result = runner.invoke(main, args)
+        else:
+            result = runner.invoke(main, args)  # any warning fails the test
+        assert result.exit_code == 0
+        assert json.loads(result.output)["degenerate"] is degenerate
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_n_usage_error(self, runner, n):
+        result = runner.invoke(
+            main, ["construct", "--method", "bernstein", "--n", n, "--target", "sqrt"]
+        )
+        assert result.exit_code == 2
+        assert "n must be a positive integer" in result.output
 
     def test_unknown_target_usage_error(self, runner):
         result = runner.invoke(

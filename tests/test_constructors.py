@@ -59,9 +59,14 @@ class TestDerivedParams:
             M, _ = derived_params("phase_median3", n)
             assert 3 * (M - 1) <= n
 
-    def test_unknown_method(self):
-        with pytest.raises(PreconditionError):
-            derived_params("remez", 8)
+    @pytest.mark.parametrize("method", ["remez", None, ["bernstein"], {"bernstein": 1}],
+                             ids=["str", "none", "list", "dict"])
+    def test_unknown_method(self, method):
+        # an unhashable name is refused like any other, not with a TypeError
+        with pytest.raises(PreconditionError, match="unknown method"):
+            derived_params(method, 8)
+        with pytest.raises(PreconditionError, match="unknown method"):
+            build_approximant(CONST_P, method, 8)
 
     @pytest.mark.parametrize("n", [12.9, 2.5, 0, -3, True])
     def test_budget_must_be_a_positive_integer(self, n):
@@ -283,6 +288,17 @@ class TestPhase:
     def test_nonperiodic_rejected(self):
         with pytest.raises(PreconditionError):
             build_approximant(CORPUS["sqrt"], "phase_median3", 9)
+
+    def test_precision_one_is_flagged_degenerate(self):
+        g = CORPUS["cos"]
+        xs = np.linspace(0, 1, 7)
+        for n in (1, 2):
+            with pytest.warns(UserWarning, match="degenerates"):
+                approx = build_approximant(g, "phase_median3", n)
+            assert approx.M == 1 and approx.degenerate
+            assert approx(xs) == pytest.approx(np.ones(7), abs=1e-15)  # the constant g(0)
+        approx = build_approximant(g, "phase_median3", 3)  # any warning fails the test
+        assert approx.M == 2 and not approx.degenerate
 
     def test_degree_and_error(self):
         g = CORPUS["triangle"]

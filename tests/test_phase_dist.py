@@ -150,7 +150,24 @@ class TestPeProbs:
     def test_nan_distance_gives_nan_not_the_limit(self):
         # the np.where form read a NaN distance as the singular point and gave it mass 1
         assert np.isnan(pe_probs(8, np.array([np.nan, 0.25]))[0])
-        assert np.isnan(pe_pmf_rows(8, np.array([np.nan]))).all()
+        # a law is never built for a NaN phase: the kernel refuses it
+        with pytest.raises(PreconditionError, match="finite"):
+            pe_pmf_rows(8, np.array([np.nan]))
+
+
+class TestPePmfRowsInputs:
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, np.float64(np.nan), np.float64(-np.inf)])
+    def test_nonfinite_phase_refused(self, x):
+        # checked before the remainder: numpy's remainder would warn on np.float64(nan)
+        with pytest.raises(PreconditionError, match="finite"):
+            pe_pmf_rows(8, x)
+        with pytest.raises(PreconditionError, match="finite"):
+            pe_pmf_rows(8, np.array([0.25, x]))
+
+    @pytest.mark.parametrize("M", [0, -2])  # M = 0 gave an empty "law"
+    def test_precision_must_be_positive(self, M):
+        with pytest.raises(PreconditionError, match="M must be a positive integer"):
+            pe_pmf_rows(M, 0.3)
 
 
 # phases z/M, next to them, both zeros, subnormal, next below 1 and huge
@@ -224,7 +241,7 @@ class TestOrderMustBeAnInteger:
 
     @pytest.mark.parametrize("M", BAD)
     def test_fejer_identity_check_and_statevector(self, M):
-        for law in (fejer_identity_check, pe_statevector_pmf):
+        for law in (fejer_identity_check, pe_statevector_pmf, pe_pmf_rows):
             with pytest.raises(PreconditionError, match="M must be a positive integer"):
                 law(M, 0.1)
 
