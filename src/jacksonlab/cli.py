@@ -11,7 +11,6 @@ import configparser
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -91,19 +90,20 @@ def _parse_range(spec):
     raise click.UsageError(f"bad n range {spec!r}; expected N or start:stop:step, start <= stop")
 
 
-def _thread_cap():
-    env = os.environ.get("JACKSONLAB_THREADS")
-    cap = os.cpu_count() or 1
-    if env:
+class LibraryCommand(click.Command):
+    """A subcommand whose library PreconditionError is a usage error (exit 2)."""
+
+    def invoke(self, ctx):
         try:
-            cap = max(1, min(cap, int(env)))
-        except ValueError:
-            raise click.UsageError("JACKSONLAB_THREADS must be an integer")
-    return cap
+            return super().invoke(ctx)
+        except PreconditionError as exc:
+            raise click.UsageError(str(exc), ctx) from None
 
 
 class ConfigDefaults(click.Group):
     """Lets a key=value config file (sections per subcommand) seed defaults."""
+
+    command_class = LibraryCommand
 
     def invoke(self, ctx):
         path = ctx.params.get("config")
@@ -112,11 +112,14 @@ class ConfigDefaults(click.Group):
             try:
                 with open(path) as fh:
                     parser.read_file(fh)
+                # items() interpolates, so a bad %-reference is caught here too
+                ctx.default_map = {
+                    section: dict(parser.items(section)) for section in parser.sections()
+                }
             except OSError as exc:
                 _io_error(exc)
-            ctx.default_map = {
-                section: dict(parser.items(section)) for section in parser.sections()
-            }
+            except (configparser.Error, UnicodeDecodeError) as exc:
+                raise click.UsageError(f"bad config file {path!r}: {exc}", ctx) from None
         return super().invoke(ctx)
 
 
@@ -128,10 +131,12 @@ def main(config):
     """Uniform approximation lab: quantum-derived and classical constructions."""
 
 
-def _degree_residual(approx, seed):
-    """Degree certificate of the defining expectation, not of the compiled form."""
+def _measure(g, method, n, grid, seed):
+    """(approx, its error report on grid, the degree residual of its defining expectation)."""
+    approx = build_approximant(g, method, n)
+    report = error_report(g, approx, grid=grid)
     probe = effective_trig_degree if approx.basis == "fourier" else effective_algebraic_degree
-    return probe(approx.reference, approx.n, seed=seed)
+    return approx, report, probe(approx.reference, approx.n, seed=seed)
 
 
 @main.command()
@@ -145,13 +150,8 @@ def _degree_residual(approx, seed):
 def construct(method, n, target, periodic, grid_size, seed, output):
     """Build one approximant; emit coefficients and its error report as JSON."""
     g = _resolve_target(target, periodic_hint=periodic or method in TRIG_METHODS)
-    try:
-        approx = build_approximant(g, method, n)
-        report = error_report(g, approx, grid=Grid.uniform(grid_size))
-        coeffs = approximant_coefficients(approx)
-        residual = _degree_residual(approx, seed)
-    except PreconditionError as exc:
-        raise click.UsageError(str(exc))
+    approx, report, residual = _measure(g, method, n, Grid.uniform(grid_size), seed)
+    coeffs = approximant_coefficients(approx)
     if approx.basis == "fourier":
         coeff_list = [[float(c.real), float(c.imag)] for c in coeffs]
     else:
@@ -196,20 +196,14 @@ def sweep(method, n_range, target, periodic, grid_size, seed, output):
     grid = Grid.uniform(grid_size)
 
     def row(n):
-        approx = build_approximant(g, method, n)
-        report = error_report(g, approx, grid=grid)
-        residual = _degree_residual(approx, seed)
+        approx, report, residual = _measure(g, method, n, grid, seed)
         m_field = "" if approx.M is None else str(approx.M)
         return ",".join(
             [method, str(n), m_field, _fmt(report.sup_err), _fmt(report.omega_ref),
              _fmt(report.ratio), _fmt(residual), str(grid_size), str(seed)]
         )
 
-    try:
-        with ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-            rows = list(pool.map(row, ns))  # output order fixed by n
-    except PreconditionError as exc:
-        raise click.UsageError(str(exc))
+    rows = [row(n) for n in ns]
     _write_text(output, SWEEP_HEADER + "\n" + "\n".join(rows) + "\n")
 
 
@@ -234,28 +228,18 @@ def verify(output):
 @click.option("--output", type=click.Path(), default=None)
 def dist(M, x, count_n, weight, median3, output):
     """Dump an outcome distribution as CSV (columns: index/value, probability)."""
-    if x is not None:
-        try:
-            probs = pe_pmf(M, x).probs
-        except PreconditionError as exc:
-            raise click.UsageError(str(exc))
-        rows = [f"{z},{_fmt(p)}" for z, p in enumerate(probs)]
-        header = "index,value"
-    elif count_n is not None and weight is not None:
-        try:
-            if median3:
-                values, probs = median3_amp_pmf(weight, count_n, M)
-                rows = [f"{_fmt(v)},{_fmt(p)}" for v, p in zip(values, probs)]
-                header = "estimate,value"
-            else:
-                probs = single_run_pmf(weight, count_n, M)
-                rows = [f"{z},{_fmt(p)}" for z, p in enumerate(probs)]
-                header = "index,value"
-        except PreconditionError as exc:
-            raise click.UsageError(str(exc))
-    else:
+    if x is not None and (count_n is not None or weight is not None or median3):
+        raise click.UsageError("use either --x or --count-n with --weight")
+    if x is None and (count_n is None or weight is None):
         raise click.UsageError("need either --x, or --count-n with --weight")
-    _write_text(output, header + "\n" + "\n".join(rows) + "\n")
+    if median3:
+        values, probs = median3_amp_pmf(weight, count_n, M)
+        header, keys = "estimate", [_fmt(v) for v in values]
+    else:
+        probs = pe_pmf(M, x).probs if x is not None else single_run_pmf(weight, count_n, M)
+        header, keys = "index", range(len(probs))
+    rows = [f"{k},{_fmt(p)}" for k, p in zip(keys, probs)]
+    _write_text(output, header + ",value\n" + "\n".join(rows) + "\n")
 
 
 @main.command()

@@ -51,10 +51,16 @@ def real_x(x):
         return x
     if isinstance(x, numbers.Real) and not isinstance(x, bool):
         return float(x)
+    xs = _real_array(x)
+    return xs if xs.ndim else float(xs)
+
+
+def _real_array(x):
+    """x, converted once, as a float array; PreconditionError as in real_x."""
     xs = np.asarray(x)
     if xs.dtype.kind not in "iuf":
         raise PreconditionError(f"x must be a real number or an array of them, got {x!r}")
-    return np.asarray(xs, dtype=float) if xs.ndim else float(xs)
+    return xs.astype(float, copy=False)
 
 
 def finite_phase(x):
@@ -67,7 +73,7 @@ def finite_phase(x):
 
 def finite_phases(x):
     """x, a phase or an array of them, as floats; PreconditionError unless all are finite reals."""
-    xs = np.asarray(real_x(x))
+    xs = np.asarray(real_x(x)) if isinstance(x, numbers.Real) else _real_array(x)
     if not np.isfinite(xs).all():
         raise PreconditionError(f"phase x must be finite, got {x!r}")
     return xs

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,7 @@ class TestConstruct:
         )
         assert result.exit_code == 2
         assert "n must be a positive integer" in result.output
+        assert "Usage: main construct [OPTIONS]" in result.output
 
     def test_unknown_target_usage_error(self, runner):
         result = runner.invoke(
@@ -172,12 +174,22 @@ class TestSweep:
         second = runner.invoke(main, args)
         assert first.output == second.output
 
-    def test_thread_cap_env(self, runner, monkeypatch):
-        monkeypatch.setenv("JACKSONLAB_THREADS", "1")
+    def test_rows_run_in_order_on_the_calling_thread(self, runner, monkeypatch):
+        from jacksonlab import cli
+
+        built = []
+        original = cli.build_approximant
+
+        def recorded(g, method, n):
+            built.append((threading.get_ident(), n))
+            return original(g, method, n)
+
+        monkeypatch.setattr(cli, "build_approximant", recorded)
         result = runner.invoke(
-            main, ["sweep", "--method", "bernstein", "--n", "4:6", "--target", "sqrt"]
+            main, ["sweep", "--method", "bernstein", "--n", "4:12:2", "--target", "sqrt"]
         )
         assert result.exit_code == 0
+        assert built == [(threading.get_ident(), n) for n in (4, 6, 8, 10, 12)]
 
     def test_bad_range(self, runner):
         result = runner.invoke(
@@ -199,6 +211,7 @@ class TestSweep:
                 main, ["sweep", "--method", "bernstein", "--n", spec, "--target", "sqrt"]
             )
             assert result.exit_code == 2, spec
+            assert "Usage: main sweep [OPTIONS]" in result.output, spec
 
 
 @pytest.mark.parametrize("command,n,expect", [("construct", "6", [6]),
@@ -274,6 +287,14 @@ class TestDist:
         result = runner.invoke(main, ["dist", "--m", "4", "--x", x])
         assert result.exit_code == 2
         assert "finite" in result.output
+        assert "Usage: main dist [OPTIONS]" in result.output
+
+    @pytest.mark.parametrize("extra", [["--count-n", "16"], ["--weight", "5"], ["--median3"],
+                                       ["--count-n", "16", "--weight", "5", "--median3"]])
+    def test_phase_with_counting_options_is_usage_error(self, runner, extra):
+        result = runner.invoke(main, ["dist", "--m", "4", "--x", "0.3", *extra])
+        assert result.exit_code == 2
+        assert "use either --x or --count-n with --weight" in result.output
 
 
 class TestKernel:
@@ -305,6 +326,26 @@ class TestConfigFile:
         result = runner.invoke(main, ["--config", str(cfg), "construct", "--n", "9"])
         assert result.exit_code == 0
         assert json.loads(result.output)["n"] == 9
+
+    @pytest.mark.parametrize("content", [
+        b"method = bernstein\n",
+        b"[construct]\nn = 6\n[construct]\nn = 7\n",
+        b"[construct]\nmethod = \x80\x81\xff\xfe\n",
+        b"[construct]\nmethod = %(nowhere\n",
+    ], ids=["no-section-header", "duplicate-section", "not-utf8", "bad-interpolation"])
+    def test_malformed_config_is_usage_error(self, runner, tmp_path, content):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(content)
+        result = runner.invoke(main, ["--config", str(cfg), "construct", "--method",
+                                      "bernstein", "--target", "sqrt"])
+        assert result.exit_code == 2
+        assert f"bad config file {str(cfg)!r}" in result.output
+
+    def test_unreadable_config_is_io_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["--config", str(tmp_path), "construct", "--method",
+                                      "bernstein", "--target", "sqrt"])
+        assert result.exit_code == 4
+        assert "I/O error" in result.output
 
 
 def test_import_does_not_load_scipy():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jacksonlab import (
     EvaluationError,
@@ -732,3 +733,20 @@ class TestQuadratureReference:
         assert phase_dist._offset_tables.cache_info().currsize == 0
         approx.reference(np.linspace(0.0, 1.0, 5))
         assert phase_dist._offset_tables.cache_info().currsize == 1
+
+
+class TestConstantsReproduced:
+    @settings(deadline=None)
+    @given(st.sampled_from(METHODS), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_const_is_reproduced_on_every_path(self, method, n, seed):
+        g = CORPUS["const-periodic" if method in TRIG_METHODS else "const"]
+        if derived_params(method, n)[0] == 1:
+            with pytest.warns(UserWarning, match="degenerates"):
+                approx = build_approximant(g, method, n)
+        else:
+            approx = build_approximant(g, method, n)
+        xs = np.concatenate(([0.0, 1.0], np.random.default_rng(seed).uniform(0.0, 1.0, 30)))
+        assert np.max(np.abs(approx.form(xs) - 0.75)) <= 1e-13
+        assert max(abs(approx(x) - 0.75) for x in xs.tolist()) <= 1e-13
+        assert np.max(np.abs(approx.reference(xs) - 0.75)) <= 1e-13
