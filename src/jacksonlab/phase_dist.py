@@ -36,56 +36,62 @@ def outcome_phases(M):
     return out
 
 
-def pe_probs(M, d):
-    """Pr[Z=z] = sin(pi M d)^2 / (M sin(pi d))^2 at circle distances d, any shape.
-
-    d is the circle distance from z/M to the eigenphase; the removable
-    singularity at d = 0 takes its limit 1.  d is left unmodified; a float or
-    0-d d gives a 0-d array.
-    """
-    near = d <= _SINGULARITY_EPS
-    s = np.pi * d
-    try:
-        np.sin(s, out=s)
-    except TypeError:  # s is a scalar: the same arithmetic on one element
-        return pe_probs(M, np.reshape(d, 1)).reshape(())
-    # in place from here: the denominator (M sin(pi d))^2, then the law
-    s *= s
-    s *= M**2
-    s[near] = 1.0
-    out = (np.pi * M) * d
-    np.sin(out, out=out)
-    out *= out
-    out /= s
-    out[near] = 1.0
-    return out
-
-
 def pe_pmf(M, x):
     """Exact pmf of the phase-estimation outcome Z at precision M, phase x.
 
-    x must be finite and is reduced mod 1; the probabilities are
+    x must be finite and is reduced mod 1 into [0, 1); the probabilities are
     pe_pmf_rows(M, x).
     """
     M = positive_int(M, "M")
-    x = finite_phase(x)
-    return PhasePMF(M=M, x=x % 1.0, probs=pe_pmf_rows(M, x))
+    x = finite_phase(x) % 1.0
+    # a phase just below 0 (-1e-17) rounds to 1.0
+    return PhasePMF(M=M, x=0.0 if x == 1.0 else x, probs=pe_pmf_rows(M, x))
 
 
 def pe_pmf_rows(M, xs):
     """Outcome law of phase estimation at precision M (a positive int): the
     (M,) law of a float phase xs, or one row per phase of a 1-D xs.  Every
-    outcome law is built here, as pe_probs at the circle distances from z/M
-    to xs mod 1.  A NaN or infinite phase raises PreconditionError.
+    outcome law is built here.  A NaN or infinite phase raises PreconditionError.
+
+    Pr[Z=z] = sin(pi M t)^2 / (M sin(pi t))^2 at t = z/M - x.  With
+    c = rint(M x) and d = x - c/M, the numerator is sin(pi M d)^2 for every z.
+    With o = z - c reduced into -(M//2) .. M-1-M//2, the denominator's sine is
+    sin(pi(o/M - d)) = sin(pi o/M) cos(pi d) - cos(pi o/M) sin(pi d): a rank-2
+    product of the cached table of _offset_tables with two numbers per phase,
+    so no entry takes a sine.  At o = 0 it is exactly -sin(pi d); a phase with
+    |d| <= 1e-15 takes the limit 1 there.
     """
     M = positive_int(M, "M")
-    # checked before the remainder, which warns on a NaN
-    x = finite_phase(xs) % 1.0 if isinstance(xs, float) else finite_phases(xs)[..., None] % 1.0
-    # the circle distance, in place
-    d = outcome_phases(M) - x
-    d %= 1.0
-    np.minimum(d, 1.0 - d, out=d)
-    return pe_probs(M, d)
+    # [sin; cos](pi o/M) laid out twice, so a phase's M outcomes are one window
+    table = _offset_tables(M, M, 2)[1]
+    # the phase is checked before the remainder, which warns on a NaN; c is M
+    # for x within 1/(2M) below 1, and the window start is taken mod M
+    if isinstance(xs, float):
+        x = finite_phase(xs) % 1.0
+        c = round(x * M)
+        s = (M // 2 - c) % M
+        sin_o, cos_o = table[0, s:s + M], table[1, s:s + M]
+        d = x - c / M
+        at = [c % M] if abs(d) <= _SINGULARITY_EPS else []
+    else:
+        x = finite_phases(xs)[..., None] % 1.0
+        c = np.rint(x * M).astype(np.intp)
+        sin_o, cos_o = table[:, (M // 2 - c) % M + np.arange(M)]
+        d = x - c / M
+        near = np.flatnonzero(np.abs(d) <= _SINGULARITY_EPS)
+        at = near * M + c.ravel()[near] % M
+    # at: flat indices of the o = 0 entries that take the limit; writing them
+    # before the division too keeps 0/0 out at d = 0
+    a = np.pi * d
+    law = sin_o * np.cos(a)
+    law -= cos_o * np.sin(a)
+    if len(at):
+        law.flat[at] = 1.0
+    np.divide(np.sin(M * a) / M, law, out=law)
+    law *= law
+    if len(at):
+        law.flat[at] = 1.0
+    return law
 
 
 def tail_bound(M, d):
@@ -111,18 +117,20 @@ def fejer_value(n, t):
     return out
 
 
-@lru_cache(maxsize=32)
-def _offset_tables(order, Q):
-    """Read-only (2, Q) tables [sin; cos] of pi*order*u and of pi*u at the
-    offsets u = o/Q, o = -(Q//2) .. Q-1-Q//2, of a Q-node uniform rule.
+# one entry per precision M of the outcome laws: verify alone sweeps 63
+@lru_cache(maxsize=128)
+def _offset_tables(order, Q, reps=1):
+    """Read-only (2, reps*Q) tables [sin; cos] of pi*order*u and of pi*u at the
+    offsets u = o/Q, o = -(Q//2) .. Q-1-Q//2, of a Q-node uniform rule, laid
+    out reps times in a row.
 
     order*o is reduced to (-Q, Q] in integers first, so every angle lies in
     (-pi, pi] and each entry is as accurate as one sine there.
     """
     o = np.arange(Q) - Q // 2
     k = (order * o + Q - 1) % (2 * Q) - (Q - 1)
-    out = (np.stack((np.sin(np.pi * k / Q), np.cos(np.pi * k / Q))),
-           np.stack((np.sin(np.pi * o / Q), np.cos(np.pi * o / Q))))
+    out = (np.tile(np.stack((np.sin(np.pi * k / Q), np.cos(np.pi * k / Q))), reps),
+           np.tile(np.stack((np.sin(np.pi * o / Q), np.cos(np.pi * o / Q))), reps))
     for a in out:
         a.flags.writeable = False
     return out

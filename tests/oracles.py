@@ -2,9 +2,8 @@
 
 The oracles (the triple median, the direct Fourier sum and the checks
 built on it, the unitarity and norm residuals, the full-width binomial
-mixture, the np.unique form of the median-of-three law and the
-np.where form of the phase-estimation law) import nothing from jacksonlab, so they stay independent of the
-code they check.  The statistics are exact expectations under the public
+mixture and the np.unique form of the median-of-three law) import nothing
+from jacksonlab, so they stay independent of the code they check.  The statistics are exact expectations under the public
 outcome laws.
 """
 
@@ -36,13 +35,6 @@ def median3_pmf_by_unique(values, probs):
     med_probs = med_cdf.copy()
     med_probs[..., 1:] -= med_cdf[..., :-1]
     return support, med_probs
-
-
-def pe_probs_by_where(M, d):
-    """sin(pi M d)^2 / (M sin(pi d))^2 with the limit 1 where d <= 1e-15, by np.where."""
-    far = d > 1e-15
-    s = np.where(far, np.sin(np.pi * d), 1.0)
-    return np.where(far, np.sin(np.pi * M * d) ** 2 / (M**2 * s**2), 1.0)
 
 
 def fourier_sum(coeffs, x):

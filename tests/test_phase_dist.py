@@ -21,8 +21,8 @@ from jacksonlab import (
 from jacksonlab.counting_model import single_run_amp_pmf
 from jacksonlab.numerics import effective_trig_degree, trig_coeffs_from_samples
 from jacksonlab.numerics import median3_pmf
-from jacksonlab.phase_dist import kernel_integral, outcome_phases, pe_pmf_rows, pe_probs, tail_bound
-from oracles import expected_circle_error, median3_circle_error, pe_probs_by_where
+from jacksonlab.phase_dist import kernel_integral, outcome_phases, pe_pmf_rows, tail_bound
+from oracles import expected_circle_error, median3_circle_error
 
 PI_LD = 4 * np.arctan(np.longdouble(1))
 
@@ -34,6 +34,27 @@ def _fejer_oracle(n, t):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.sin(PI_LD * n * r) ** 2 / (n * np.sin(PI_LD * r) ** 2)
     return np.where(r == 0, np.longdouble(n), ratio)
+
+
+def _law_oracle(M, xs):
+    """The outcome law F_M(z/M - x)/M in long double, x reduced mod 1 and
+    z/M - x formed in long double; one row per phase of a 1-D xs."""
+    x = np.asarray(xs, dtype=np.longdouble) % 1
+    return _fejer_oracle(M, np.arange(M, dtype=np.longdouble) / M - x[:, None]) / M
+
+
+# phases z/M, next to them, both zeros, subnormal, 1 - 1e-17 (which is 1.0),
+# the float next below 1, and huge
+def _edge_phases(M):
+    z = np.arange(M) / M
+    return np.concatenate((z, z + 1e-16, [0.0, -0.0, 1e-300, -1e-300, 1 - 1e-17, np.nextafter(1.0, 0.0),
+                                          5e15, -2.5]))
+
+
+EDGE_ORDERS = [*range(1, 65), 67, 100, 127, 128, 171, 255, 256]
+# largest |law - _law_oracle| over EDGE_ORDERS x _edge_phases: 7.8e-15 (M = 171);
+# the sine-per-entry form it replaced reached 2.3e-14 there
+ORACLE_TOL = 1e-14
 
 
 class TestPePmf:
@@ -50,6 +71,11 @@ class TestPePmf:
 
     def test_x_reduced_mod_one(self):
         assert pe_pmf(8, 1.3).probs == pytest.approx(pe_pmf(8, 0.3).probs, abs=1e-15)
+        # x % 1.0 rounds these to 1.0, outside [0, 1)
+        for x in (-1e-17, -1e-300):
+            pmf = pe_pmf(8, x)
+            assert pmf.x == 0.0
+            assert np.array_equal(pmf.probs, np.eye(8)[0])
 
     def test_normalization_sweep(self):
         for M in range(1, 257, 5):
@@ -57,8 +83,11 @@ class TestPePmf:
                 assert abs(pe_pmf(M, x).probs.sum() - 1.0) < 1e-12
 
     def test_integer_mx_point_mass(self):
-        pmf = pe_pmf(12, 5 / 12)
-        assert pmf.probs[5] == 1.0
+        # exactly one-hot: every other outcome's numerator is sin(0) = 0
+        for M, z in ((12, 5), (8, 2), (10, 3), (1, 0), (2, 1), (64, 6), (255, 254)):
+            assert np.array_equal(pe_pmf(M, z / M).probs, np.eye(M)[z]), (M, z)
+            assert np.array_equal(pe_pmf_rows(M, np.array([z / M, 0.0])), np.eye(M)[[z, 0]])
+        assert np.array_equal(pe_pmf(10, 0.3).probs, np.eye(10)[3])
 
     def test_tail_bound(self):
         for M in (3, 7, 16, 33):
@@ -99,14 +128,16 @@ class TestOutcomePhases:
         assert outcome_phases(16) is z
 
     def test_pe_pmf_unchanged(self):
-        for M, x in ((1, 0.3), (5, 0.71), (64, 3 / 32), (64, 0.123)):
-            expected = pe_probs(M, circle_dist(np.arange(M) / M, x))
-            assert np.array_equal(pe_pmf(M, x).probs, expected)
+        # pe_pmf's law is the closed form within ORACLE_TOL, scalar call by scalar call
+        for M in EDGE_ORDERS:
+            xs = _edge_phases(M)
+            got = np.array([pe_pmf(M, x).probs for x in xs.tolist()])
+            assert np.max(np.abs(got - _law_oracle(M, xs))) <= ORACLE_TOL, M
 
 
 class TestOneOutcomeLawKernel:
     def test_every_law_comes_from_pe_pmf_rows(self, monkeypatch):
-        # a wrong pe_probs reaches every outcome law, so none rebuilds the formula itself
+        # a wrong sine table reaches every outcome law, so none rebuilds the formula itself
         reference = build_approximant(get_target("triangle"), "phase_median3", 12).reference
         xs = np.array([0.1, 0.37, 0.8])
 
@@ -115,44 +146,12 @@ class TestOneOutcomeLawKernel:
                     single_run_amp_pmf(3, 16, 7)[1], reference(xs))
 
         before = laws()
-        monkeypatch.setattr(phase_dist, "pe_probs", lambda M, d: np.cos(np.pi * d) ** 2)
+        tables = phase_dist._offset_tables
+        # [cos; sin] for [sin; cos]: the denominator becomes cos(pi(o/M + d))
+        monkeypatch.setattr(phase_dist, "_offset_tables",
+                            lambda order, Q, reps=1: tuple(t[::-1] for t in tables(order, Q, reps)))
         for right, wrong in zip(before, laws()):
             assert np.max(np.abs(right - wrong)) > 1e-3
-
-
-class TestPeProbs:
-    @pytest.mark.parametrize("M", [3, 7, 17, 37, 67])
-    def test_bit_identical_to_the_mask_form(self, M):
-        rng = np.random.default_rng(M)
-        points = np.concatenate(([0.0, 1e-16, 1e-15, 2e-15], rng.uniform(size=40), np.arange(M) / M))
-        for d in (points, circle_dist(outcome_phases(M), points[:, None])):
-            want = np.ones_like(d)
-            far = d > 1e-15
-            want[far] = np.sin(np.pi * M * d[far]) ** 2 / (M**2 * np.sin(np.pi * d[far]) ** 2)
-            assert np.array_equal(pe_probs(M, d), want)
-
-    def test_scalar_and_0d_input_give_a_0d_law(self):
-        # a float, a numpy scalar or a 0-d array takes the array arithmetic on one element
-        assert float(pe_probs(4, np.float64(0.1))) == pytest.approx(0.5920085, abs=1e-7)
-        for d in (0.1, np.float64(0.1), np.array(0.1), 0.0, 1e-16, 2e-15, 0.5, 0):
-            got = pe_probs(4, d)
-            assert type(got) is np.ndarray and got.shape == (), d
-            assert got == pe_probs_by_where(4, np.array([d], dtype=float))[0], d
-
-    def test_d_left_unmodified(self):
-        for d in (circle_dist(outcome_phases(16), np.array([0.0, 0.3, 1e-16])[:, None]),
-                  np.array(0.25)):
-            before = d.copy()
-            d.flags.writeable = False  # a write into d would raise
-            pe_probs(16, d)
-            assert np.array_equal(d, before)
-
-    def test_nan_distance_gives_nan_not_the_limit(self):
-        # the np.where form read a NaN distance as the singular point and gave it mass 1
-        assert np.isnan(pe_probs(8, np.array([np.nan, 0.25]))[0])
-        # a law is never built for a NaN phase: the kernel refuses it
-        with pytest.raises(PreconditionError, match="finite"):
-            pe_pmf_rows(8, np.array([np.nan]))
 
 
 class TestPePmfRowsInputs:
@@ -170,20 +169,29 @@ class TestPePmfRowsInputs:
             pe_pmf_rows(M, 0.3)
 
 
-# phases z/M, next to them, both zeros, subnormal, next below 1 and huge
-def _edge_phases(M):
-    z = np.arange(M) / M
-    return np.concatenate((z, z + 1e-16, [0.0, -0.0, 1e-300, -1e-300, 1 - 1e-17, 5e15, -2.5]))
-
-
 class TestInPlaceKernel:
-    @pytest.mark.parametrize("M", [*range(1, 65), 67, 100, 127, 128, 171, 255, 256])
+    @pytest.mark.parametrize("M", EDGE_ORDERS)
     def test_rows_are_the_where_form_bit_for_bit(self, M):
+        # the rows are the closed form within ORACLE_TOL, and each row is its float law bit for bit
         xs = _edge_phases(M)
-        want = pe_probs_by_where(M, circle_dist(outcome_phases(M), xs[:, None] % 1.0))
-        assert np.array_equal(pe_pmf_rows(M, xs), want)
-        for x, row in zip(xs.tolist(), want):
+        rows = pe_pmf_rows(M, xs)
+        assert np.max(np.abs(rows - _law_oracle(M, xs))) <= ORACLE_TOL
+        for x, row in zip(xs.tolist(), rows):
             assert np.array_equal(pe_pmf_rows(M, x), row), x
+
+    @pytest.mark.parametrize("M", [1, 2, 7, 64, 255])
+    def test_phase_rounding_up_to_m_wraps_to_outcome_zero(self, M):
+        # rint(M x) = M for x in [1 - 1/(2M), 1): outcome 0 is the nearest, one step up
+        xs = 1.0 - np.array([0.49, 0.3, 1e-3, 1e-12, 1e-16]) / M
+        rows = pe_pmf_rows(M, xs)
+        assert np.all(rows.argmax(axis=1) == 0)
+        assert np.max(np.abs(rows - _law_oracle(M, xs))) <= ORACLE_TOL
+
+    def test_table_is_the_offset_table_laid_out_twice(self):
+        for M in (1, 6, 17):
+            once, twice = phase_dist._offset_tables(M, M)[1], phase_dist._offset_tables(M, M, 2)[1]
+            assert np.array_equal(twice, np.concatenate((once, once), axis=1))
+            assert not twice.flags.writeable
 
 
 phases = st.floats(allow_nan=False, allow_infinity=False)
@@ -196,6 +204,16 @@ class TestKernelProperties:
         probs = pe_pmf(M, x).probs
         assert probs.min() >= 0.0
         assert abs(probs.sum() - 1.0) <= 1e-12
+
+    @given(orders, phases)
+    def test_nearest_outcome_holds_the_textbook_mass(self, M, x):
+        # |x - z/M| <= 1/(2M) on the circle gives Pr[z] >= (2/pi)^2
+        z = int(np.rint(M * (x % 1.0))) % M
+        assert pe_pmf(M, x).probs[z] >= 4 / np.pi**2 - 1e-15
+
+    @given(orders, phases)
+    def test_reduced_phase_lies_in_the_unit_interval(self, M, x):
+        assert 0.0 <= pe_pmf(M, x).x < 1.0
 
     @given(orders, st.lists(phases, min_size=1, max_size=8))
     def test_each_row_is_the_float_law(self, M, xs):
