@@ -42,7 +42,6 @@ from .constructors import (
     ErrorReport,
     build_approximant,
     error_report,
-    kernel_convolve,
 )
 from .qsim import (
     counting_statevector_pmf,

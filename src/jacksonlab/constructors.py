@@ -45,7 +45,7 @@ from .counting_model import (
     binom_weight_matrix,
     single_run_amp_pmf,
 )
-from .phase_dist import KernelSpec, jackson_kernel, outcome_phases, pe_pmf_rows
+from .phase_dist import jackson_kernel, outcome_phases, pe_pmf_rows
 
 
 @dataclass(frozen=True)
@@ -107,20 +107,20 @@ def _blockwise(rows_fn, width):
     rows_fn maps a 1-D array of points to one value each through a
     (points x width) matrix; each call gets at most
     max(1, _BLOCK_ENTRIES // width) points.  A scalar x gives a float,
-    an array x an array; a NaN or infinite x raises PreconditionError.
+    an array x an array of its shape.  x is checked as a call checks it
+    (real_x), and a NaN or infinite x raises PreconditionError.
     """
 
     def fn(x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.isfinite(x).all():
+        x = real_x(x)
+        xs = np.ravel(x)
+        if not np.isfinite(xs).all():
             raise PreconditionError("reference x must be finite")
         step = max(1, _BLOCK_ENTRIES // width)
-        # an empty x still makes one (empty) call, so its shape comes from rows_fn
-        out = np.concatenate(
-            [rows_fn(x[i : i + step]) for i in range(0, max(len(x), 1), step)]
-        )
-        return float(out[0]) if scalar else out
+        out = np.empty(len(xs))
+        for i in range(0, len(xs), step):
+            out[i : i + step] = rows_fn(xs[i : i + step])
+        return float(out[0]) if isinstance(x, float) else out.reshape(x.shape)
 
     return fn
 
@@ -159,20 +159,29 @@ def derived_params(method, n):
     return _METHOD_TABLE[method].params(n)
 
 
+def _banded(band, table, W):
+    """Reference x -> sum_j w[i, j] table[lo[i] + j], where (lo, w) = band(x)
+    gives W weights per point of a block, and lo[i] + W <= len(table).
+
+    Each block takes one window view of the table, one gather and one einsum.
+    """
+
+    def rows(x):
+        lo, w = band(x)
+        windows = np.lib.stride_tricks.sliding_window_view(table, W)
+        return np.einsum("ij,ij->i", w, windows[lo])
+
+    return _blockwise(rows, W)
+
+
 def _binomial_mixture(N, table):
     """Reference x -> sum_k P[Binomial(N, x) = k] table[k], over each x's band.
 
     The band (binom_weight_matrix) leaves out at most 2e^-80 of the mass, so
     the sum is the full mixture to rounding, at O(sqrt N) weights per point.
     """
-    W = binom_band_width(N)
-    windows = np.lib.stride_tricks.sliding_window_view(table, W)
-
-    def rows(x):
-        lo, w = binom_weight_matrix(N, x)
-        return np.einsum("ij,ij->i", w, windows[lo])
-
-    return _blockwise(rows, W)
+    # the name is looked up on each call, so a patched binom_weight_matrix is used
+    return _banded(lambda x: binom_weight_matrix(N, x), table, binom_band_width(N))
 
 
 def _bernstein(g, n, M, N):
@@ -216,47 +225,17 @@ def _phase(g, n, M, N):
     return fn, _fourier_form(fn, n)
 
 
-def _convolution_samples(g, kernel, quad_points):
-    if not g.periodic:
-        raise PreconditionError("kernel convolution requires a periodic target")
-    quad_points = positive_int(quad_points, "quad_points")
-    if quad_points < 8 * (kernel.trig_degree + 1):
-        raise PreconditionError(
-            "quad_points must be at least 8*(kernel trig degree + 1)"
-        )
-    return _target_values(g, np.arange(quad_points) / quad_points, "at the quadrature nodes")
-
-
-def _quadrature_convolution(kernel, gs):
-    """(1/Q) sum_j kernel(j/Q - x) g(j/Q), entry by entry, with each point's
-    nodes re-centred on it (KernelSpec.quadrature_rows)."""
-    Q = len(gs)
-    rows = kernel.quadrature_rows(Q)
-
-    def sums(x):
-        c, k = rows(x)
-        # window[c[i]] is the samples from node c[i] - Q//2 on, wrapped round
-        wrapped = gs[(np.arange(2 * Q - 1) - Q // 2) % Q]
-        window = np.lib.stride_tricks.sliding_window_view(wrapped, Q)
-        return np.einsum("ij,ij->i", k, window[c]) / Q
-
-    return _blockwise(sums, Q)
-
-
-def kernel_convolve(g, kernel: KernelSpec, quad_points):
-    """Convolution of a periodic g with a trig-polynomial kernel.
-
-    Uses the uniform-node composite rule, which is exact (to rounding)
-    for trigonometric integrands of degree below the node count.
-    """
-    return _quadrature_convolution(kernel, _convolution_samples(g, kernel, quad_points))
-
-
 def _jackson(g, n, M, N):
+    """The Q-node uniform rule (1/Q) sum_j K(j/Q - x) g(j/Q), exact (to
+    rounding) for trigonometric integrands of degree below Q, with each
+    point's nodes re-centred on it (KernelSpec.quadrature_rows)."""
     order = max(n // 2, 1)
     kernel = jackson_kernel(order)
     quad = 8 * (kernel.trig_degree + 1)
-    gs = _convolution_samples(g, kernel, quad)
+    gs = _target_values(g, np.arange(quad) / quad, "at the quadrature nodes")
+    # entry c + o is the sample at node c + o - quad//2, wrapped round
+    wrapped = np.concatenate((gs[quad - quad // 2 :], gs, gs[: quad - 1 - quad // 2]))
+    sums = _banded(kernel.quadrature_rows(quad), wrapped, quad)
 
     def jackson_form():
         # the quadrature rule in closed form: coefficient k of the result is
@@ -267,7 +246,7 @@ def _jackson(g, n, M, N):
         coeffs[n - d : n + d + 1] = kernel.fourier_coeffs() * spectrum[np.arange(-d, d + 1)]
         return TrigPoly(coeffs)
 
-    return _quadrature_convolution(kernel, gs), jackson_form
+    return (lambda x: sums(x) / quad), jackson_form
 
 
 class _Method(NamedTuple):

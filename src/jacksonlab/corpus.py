@@ -87,22 +87,21 @@ def target_from_csv(path, periodic=False):
 
     x must be strictly increasing with first x = 0 and last x = 1, and
     every y finite.  Periodic targets additionally require y(0) = y(1).
-    A non-numeric first row is treated as a header and skipped.  A file
-    that does not decode as text raises PreconditionError, like bad rows.
+    A non-numeric first non-empty row is treated as a header and skipped;
+    any other non-numeric row raises PreconditionError, as does a file
+    that does not decode as text.
     """
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows = [row for row in csv.reader(fh) if row]
     except UnicodeDecodeError as exc:
         raise PreconditionError(f"not a text file ({exc.reason} at byte {exc.start})") from None
     xs, ys = [], []
-    for row in rows:
-        if not row:
-            continue
+    for i, row in enumerate(rows):
         try:
             x, y = float(row[0]), float(row[1])
         except (ValueError, IndexError):
-            if not xs:
+            if i == 0:
                 continue  # header row
             raise PreconditionError(f"malformed CSV row: {row!r}") from None
         xs.append(x)

@@ -45,12 +45,15 @@ def real_x(x):
 
     PreconditionError unless x is a real number (numpy scalars included)
     or an array of them: a str or bytes is not parsed, a bool is not read
-    as 0 or 1, and None is refused.
+    as 0 or 1, and None and an int too large for a float are refused.
     """
     if isinstance(x, float):  # np.float64 included
         return x
     if isinstance(x, numbers.Real) and not isinstance(x, bool):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:
+            raise PreconditionError("x is too large to be a float") from None
     xs = _real_array(x)
     return xs if xs.ndim else float(xs)
 

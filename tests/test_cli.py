@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -121,8 +123,11 @@ class TestConstruct:
     @pytest.mark.parametrize("rows", [b"0,0\n0.6,1\n0.4,0.5\n1,0\n",
                                       b"0,0\n0.5,nan\n1,0\n",
                                       b"0,0\n0.5,inf\n1,0\n",
-                                      b"\x80\x81\xff\xfe"],
-                             ids=["x-not-increasing", "y-nan", "y-inf", "not-utf8"])
+                                      b"\x80\x81\xff\xfe",
+                                      b"x,y\n0,abc\n0,1\n1,2\n",
+                                      b"x,y\nfoo,bar\nbaz\n0,0\n1,1\n"],
+                             ids=["x-not-increasing", "y-nan", "y-inf", "not-utf8",
+                                  "bad-y-after-header", "second-header"])
     def test_bad_csv_target_is_usage_error(self, runner, tmp_path, command, n, rows):
         path = tmp_path / "t.csv"
         path.write_bytes(rows)
@@ -356,3 +361,23 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading, lang):
+    """The first fenced code block of one language under a README heading."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+class TestReadmeExamples:
+    def test_library_quick_start_runs(self):
+        exec(compile(_readme_block("Library quick start", "python"), str(README), "exec"), {})
+
+    @pytest.mark.parametrize("line", [line for line in _readme_block("CLI", "sh").splitlines()
+                                      if line.startswith("jacksonlab ")])
+    def test_cli_example_exits_zero(self, runner, line):
+        result = runner.invoke(main, shlex.split(line, comments=True)[1:])
+        assert result.exit_code == 0, result.output

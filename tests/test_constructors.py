@@ -16,7 +16,6 @@ from jacksonlab import (
     error_report,
     fejer_kernel,
     jackson_kernel,
-    kernel_convolve,
     pe_statevector_pmf,
 )
 from jacksonlab import constructors
@@ -286,9 +285,10 @@ class TestPhase:
             z = np.arange(M) / M
             assert np.max(np.abs(build_approximant(g, "phase_median3", n)(z) - g(z))) < 1e-12
 
-    def test_nonperiodic_rejected(self):
-        with pytest.raises(PreconditionError):
-            build_approximant(CORPUS["sqrt"], "phase_median3", 9)
+    @pytest.mark.parametrize("method", TRIG_METHODS)
+    def test_nonperiodic_rejected(self, method):
+        with pytest.raises(PreconditionError, match="periodic"):
+            build_approximant(CORPUS["sqrt"], method, 9)
 
     def test_precision_one_is_flagged_degenerate(self):
         g = CORPUS["cos"]
@@ -358,42 +358,20 @@ class TestPhaseToTrigPoly:
 
 
 class TestKernelConvolve:
+    """The jackson_kernel method: convolution with the Jackson kernel."""
+
     def test_order_one_jackson_gives_mean(self):
+        # n = 2 gives order 1, the constant kernel 1
         g = CORPUS["triangle"]
-        conv = kernel_convolve(g, jackson_kernel(1), 64)
+        reference = build_approximant(g, "jackson_kernel", 2).reference
         xs = np.linspace(0, 1, 17)
         mean = np.mean(g(np.arange(4096) / 4096))
-        assert conv(xs) == pytest.approx(np.full(17, mean), abs=1e-6)
-
-    def test_fejer_damps_frequencies(self):
-        # convolution with F_3 scales frequency k by (3-|k|)/3
-        conv = kernel_convolve(CORPUS["cos"], fejer_kernel(3), 64)
-        xs = np.linspace(0, 1, 33)
-        assert conv(xs) == pytest.approx((2 / 3) * np.cos(2 * np.pi * xs), abs=1e-13)
+        assert reference(xs) == pytest.approx(np.full(17, mean), abs=1e-6)
 
     def test_jackson_error_rate(self):
         g = CORPUS["triangle"]
         rep = error_report(g, "jackson_kernel", 16)
         assert rep.ratio <= 3.0
-
-    def test_quad_points_precondition(self):
-        with pytest.raises(PreconditionError):
-            kernel_convolve(CORPUS["cos"], jackson_kernel(4), 16)
-
-    @pytest.mark.parametrize("quad_points", [48.9, "64", np.nan, np.inf, True])
-    def test_quad_points_must_be_a_whole_number(self, quad_points):
-        # int() ran 48.9 as the 48-node rule and parsed "64"; nan and inf raised ValueError and OverflowError
-        with pytest.raises(PreconditionError, match="quad_points"):
-            kernel_convolve(CORPUS["cos"], jackson_kernel(3), quad_points)
-
-    def test_integral_float_quad_points_accepted(self):
-        x = np.linspace(0.0, 1.0, 9)
-        conv = kernel_convolve(CORPUS["cos"], jackson_kernel(3), 48.0)
-        assert np.array_equal(conv(x), kernel_convolve(CORPUS["cos"], jackson_kernel(3), 48)(x))
-
-    def test_nonperiodic_rejected(self):
-        with pytest.raises(PreconditionError):
-            kernel_convolve(CORPUS["sqrt"], jackson_kernel(4), 128)
 
     def test_degree_reduction(self):
         approx = build_approximant(CORPUS["triangle"], "jackson_kernel", 16)
@@ -494,6 +472,19 @@ class TestCallDomain:
         approx = build_approximant(CORPUS["triangle"], method, 6)
         with pytest.raises(PreconditionError, match="real number"):
             approx(x)
+        with pytest.raises(PreconditionError, match="real number"):
+            approx.reference(x)
+
+    @pytest.mark.parametrize("call", [
+        lambda x: build_approximant(CORPUS["triangle"], "bernstein", 6)(x),
+        lambda x: build_approximant(CORPUS["triangle"], "jackson_kernel", 6).reference(x),
+        lambda x: phase_dist.pe_pmf(4, x),
+        lambda x: pe_statevector_pmf(4, x),
+    ], ids=["call", "reference", "pe_pmf", "pe_statevector_pmf"])
+    def test_int_too_large_for_a_float(self, call):
+        # float() raised a bare OverflowError
+        with pytest.raises(PreconditionError, match="too large"):
+            call(2**2000)
 
 
 class TestCompiledForm:
@@ -602,6 +593,14 @@ class TestBlockwiseReference:
                 assert isinstance(y, float) and abs(y - whole[0]) <= 1e-15
                 assert approx.reference(np.array([])).shape == (0,)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_array_x_keeps_its_shape(self, method):
+        # a 2-D x raised a numpy ValueError in every reference but phase_median3's
+        approx = build_approximant(CORPUS["triangle"], method, 7)
+        x = np.linspace(0.0, 1.0, 12)
+        assert np.array_equal(approx.reference(x.reshape(3, 4)), approx.reference(x).reshape(3, 4))
+        assert np.array_equal(approx.reference(x[::2]), approx.reference(x)[::2])
+
     @pytest.mark.parametrize("method,n", [("jackson_kernel", 512), ("counting_median3", 96)])
     def test_degree_probe_memory_is_bounded(self, method, n):
         approx = build_approximant(CORPUS["triangle"], method, n)
@@ -693,13 +692,6 @@ class TestQuadratureReference:
         x = np.concatenate((_near_node_points(Q), np.random.default_rng(n).uniform(size=64)))
         approx = build_approximant(SKEW_P, "jackson_kernel", n)
         assert np.max(np.abs(approx.reference(x) - _convolution_oracle(kernel, SKEW_P, Q, x))) <= 1e-13
-
-    @pytest.mark.parametrize("kernel,Q", [(fejer_kernel(100), 801), (fejer_kernel(37), 400),
-                                          (jackson_kernel(50), 797)])
-    def test_kernel_convolve_matches_long_double_oracle(self, kernel, Q):
-        x = np.concatenate((_near_node_points(Q), np.random.default_rng(Q).uniform(-2, 3, size=64)))
-        conv = kernel_convolve(SKEW_P, kernel, Q)
-        assert np.max(np.abs(conv(x) - _convolution_oracle(kernel, SKEW_P, Q, x))) <= 1e-13
 
     @pytest.mark.parametrize("make", [fejer_kernel, jackson_kernel])
     @pytest.mark.parametrize("order", [1, 2, 7, 96, 256])

@@ -83,3 +83,19 @@ class TestCsvIngestion:
         path.write_text("0,0\noops\n1,1\n")
         with pytest.raises(PreconditionError, match="malformed"):
             target_from_csv(path)
+
+    @pytest.mark.parametrize("text", ["x,y\n0,abc\n0,1\n1,2\n",
+                                      "x,y\nfoo,bar\nbaz\n0,0\n1,1\n",
+                                      "\nx,y\n\nfoo,bar\n0,0\n1,1\n"],
+                             ids=["bad-y", "two-headers", "blank-lines"])
+    def test_only_the_first_row_may_be_a_header(self, tmp_path, text):
+        # a non-numeric row after the first non-empty one is not skipped as a header
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(PreconditionError, match="malformed"):
+            target_from_csv(path)
+
+    def test_header_after_blank_lines_is_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\n\nx,y\n\n0,0\n1,2\n")
+        assert target_from_csv(path)(np.array([0.5]))[0] == pytest.approx(1.0)
