@@ -242,8 +242,7 @@ def _jackson(g, n, M, N):
         # the kernel's times the DFT of the g-samples at k
         d = kernel.trig_degree
         coeffs = np.zeros(2 * n + 1, dtype=complex)
-        spectrum = np.fft.fft(gs) / quad
-        coeffs[n - d : n + d + 1] = kernel.fourier_coeffs() * spectrum[np.arange(-d, d + 1)]
+        coeffs[n - d : n + d + 1] = kernel.fourier_coeffs() * numerics._real_spectrum(gs, d)
         return TrigPoly(coeffs)
 
     return (lambda x: sums(x) / quad), jackson_form

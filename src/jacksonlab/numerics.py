@@ -232,14 +232,17 @@ class LobattoPoly:
         lo, hi = (xs.min(), xs.max()) if xs.size else (1.0, 1.0)
         if not (lo >= 0.0 and hi <= 1.0):  # NaN fails too
             raise PreconditionError("all x must lie in [0, 1]")
-        diff = xs.reshape(-1)[:, None] - self._nodes
+        flat = xs.reshape(-1)
+        diff = flat[:, None] - self._nodes
         if lo < _TINY:
             diff[diff[:, 0] < _TINY] *= _SUBNORMAL_SCALE
         with np.errstate(divide="ignore", invalid="ignore"):
             q = self._weights / diff
             out = (q @ self.values) / q.sum(axis=1)
-        rows, cols = np.nonzero(diff == 0.0)
-        out[rows] = self.values[cols]
+        # node hits by binary search, as in the scalar path: every x <= 1, the last node
+        i = self._nodes.searchsorted(flat)
+        hit = self._nodes[i] == flat
+        out[hit] = self.values[i[hit]]
         return _scalarize(out.reshape(xs.shape), x)
 
     def chebyshev(self):
@@ -351,20 +354,32 @@ def cheb_lobatto_nodes(count):
     return (1.0 - np.cos(np.pi * np.arange(count) / (count - 1))) / 2.0
 
 
+def _real_spectrum(values, d):
+    """Fourier coefficients c_k, k = -d..d, of real samples at len(values)
+    equispaced points of [0, 1), for d <= (len(values) - 1) // 2.
+
+    One real FFT gives c_0..c_d; c_-k is conj(c_k), exactly.
+    """
+    half = np.fft.rfft(values)[: d + 1] / len(values)
+    return np.concatenate((np.conj(half[:0:-1]), half))
+
+
 def trig_coeffs_from_samples(values):
-    """Fourier coefficients of a signal sampled at m equispaced points.
+    """Fourier coefficients of a real signal sampled at m equispaced points.
 
     m must be odd; recovery is exact (to rounding) for trigonometric
-    polynomials of degree <= (m-1)/2.
+    polynomials of degree <= (m-1)/2, and the coefficients are exactly
+    conjugate-symmetric.  Complex samples are refused.
     """
     values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise PreconditionError(f"samples must be real numbers, got dtype {values.dtype}")
     m = len(values)
     if m < 1:
         raise PreconditionError("need at least one sample")
     if m % 2 == 0:
         raise PreconditionError("sample count must be odd (ambiguous Nyquist bin)")
-    coeffs = np.fft.fftshift(np.fft.fft(values)) / m
-    return TrigPoly(coeffs)
+    return TrigPoly(_real_spectrum(values, (m - 1) // 2))
 
 
 def _probe_residual(h, trunc, seed):

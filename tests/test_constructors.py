@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -376,6 +377,50 @@ class TestKernelConvolve:
     def test_degree_reduction(self):
         approx = build_approximant(CORPUS["triangle"], "jackson_kernel", 16)
         assert effective_trig_degree(approx.reference, 16, seed=19) < 1e-10
+
+
+@pytest.fixture(scope="module")
+def periodic_csv_target(tmp_path_factory):
+    """A seeded 30-knot piecewise-linear periodic target, read from a CSV file."""
+    rng = np.random.default_rng(2022)
+    xs = np.concatenate(([0.0], np.sort(rng.uniform(0.02, 0.98, 28)), [1.0]))
+    ys = rng.uniform(-1.0, 1.0, 30)
+    ys[-1] = ys[0]
+    path = tmp_path_factory.mktemp("csv") / "periodic.csv"
+    path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), ys.tolist())))
+    return target_from_csv(str(path), periodic=True)
+
+
+class TestRealSpectrum:
+    """Both Fourier forms take one real FFT of real samples: c_-k = conj(c_k)."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(TRIG_METHODS), st.integers(min_value=1, max_value=64),
+           st.sampled_from((*PERIODIC_NAMES, "csv")))
+    def test_coefficients_are_conjugate_symmetric_bit_for_bit(
+            self, periodic_csv_target, method, n, name):
+        g = periodic_csv_target if name == "csv" else CORPUS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # phase_median3 at n <= 2 degenerates
+            approx = build_approximant(g, method, n)
+        c = approximant_coefficients(approx)
+        assert c.shape == (2 * n + 1,)
+        assert np.array_equal(c[::-1], np.conj(c))
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 200, 511])
+    @pytest.mark.parametrize("name", ["triangle", "cos", "csv"])
+    def test_jackson_form_matches_the_complex_fft(self, periodic_csv_target, name, n):
+        # order 1 (trig degree 0) at n = 2 and 3; the quadrature lengths
+        # 8(d + 1) = 504, 1592 and 4072 have odd prime factors
+        g = periodic_csv_target if name == "csv" else CORPUS[name]
+        kernel = jackson_kernel(max(n // 2, 1))
+        d = kernel.trig_degree
+        quad = 8 * (d + 1)
+        gs = g(np.arange(quad) / quad)
+        want = np.zeros(2 * n + 1, dtype=complex)
+        want[n - d : n + d + 1] = kernel.fourier_coeffs() * (np.fft.fft(gs) / quad)[np.arange(-d, d + 1)]
+        got = approximant_coefficients(build_approximant(g, "jackson_kernel", n))
+        assert np.max(np.abs(got - want)) <= 1e-15 * (1 + np.max(np.abs(gs)))
 
 
 class TestErrorReport:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from jacksonlab import (
     EvaluationError,
@@ -311,6 +311,27 @@ class TestLobattoPoly:
         assert np.max(np.abs(poly(near) - series(near))) < 1e-13
         assert max(abs(poly(x) - series(x)) for x in near.tolist()) < 1e-13
 
+    def test_array_node_hits_give_the_stored_values(self):
+        # hits are found by binary search; every node twice, the ends, their
+        # neighbours and subnormals, unsorted and 2-D
+        n = 200
+        vals = np.random.default_rng(10).normal(size=n + 1)
+        poly = LobattoPoly(vals)
+        nodes = cheb_lobatto_nodes(n + 1)
+        near = np.concatenate((np.nextafter(nodes[1:], 0.0), np.nextafter(nodes[:-1], 1.0)))
+        xs = np.concatenate((nodes, nodes, [0.0, -0.0, 1.0, 5e-324, 1e-310], near))
+        order = np.random.default_rng(11).permutation(xs.size)
+        xs = xs[order].reshape(3, -1)
+        out = poly(xs)
+        assert out.shape == xs.shape
+        hit = order < 2 * (n + 1) + 3  # the nodes, 0.0, -0.0 and 1.0
+        where = np.concatenate((np.arange(n + 1), np.arange(n + 1), [0, 0, n]))
+        assert np.array_equal(out.reshape(-1)[hit], vals[where[order[hit]]])
+        scalar = np.array([poly(x) for x in xs.reshape(-1).tolist()])
+        assert np.array_equal(scalar[hit], out.reshape(-1)[hit])
+        # elsewhere a batch sums in its BLAS call's order, not the scalar path's
+        assert np.max(np.abs(scalar - out.reshape(-1))) <= 1e-13 * (1 + np.max(np.abs(vals)))
+
     def test_scaling_leaves_the_other_points_alone(self):
         poly = LobattoPoly(np.random.default_rng(8).normal(size=9))
         xs = np.random.default_rng(9).uniform(size=64)
@@ -357,6 +378,32 @@ class TestTrigCoeffs:
         poly = trig_coeffs_from_samples(vals)
         scale = 1e-12 * (1 + np.max(np.abs(vals)))
         assert np.max(np.abs(poly(np.arange(15) / 15) - vals)) < scale
+
+    @pytest.mark.parametrize("samples", [np.ones(5, dtype=complex), np.array([1.0, 2.0 + 1e-3j, 0.5]),
+                                         np.array(["1", "2", "3"]), np.array([1.0, None, 2.0])],
+                             ids=["complex", "complex-nonsymmetric", "str", "object"])
+    def test_nonreal_samples_refused(self, samples):
+        # complex samples built a TrigPoly whose calls took the real part of a
+        # series that is not conjugate-symmetric
+        with pytest.raises(PreconditionError, match="samples must be real"):
+            trig_coeffs_from_samples(samples)
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 15, 401, 1593])
+    def test_matches_the_complex_fft(self, m):
+        # the real FFT's half-spectrum, mirrored, against the full complex one;
+        # (m - 1)/2 is odd and even in turn
+        vals = np.random.default_rng(m).normal(size=m)
+        want = np.fft.fftshift(np.fft.fft(vals)) / m
+        got = trig_coeffs_from_samples(vals).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-15 * (1 + np.max(np.abs(vals)))
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1e-300, 1.0, 1e300]))
+    def test_coefficients_are_conjugate_symmetric_bit_for_bit(self, d, seed, scale):
+        vals = scale * np.random.default_rng(seed).normal(size=2 * d + 1)
+        c = trig_coeffs_from_samples(vals).coeffs
+        assert np.array_equal(c[::-1], np.conj(c))
 
 
 class TestEffectiveDegree:
