@@ -141,7 +141,7 @@ def _measure(g, method, n, grid, seed):
 
 @main.command()
 @click.option("--method", required=True, type=click.Choice(METHODS))
-@click.option("--n", "n", required=True, type=int)
+@click.option("--n", "n", required=True, type=int, help="Degree budget n.")
 @click.option("--target", required=True)
 @click.option("--periodic", is_flag=True, help="Treat a CSV target as 1-periodic.")
 @click.option("--grid-size", default=DEFAULT_GRID, type=click.IntRange(min=65))
@@ -183,9 +183,10 @@ SWEEP_HEADER = "method,n,M,sup_err,omega_ref,ratio,degree_residual,grid_size,see
 
 @main.command()
 @click.option("--method", required=True, type=click.Choice(METHODS))
-@click.option("--n", "n_range", required=True, help="Single n or start:stop:step.")
+@click.option("--n", "n_range", required=True,
+              help="Degree budget n, or a range of them as start:stop:step.")
 @click.option("--target", required=True)
-@click.option("--periodic", is_flag=True)
+@click.option("--periodic", is_flag=True, help="Treat a CSV target as 1-periodic.")
 @click.option("--grid-size", default=DEFAULT_GRID, type=click.IntRange(min=65))
 @click.option("--seed", default=DEFAULT_SEED, type=int)
 @click.option("--output", type=click.Path(), default=None)

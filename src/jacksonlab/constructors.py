@@ -45,7 +45,7 @@ from .counting_model import (
     binom_weight_matrix,
     single_run_amp_pmf,
 )
-from .phase_dist import jackson_kernel, outcome_phases, pe_pmf_rows
+from .phase_dist import jackson_kernel, pe_pmf_rows
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def _counting(g, n, M, N, median3):
 
 
 def _phase(g, n, M, N):
-    gvals = _target_values(g, outcome_phases(M), "at the phase outcomes z/M")
+    gvals = _target_values(g, np.arange(M) / M, "at the phase outcomes z/M")
 
     def rows(x):
         # one outcome law per point, on the g-values of the M outcomes
@@ -228,14 +228,12 @@ def _phase(g, n, M, N):
 def _jackson(g, n, M, N):
     """The Q-node uniform rule (1/Q) sum_j K(j/Q - x) g(j/Q), exact (to
     rounding) for trigonometric integrands of degree below Q, with each
-    point's nodes re-centred on it (KernelSpec.quadrature_rows)."""
+    point's nodes re-centred on it (KernelSpec.quadrature)."""
     order = max(n // 2, 1)
     kernel = jackson_kernel(order)
     quad = 8 * (kernel.trig_degree + 1)
     gs = _target_values(g, np.arange(quad) / quad, "at the quadrature nodes")
-    # entry c + o is the sample at node c + o - quad//2, wrapped round
-    wrapped = np.concatenate((gs[quad - quad // 2 :], gs, gs[: quad - 1 - quad // 2]))
-    sums = _banded(kernel.quadrature_rows(quad), wrapped, quad)
+    sums = _banded(*kernel.quadrature(gs), quad)
 
     def jackson_form():
         # the quadrature rule in closed form: coefficient k of the result is

@@ -421,5 +421,4 @@ def effective_trig_degree(h, claimed_degree, seed=0):
     samples = np.asarray(h(np.arange(m) / m), dtype=float)
     if not np.all(np.isfinite(samples)):
         raise EvaluationError("non-finite sample during degree probe")
-    coeffs = trig_coeffs_from_samples(samples).coeffs  # k = -2n .. 2n
-    return _probe_residual(h, TrigPoly(coeffs[n : 3 * n + 1]), seed)
+    return _probe_residual(h, TrigPoly(_real_spectrum(samples, n)), seed)

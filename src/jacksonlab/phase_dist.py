@@ -28,14 +28,6 @@ class PhasePMF:
     probs: np.ndarray
 
 
-@lru_cache(maxsize=64)
-def outcome_phases(M):
-    """Read-only outcome phases z/M, z = 0..M-1, of phase estimation at precision M."""
-    out = np.arange(M) / M
-    out.flags.writeable = False
-    return out
-
-
 def pe_pmf(M, x):
     """Exact pmf of the phase-estimation outcome Z at precision M, phase x.
 
@@ -57,13 +49,13 @@ def pe_pmf_rows(M, xs):
     c = rint(M x) and d = x - c/M, the numerator is sin(pi M d)^2 for every z.
     With o = z - c reduced into -(M//2) .. M-1-M//2, the denominator's sine is
     sin(pi(o/M - d)) = sin(pi o/M) cos(pi d) - cos(pi o/M) sin(pi d): a rank-2
-    product of the cached table of _offset_tables with two numbers per phase,
-    so no entry takes a sine.  At o = 0 it is exactly -sin(pi d); a phase with
-    |d| <= 1e-15 takes the limit 1 there.
+    product of the cached table _offset_tables(1, M, 2) with two numbers per
+    phase, so no entry takes a sine.  At o = 0 it is exactly -sin(pi d); a
+    phase with |d| <= 1e-15 takes the limit 1 there.
     """
     M = positive_int(M, "M")
     # [sin; cos](pi o/M) laid out twice, so a phase's M outcomes are one window
-    table = _offset_tables(M, M, 2)[1]
+    table = _offset_tables(1, M, 2)
     # the phase is checked before the remainder, which warns on a NaN; c is M
     # for x within 1/(2M) below 1, and the window start is taken mod M
     if isinstance(xs, float):
@@ -120,19 +112,17 @@ def fejer_value(n, t):
 # one entry per precision M of the outcome laws: verify alone sweeps 63
 @lru_cache(maxsize=128)
 def _offset_tables(order, Q, reps=1):
-    """Read-only (2, reps*Q) tables [sin; cos] of pi*order*u and of pi*u at the
-    offsets u = o/Q, o = -(Q//2) .. Q-1-Q//2, of a Q-node uniform rule, laid
-    out reps times in a row.
+    """Read-only (2, reps*Q) table [sin; cos] of pi*order*u at the offsets
+    u = o/Q, o = -(Q//2) .. Q-1-Q//2, of a Q-node uniform rule, laid out
+    reps times in a row.
 
     order*o is reduced to (-Q, Q] in integers first, so every angle lies in
     (-pi, pi] and each entry is as accurate as one sine there.
     """
     o = np.arange(Q) - Q // 2
     k = (order * o + Q - 1) % (2 * Q) - (Q - 1)
-    out = (np.tile(np.stack((np.sin(np.pi * k / Q), np.cos(np.pi * k / Q))), reps),
-           np.tile(np.stack((np.sin(np.pi * o / Q), np.cos(np.pi * o / Q))), reps))
-    for a in out:
-        a.flags.writeable = False
+    out = np.tile(np.stack((np.sin(np.pi * k / Q), np.cos(np.pi * k / Q))), reps)
+    out.flags.writeable = False
     return out
 
 
@@ -146,7 +136,7 @@ def fejer_identity_check(M, x):
     xs = finite_phases(x) % 1.0  # reduced first, so M*x cannot overflow
     if np.any(np.abs(M * xs - np.rint(M * xs)) < 1e-12):
         raise PreconditionError("M*x must not be an integer")
-    kernel_side = fejer_value(M, outcome_phases(M) - xs[..., None]) / M
+    kernel_side = fejer_value(M, np.arange(M) / M - xs[..., None]) / M
     return float(np.max(np.abs(pe_pmf_rows(M, xs) - kernel_side)))
 
 
@@ -156,7 +146,16 @@ class KernelSpec:
 
     kind: str  # "fejer" | "jackson"
     order: int
-    norm_const: float
+
+    @property
+    def norm_const(self):
+        """1 for the Fejer kernel.  For the Jackson kernel, the reciprocal of
+        the constant Fourier coefficient of F_n^2,
+        sum_{|k|<n} (1 - |k|/n)^2 = (2n^2 + 1)/(3n)."""
+        if self.kind == "fejer":
+            return 1.0
+        n = self.order
+        return 3.0 * n / (2.0 * n * n + 1.0)
 
     @property
     def trig_degree(self):
@@ -182,32 +181,37 @@ class KernelSpec:
             return base
         return self.norm_const * base**2
 
-    def quadrature_rows(self, Q):
-        """Row function of the Q-node uniform rule, re-centred on each point.
+    def quadrature(self, samples):
+        """(band, table) of the Q-node uniform rule on Q = len(samples)
+        samples g(j/Q), re-centred on each point: for a 1-D x,
+        sum_o K[i, o] table[c[i] + o] = sum_j kernel(j/Q - x[i]) g(j/Q),
+        where (c, K) = band(x).
 
-        rows(x) returns (c, K) for a 1-D x: c[i] = rint(Q x[i]) mod Q, and
-        K[i, o] = kernel(s - x[i]) at the node s = (c[i] + o - Q//2)/Q mod 1.
-        That difference is u - d, with u = (o - Q//2)/Q and
-        d = x - rint(Q x)/Q, |d| <= 1/(2Q).  sin(pi m (u - d)) is expanded by
-        angle addition into a rank-2 product of the per-offset tables with
-        the per-point sin and cos of pi m d, for m = order (numerator) and
-        m = 1 (denominator), so no entry takes a sine.  For u != 0,
-        |u| >= 2|d| and neither difference cancels badly; at u = 0 both are
-        exactly -sin(pi m d), and a point with |d| <= 1e-15 takes the limit
+        c[i] = rint(Q x[i]) mod Q, and K[i, o] = kernel(s - x[i]) at the
+        node s = (c[i] + o - Q//2)/Q mod 1, whose sample is table[c[i] + o]:
+        the table is the samples wrapped round to 2Q - 1 entries.  s - x[i]
+        is u - d, with u = (o - Q//2)/Q and d = x - rint(Q x)/Q,
+        |d| <= 1/(2Q).  sin(pi m (u - d)) is expanded by angle addition into
+        a rank-2 product of the offset table of order m with the per-point
+        sin and cos of pi m d, for m = order (numerator) and m = 1
+        (denominator), so no entry takes a sine.  For u != 0, |u| >= 2|d|
+        and neither difference cancels badly; at u = 0 both are exactly
+        -sin(pi m d), and a point with |d| <= 1e-15 takes the limit
         F = order there.
         """
-        n, half = self.order, Q // 2
+        Q, n = len(samples), self.order
+        half = Q // 2
+        table = np.concatenate((samples[Q - half :], samples, samples[: Q - 1 - half]))
 
-        def rows(x):
-            num_table, den_table = _offset_tables(n, Q)
+        def band(x):
             x = x % 1.0
             c = np.rint(x * Q)
             d = x - c / Q
             a = np.pi * d
             # in place from here: sin(pi n t) / sin(pi t), then F_n(t), then the kernel
-            k = np.stack((np.cos(n * a), -np.sin(n * a)), axis=1) @ num_table
+            k = np.stack((np.cos(n * a), -np.sin(n * a)), axis=1) @ _offset_tables(n, Q)
             with np.errstate(divide="ignore", invalid="ignore"):
-                k /= np.stack((np.cos(a), -np.sin(a)), axis=1) @ den_table
+                k /= np.stack((np.cos(a), -np.sin(a)), axis=1) @ _offset_tables(1, Q)
             k[np.abs(d) <= _SINGULARITY_EPS, half] = n
             k *= k
             k /= n
@@ -216,21 +220,16 @@ class KernelSpec:
                 k *= self.norm_const
             return c.astype(np.intp) % Q, k
 
-        return rows
+        return band, table
 
 
 def fejer_kernel(n):
-    return KernelSpec(kind="fejer", order=positive_int(n, "n"), norm_const=1.0)
+    return KernelSpec(kind="fejer", order=positive_int(n, "n"))
 
 
 def jackson_kernel(n):
-    """Normalized square of the Fejer kernel of order n.
-
-    The normalization constant is the reciprocal of the constant Fourier
-    coefficient of F_n^2, sum_{|k|<n} (1 - |k|/n)^2 = (2n^2 + 1)/(3n).
-    """
-    n = positive_int(n, "n")
-    return KernelSpec(kind="jackson", order=n, norm_const=3.0 * n / (2.0 * n * n + 1.0))
+    """Normalized square of the Fejer kernel of order n (KernelSpec.norm_const)."""
+    return KernelSpec(kind="jackson", order=positive_int(n, "n"))
 
 
 def kernel_integral(kernel):

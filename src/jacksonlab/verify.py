@@ -38,7 +38,7 @@ def check_tail_bound():
     worst = 0.0
     xs = _x_sweep()
     for M in _PE_M:
-        d = circle_dist(phase_dist.outcome_phases(M), xs[:, None])
+        d = circle_dist(np.arange(M) / M, xs[:, None])
         far = d > 0
         bound = phase_dist.tail_bound(M, d[far])
         worst = max(worst, float(np.max(phase_dist.pe_pmf_rows(M, xs)[far] - bound, initial=0.0)))

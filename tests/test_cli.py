@@ -240,6 +240,18 @@ def test_one_build_per_n(runner, monkeypatch, command, n, expect):
     assert sorted(built) == expect
 
 
+def test_shared_options_share_their_help():
+    # --n takes one budget in construct and a range in sweep; its help starts alike
+    helps = [{p.name: p.help for p in main.commands[c].params} for c in ("construct", "sweep")]
+    helps[1]["n"] = helps[1].pop("n_range")
+    assert helps[0].keys() <= helps[1].keys()
+    for name, text in helps[0].items():
+        if name == "n":
+            assert text and helps[1]["n"].startswith(text[:-1]), helps[1]["n"]
+        else:
+            assert text == helps[1][name], name
+
+
 class TestVerify:
     def test_manifest(self, runner):
         result = runner.invoke(main, ["verify"])

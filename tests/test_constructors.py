@@ -358,7 +358,7 @@ class TestPhaseToTrigPoly:
             )
 
 
-class TestKernelConvolve:
+class TestJacksonKernelMethod:
     """The jackson_kernel method: convolution with the Jackson kernel."""
 
     def test_order_one_jackson_gives_mean(self):
@@ -746,10 +746,14 @@ class TestQuadratureReference:
             # points at least 1e-3 node spacings from every node
             rng = np.random.default_rng(Q)
             x = (rng.integers(0, Q, size=50) + rng.uniform(0.001, 0.999, size=50)) / Q
-            c, k = kernel.quadrature_rows(Q)(x)
+            # each node's sample is its index j, so the table shows which node an entry holds
+            band, table = kernel.quadrature(np.arange(Q, dtype=float))
+            c, k = band(x)
             assert c.shape == (50,) and np.all((0 <= c) & (c < Q)) and k.shape == (50, Q)
-            s = ((c[:, None] + np.arange(Q) - Q // 2) % Q) / Q
-            expected = kernel(s - x[:, None])
+            assert len(table) == 2 * Q - 1
+            j = table[c[:, None] + np.arange(Q)]
+            assert np.array_equal(j, (c[:, None] + np.arange(Q) - Q // 2) % Q)
+            expected = kernel(j / Q - x[:, None])
             # relative to the kernel's peak: near its zeros neither side has relative accuracy
             assert np.max(np.abs(k - expected)) <= 1e-13 * np.max(expected)
 
@@ -758,8 +762,8 @@ class TestQuadratureReference:
         # order*o is reduced in integers: sin(pi*order*o/Q) taken directly is off by 1.8e-13 at 1024
         Q = 8 * (2 * order - 1) + 1
         o = np.arange(Q, dtype=np.longdouble) - Q // 2
-        num_table, den_table = phase_dist._offset_tables(order, Q)
-        for table, m in ((num_table, order), (den_table, 1)):
+        for m in (order, 1):
+            table = phase_dist._offset_tables(m, Q)
             assert not table.flags.writeable
             angle = PI_LD * m * o / Q
             assert np.max(np.abs(table - np.stack((np.sin(angle), np.cos(angle))))) <= 2e-15
@@ -769,7 +773,8 @@ class TestQuadratureReference:
         approx = build_approximant(CORPUS["triangle"], "jackson_kernel", 40)
         assert phase_dist._offset_tables.cache_info().currsize == 0
         approx.reference(np.linspace(0.0, 1.0, 5))
-        assert phase_dist._offset_tables.cache_info().currsize == 1
+        # one table of order n // 2 = 20 (numerator) and one of order 1 (denominator)
+        assert phase_dist._offset_tables.cache_info().currsize == 2
 
 
 class TestConstantsReproduced:

@@ -21,7 +21,7 @@ from jacksonlab import (
 from jacksonlab.counting_model import single_run_amp_pmf
 from jacksonlab.numerics import effective_trig_degree, trig_coeffs_from_samples
 from jacksonlab.numerics import median3_pmf
-from jacksonlab.phase_dist import kernel_integral, outcome_phases, pe_pmf_rows, tail_bound
+from jacksonlab.phase_dist import kernel_integral, pe_pmf_rows, tail_bound
 from oracles import expected_circle_error, median3_circle_error
 
 PI_LD = 4 * np.arctan(np.longdouble(1))
@@ -119,13 +119,7 @@ class TestPePmf:
 
 
 class TestOutcomePhases:
-    def test_cached_read_only_and_shared(self):
-        z = outcome_phases(16)
-        assert np.array_equal(z, np.arange(16) / 16)
-        assert not z.flags.writeable
-        with pytest.raises(ValueError):
-            z[0] = 1.0
-        assert outcome_phases(16) is z
+    """Laws at the outcome phases z/M, just above them, and at the ends of [0, 1)."""
 
     def test_pe_pmf_unchanged(self):
         # pe_pmf's law is the closed form within ORACLE_TOL, scalar call by scalar call
@@ -149,7 +143,7 @@ class TestOneOutcomeLawKernel:
         tables = phase_dist._offset_tables
         # [cos; sin] for [sin; cos]: the denominator becomes cos(pi(o/M + d))
         monkeypatch.setattr(phase_dist, "_offset_tables",
-                            lambda order, Q, reps=1: tuple(t[::-1] for t in tables(order, Q, reps)))
+                            lambda order, Q, reps=1: tables(order, Q, reps)[::-1])
         for right, wrong in zip(before, laws()):
             assert np.max(np.abs(right - wrong)) > 1e-3
 
@@ -189,7 +183,7 @@ class TestInPlaceKernel:
 
     def test_table_is_the_offset_table_laid_out_twice(self):
         for M in (1, 6, 17):
-            once, twice = phase_dist._offset_tables(M, M)[1], phase_dist._offset_tables(M, M, 2)[1]
+            once, twice = phase_dist._offset_tables(1, M), phase_dist._offset_tables(1, M, 2)
             assert np.array_equal(twice, np.concatenate((once, once), axis=1))
             assert not twice.flags.writeable
 
@@ -404,6 +398,12 @@ class TestJacksonKernel:
         assert spec.norm_const == pytest.approx(1.0, abs=1e-14)
         ts = np.linspace(0, 1, 50)
         assert spec(ts) == pytest.approx(np.ones(50), abs=1e-12)
+
+    def test_spec_is_kind_and_order(self):
+        # the normalisation is derived from (kind, order), so two specs of one kernel are equal
+        assert jackson_kernel(5) == phase_dist.KernelSpec("jackson", 5)
+        assert jackson_kernel(5).norm_const == 15.0 / 51.0
+        assert fejer_kernel(5).norm_const == 1.0
 
     def test_order_two_constant(self):
         # F_2(t) = 1 + cos(2 pi t), integral of F_2^2 is 3/2
