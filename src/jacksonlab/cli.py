@@ -31,7 +31,7 @@ from .numerics import (
     effective_algebraic_degree,
     effective_trig_degree,
 )
-from .phase_dist import fejer_kernel, jackson_kernel, pe_pmf
+from .phase_dist import KernelSpec, pe_pmf
 from .verify import run_verification
 
 SCHEMA_VERSION = 1
@@ -250,7 +250,7 @@ def dist(M, x, count_n, weight, median3, output):
 @click.option("--output", type=click.Path(), default=None)
 def kernel(kind, n, points, output):
     """Tabulate an approximation kernel on a uniform grid (CSV)."""
-    spec = fejer_kernel(n) if kind == "fejer" else jackson_kernel(n)
+    spec = KernelSpec(kind, n)
     ts = np.arange(points) / points
     vals = spec(ts)
     rows = [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(ts, vals)]

@@ -113,9 +113,7 @@ def _blockwise(rows_fn, width):
 
     def fn(x):
         x = real_x(x)
-        xs = np.ravel(x)
-        if not np.isfinite(xs).all():
-            raise PreconditionError("reference x must be finite")
+        xs = numerics._finite(np.ravel(x), PreconditionError, "reference x must be finite")
         step = max(1, _BLOCK_ENTRIES // width)
         out = np.empty(len(xs))
         for i in range(0, len(xs), step):
@@ -127,10 +125,7 @@ def _blockwise(rows_fn, width):
 
 def _target_values(g, x, where):
     """g at the points x as floats; PreconditionError if any value is NaN or infinite."""
-    values = np.asarray(g(x), dtype=float)
-    if not np.isfinite(values).all():
-        raise PreconditionError(f"target values must be finite {where}")
-    return values
+    return numerics._finite(g(x), PreconditionError, f"target values must be finite {where}")
 
 
 def _lobatto_form(reference, n):
@@ -312,11 +307,13 @@ def omega_reference(g, delta):
 def error_report(g, method, n=None, grid=None):
     """Grid sup error of a construction, with the omega_{1/n} ratio.
 
-    ``method`` is either an Approximant already built for g (n is then
-    taken from it) or a method name, built here at budget n.
+    ``method`` is either an Approximant already built for g (n, if given,
+    must be its n) or a method name, built here at budget n.
     """
     grid = grid or Grid.uniform(4097)
     approx = method if isinstance(method, Approximant) else build_approximant(g, method, n)
+    if n not in (None, approx.n):
+        raise PreconditionError(f"n={n!r} differs from the approximant's n={approx.n}")
     # a non-finite target on the grid is bad input, not a fault of the approximant
     target = _target_values(g, grid.points, "on the error grid")
     sup_err = sup_distance(lambda _x: target, approx, grid)

@@ -6,7 +6,7 @@ import csv
 
 import numpy as np
 
-from .numerics import PreconditionError, TargetFunction
+from .numerics import PreconditionError, TargetFunction, _finite
 
 
 def _triangle(x):
@@ -107,15 +107,13 @@ def target_from_csv(path, periodic=False):
         xs.append(x)
         ys.append(y)
     xs = np.asarray(xs)
-    ys = np.asarray(ys)
     if len(xs) < 2:
         raise PreconditionError("need at least two data rows")
     if not np.all(np.diff(xs) > 0):
         raise PreconditionError("x column must be strictly increasing")
     if xs[0] != 0.0 or xs[-1] != 1.0:
         raise PreconditionError("x must start at 0 and end at 1")
-    if not np.all(np.isfinite(ys)):
-        raise PreconditionError("y column must be finite")
+    ys = _finite(ys, PreconditionError, "y column must be finite")
     if periodic and ys[0] != ys[-1]:
         raise PreconditionError("periodic target requires y(0) = y(1)")
 

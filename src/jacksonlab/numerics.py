@@ -54,16 +54,11 @@ def real_x(x):
             return float(x)
         except OverflowError:
             raise PreconditionError("x is too large to be a float") from None
-    xs = _real_array(x)
-    return xs if xs.ndim else float(xs)
-
-
-def _real_array(x):
-    """x, converted once, as a float array; PreconditionError as in real_x."""
     xs = np.asarray(x)
     if xs.dtype.kind not in "iuf":
         raise PreconditionError(f"x must be a real number or an array of them, got {x!r}")
-    return xs.astype(float, copy=False)
+    xs = xs.astype(float, copy=False)
+    return xs if xs.ndim else float(xs)
 
 
 def finite_phase(x):
@@ -76,10 +71,18 @@ def finite_phase(x):
 
 def finite_phases(x):
     """x, a phase or an array of them, as floats; PreconditionError unless all are finite reals."""
-    xs = np.asarray(real_x(x)) if isinstance(x, numbers.Real) else _real_array(x)
+    xs = np.asarray(real_x(x))
     if not np.isfinite(xs).all():
         raise PreconditionError(f"phase x must be finite, got {x!r}")
     return xs
+
+
+def _finite(values, error, message):
+    """values as a float array; error(message) if any of them is NaN or infinite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise error(message)
+    return values
 
 
 def _scalarize(out, like):
@@ -91,10 +94,7 @@ def _scalarize(out, like):
 def circle_dist(a, b):
     """Distance between phases a and b on the circle R/Z, in [0, 1/2]."""
     d = (np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
-    out = np.minimum(d, 1.0 - d)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalarize(np.minimum(d, 1.0 - d), d)
 
 
 def median3_pmf(values, probs):
@@ -385,9 +385,7 @@ def trig_coeffs_from_samples(values):
 def _probe_residual(h, trunc, seed):
     """max |h - trunc| at 512 fresh random points in [0,1); h must be finite there."""
     pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=512)
-    hv = np.asarray(h(pts), dtype=float)
-    if not np.all(np.isfinite(hv)):
-        raise EvaluationError("non-finite value at a fresh point of the degree probe")
+    hv = _finite(h(pts), EvaluationError, "non-finite value at a fresh point of the degree probe")
     return float(np.max(np.abs(hv - trunc(pts))))
 
 
@@ -401,9 +399,8 @@ def effective_algebraic_degree(h, claimed_degree, seed=0):
     of aliasing.
     """
     n = positive_int(claimed_degree, "claimed_degree", low=0)
-    vals = np.asarray(h(cheb_lobatto_nodes(max(4 * n + 1, 2))), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("non-finite sample during degree probe")
+    vals = _finite(h(cheb_lobatto_nodes(max(4 * n + 1, 2))), EvaluationError,
+                   "non-finite sample during degree probe")
     coeffs = LobattoPoly(vals).chebyshev()[: n + 1]
     return _probe_residual(
         h, lambda x: np.polynomial.chebyshev.chebval(2.0 * x - 1.0, coeffs), seed)
@@ -418,7 +415,6 @@ def effective_trig_degree(h, claimed_degree, seed=0):
     """
     n = positive_int(claimed_degree, "claimed_degree", low=0)
     m = 4 * n + 1
-    samples = np.asarray(h(np.arange(m) / m), dtype=float)
-    if not np.all(np.isfinite(samples)):
-        raise EvaluationError("non-finite sample during degree probe")
+    samples = _finite(h(np.arange(m) / m), EvaluationError,
+                      "non-finite sample during degree probe")
     return _probe_residual(h, TrigPoly(_real_spectrum(samples, n)), seed)

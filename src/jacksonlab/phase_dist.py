@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import PreconditionError, finite_phase, finite_phases, positive_int
+from .numerics import PreconditionError, _scalarize, finite_phase, finite_phases, positive_int
 
 # below this circle distance the removable singularity is replaced by its limit
 _SINGULARITY_EPS = 1e-15
@@ -104,9 +104,7 @@ def fejer_value(n, t):
         r = t_arr - np.rint(t_arr)
         ratio = np.sin(np.pi * n * r) ** 2 / (n * np.sin(np.pi * r) ** 2)
     out = np.where(np.abs(r) <= _SINGULARITY_EPS, float(n), np.minimum(ratio, n))
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    return _scalarize(out, t)
 
 
 # one entry per precision M of the outcome laws: verify alone sweeps 63
@@ -142,10 +140,19 @@ def fejer_identity_check(M, x):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Nonnegative 1-periodic approximation kernel with unit integral."""
+    """Nonnegative 1-periodic approximation kernel with unit integral; a
+    kind other than "fejer" or "jackson", or an order that is not a
+    positive integer, raises PreconditionError."""
 
     kind: str  # "fejer" | "jackson"
     order: int
+
+    def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in ("fejer", "jackson")):
+            raise PreconditionError(f"kernel kind must be 'fejer' or 'jackson', got {self.kind!r}")
+        # an int order >= 1 is kept: setting a frozen field costs more than the check
+        if not (type(self.order) is int and self.order >= 1):
+            object.__setattr__(self, "order", positive_int(self.order, "n"))
 
     @property
     def norm_const(self):
@@ -224,12 +231,12 @@ class KernelSpec:
 
 
 def fejer_kernel(n):
-    return KernelSpec(kind="fejer", order=positive_int(n, "n"))
+    return KernelSpec(kind="fejer", order=n)
 
 
 def jackson_kernel(n):
     """Normalized square of the Fejer kernel of order n (KernelSpec.norm_const)."""
-    return KernelSpec(kind="jackson", order=positive_int(n, "n"))
+    return KernelSpec(kind="jackson", order=n)
 
 
 def kernel_integral(kernel):

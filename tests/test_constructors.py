@@ -110,6 +110,21 @@ class TestBernstein:
         )
         assert build_approximant(g, "bernstein", n)(0.5) == pytest.approx(oracle, abs=1e-13)
 
+    @settings(deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=6,
+                    unique=True),
+           st.lists(st.floats(1e-3, 10.0), min_size=7, max_size=7),
+           st.integers(min_value=1, max_value=64))
+    def test_nondecreasing_target_gives_nondecreasing_approximant(self, inner, rises, n):
+        # B_n(g)' = n sum_k (g((k+1)/n) - g(k/n)) b_{n-1,k} >= 0 for a nondecreasing g
+        knots = np.concatenate(([0.0], np.sort(inner), [1.0]))
+        values = np.concatenate(([0.0], np.cumsum(rises[: len(knots) - 1])))
+        g = TargetFunction(lambda x: np.interp(x, knots, values), name="rising")
+        approx = build_approximant(g, "bernstein", n)
+        xs = np.linspace(0.0, 1.0, 1025)
+        for h in (approx, approx.reference):
+            assert np.diff(h(xs)).min() >= -1e-14 * values[-1]
+
 
 class TestCounting:
     def test_constant(self):
@@ -442,6 +457,14 @@ class TestErrorReport:
         assert rep.grid_size == 257
         assert rep.ratio == pytest.approx(rep.sup_err / rep.omega_ref)
         assert np.isfinite([rep.sup_err, rep.omega_ref, rep.ratio]).all()
+
+    def test_n_must_match_a_built_approximant(self):
+        # the n = 64 report was silently the n = 8 one
+        g = CORPUS["abs-half"]
+        approx = build_approximant(g, "bernstein", 8)
+        with pytest.raises(PreconditionError, match="differs from the approximant's n=8"):
+            error_report(g, approx, n=64)
+        assert error_report(g, approx, n=8) == error_report(g, approx)
 
     def test_monotone_budget_sanity(self):
         g = CORPUS["abs-half"]

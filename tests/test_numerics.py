@@ -455,6 +455,17 @@ class TestEffectiveDegree:
         with pytest.raises(EvaluationError, match="fresh point"):
             effective_trig_degree(h, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_at_one_sample_point_raises(self, bad):
+        # n = 1: bad at the middle one of the 5 Lobatto nodes, then at the point 2/5
+        node = cheb_lobatto_nodes(5)[2]
+        h = lambda x: np.where(x == node, bad, x)
+        with pytest.raises(EvaluationError, match="non-finite sample during degree probe"):
+            effective_algebraic_degree(h, 1)
+        h = lambda x: np.where(x == 2 / 5, bad, np.cos(2 * np.pi * x))
+        with pytest.raises(EvaluationError, match="non-finite sample during degree probe"):
+            effective_trig_degree(h, 1)
+
 
 class TestDomainTypes:
     def test_grid_validation(self):

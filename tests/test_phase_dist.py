@@ -392,6 +392,21 @@ class TestFejerIdentity:
             fejer_identity_check(4, [0.1, 0.25])
 
 
+class TestKernelSpecChecksItsInputs:
+    # "fejr" was silently the Jackson kernel, and order 0 gave trig_degree -2
+    @pytest.mark.parametrize("kind, order", [("fejr", 3), (None, 3), ("jackson", 0),
+                                             ("jackson", 2.5), ("fejer", True)])
+    def test_bad_kind_or_order_refused(self, kind, order):
+        with pytest.raises(PreconditionError):
+            phase_dist.KernelSpec(kind, order)
+
+    def test_order_stored_as_int(self):
+        spec = phase_dist.KernelSpec("jackson", np.int64(5))
+        assert spec == jackson_kernel(5)
+        assert type(spec.order) is int
+        assert type(phase_dist.KernelSpec("fejer", 4.0).order) is int
+
+
 class TestJacksonKernel:
     def test_order_one_is_constant(self):
         spec = jackson_kernel(1)
