@@ -143,10 +143,7 @@ def derived_params(method, n):
     M is chosen as the largest precision whose degree bound fits inside
     n: 6(M-1) <= n for three counting runs, 2(M-1) <= n for one run,
     3(M-1) <= n for three phase estimations.  The counting bounds count
-    degree 2 per Grover query, M-1 queries a run.  The exact degree of
-    the counting approximants is half that: M-1 for one run, whose law
-    is a polynomial of degree M-1 in k/N, and 3(M-1) for the median of
-    three, which is cubic in that law.
+    degree 2 per Grover query, M-1 queries a run.
     """
     n = positive_int(n, "degree budget n")
     if not (isinstance(method, str) and method in _METHOD_TABLE):  # a list is refused too
@@ -182,7 +179,7 @@ def _binomial_mixture(N, table):
 def _bernstein(g, n, M, N):
     values = _target_values(g, np.arange(n + 1) / n, "at the Bernstein nodes k/n")
     fn = _binomial_mixture(n, values)
-    return fn, _lobatto_form(fn, n)
+    return fn, _lobatto_form(fn, n), n
 
 
 def _counting_value_table(g, N, M, median3):
@@ -204,8 +201,9 @@ def _counting_value_table(g, N, M, median3):
 
 
 def _counting(g, n, M, N, median3):
+    # one run's law has degree M-1 in k/N; the median of three is cubic in it
     fn = _binomial_mixture(N, _counting_value_table(g, N, M, median3))
-    return fn, _lobatto_form(fn, n)
+    return fn, _lobatto_form(fn, n), (3 if median3 else 1) * (M - 1)
 
 
 def _phase(g, n, M, N):
@@ -217,7 +215,7 @@ def _phase(g, n, M, N):
         return med @ support
 
     fn = _blockwise(rows, M)
-    return fn, _fourier_form(fn, n)
+    return fn, _fourier_form(fn, n), 3 * (M - 1)
 
 
 def _jackson(g, n, M, N):
@@ -238,12 +236,12 @@ def _jackson(g, n, M, N):
         coeffs[n - d : n + d + 1] = kernel.fourier_coeffs() * numerics._real_spectrum(gs, d)
         return TrigPoly(coeffs)
 
-    return (lambda x: sums(x) / quad), jackson_form
+    return (lambda x: sums(x) / quad), jackson_form, kernel.trig_degree
 
 
 class _Method(NamedTuple):
     params: Callable  # n -> (M, N) at degree budget n
-    build: Callable   # (g, n, M, N) -> (reference, compile)
+    build: Callable   # (g, n, M, N) -> (reference, compile, exact degree)
     basis: str        # "chebyshev" or "fourier": the form's coefficients
 
 
@@ -265,9 +263,8 @@ TRIG_METHODS = tuple(m for m in METHODS if _METHOD_TABLE[m].basis == "fourier")
 def build_approximant(g, method, n):
     """Build the named construction for target g at degree budget n.
 
-    n must be a positive integer (numpy integers included).  A precision
-    M = 1 leaves one outcome: the approximant is the constant g(0), flagged
-    ``degenerate`` with a warning.
+    n must be a positive integer (numpy integers included).  An approximant
+    of exact degree 0 is a constant, flagged ``degenerate`` with a warning.
     """
     if not isinstance(n, numbers.Integral):
         raise PreconditionError(f"degree budget n must be a positive integer, got {n!r}")
@@ -275,11 +272,11 @@ def build_approximant(g, method, n):
     n, row = int(n), _METHOD_TABLE[method]
     if row.basis == "fourier" and not g.periodic:
         raise PreconditionError(f"method {method!r} requires a periodic target")
-    degenerate = M == 1
+    reference, compile_form, degree = row.build(g, n, M, N)
+    degenerate = degree == 0
     if degenerate:
-        warnings.warn(f"{method} with n={n} gives precision M=1: the approximant "
-                      "degenerates to the constant g(0)", stacklevel=2)
-    reference, compile_form = row.build(g, n, M, N)
+        warnings.warn(f"{method} with n={n} has exact degree 0: the approximant "
+                      "degenerates to a constant", stacklevel=2)
     return Approximant(method=method, n=n, M=M, N=N, reference=reference,
                        compile=compile_form, degenerate=degenerate)
 

@@ -78,8 +78,12 @@ def finite_phases(x):
 
 
 def _finite(values, error, message):
-    """values as a float array; error(message) if any of them is NaN or infinite."""
-    values = np.asarray(values, dtype=float)
+    """values as a float array; error(message) if any is NaN or infinite, or if
+    they are not bool, int or float (a complex value is not cast to its real part)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise error(f"{message}, got dtype {values.dtype}")
+    values = values.astype(float, copy=False)
     if not np.isfinite(values).all():
         raise error(message)
     return values
@@ -228,7 +232,7 @@ class LobattoPoly:
                 diff *= _SUBNORMAL_SCALE
             q = self._weights / diff
             return float((q @ self.values) / q.sum())
-        xs = np.asarray(x, dtype=float)
+        xs = np.asarray(real_x(x))
         lo, hi = (xs.min(), xs.max()) if xs.size else (1.0, 1.0)
         if not (lo >= 0.0 and hi <= 1.0):  # NaN fails too
             raise PreconditionError("all x must lie in [0, 1]")
@@ -292,10 +296,10 @@ class TrigPoly:
         # the phases depend on x mod 1 only; reducing first keeps the angles below 2 pi m
         if isinstance(x, float):
             # one point: the same arithmetic as a row of the array path below
-            t = x % 1.0
+            t = finite_phase(x) % 1.0
             out = (np.exp(t * self._baby_freqs) @ self._table) * np.exp(t * self._giant_freqs)
             return float(out.sum().real)
-        xs = np.asarray(x, dtype=float) % 1.0
+        xs = finite_phases(x) % 1.0
         t = xs.reshape(-1)
         baby = np.exp(np.multiply.outer(t, self._baby_freqs))
         giant = np.exp(np.multiply.outer(t, self._giant_freqs))

@@ -9,7 +9,7 @@ normalized square of the Fejer kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -49,13 +49,13 @@ def pe_pmf_rows(M, xs):
     c = rint(M x) and d = x - c/M, the numerator is sin(pi M d)^2 for every z.
     With o = z - c reduced into -(M//2) .. M-1-M//2, the denominator's sine is
     sin(pi(o/M - d)) = sin(pi o/M) cos(pi d) - cos(pi o/M) sin(pi d): a rank-2
-    product of the cached table _offset_tables(1, M, 2) with two numbers per
+    product of the cached table _offset_tables(1, M) with two numbers per
     phase, so no entry takes a sine.  At o = 0 it is exactly -sin(pi d); a
     phase with |d| <= 1e-15 takes the limit 1 there.
     """
     M = positive_int(M, "M")
     # [sin; cos](pi o/M) laid out twice, so a phase's M outcomes are one window
-    table = _offset_tables(1, M, 2)
+    table = _offset_tables(1, M)
     # the phase is checked before the remainder, which warns on a NaN; c is M
     # for x within 1/(2M) below 1, and the window start is taken mod M
     if isinstance(xs, float):
@@ -109,17 +109,17 @@ def fejer_value(n, t):
 
 # one entry per precision M of the outcome laws: verify alone sweeps 63
 @lru_cache(maxsize=128)
-def _offset_tables(order, Q, reps=1):
-    """Read-only (2, reps*Q) table [sin; cos] of pi*order*u at the offsets
+def _offset_tables(order, Q):
+    """Read-only (2, 2Q) table [sin; cos] of pi*order*u at the offsets
     u = o/Q, o = -(Q//2) .. Q-1-Q//2, of a Q-node uniform rule, laid out
-    reps times in a row.
+    twice in a row, so any Q consecutive columns are one window of it.
 
     order*o is reduced to (-Q, Q] in integers first, so every angle lies in
     (-pi, pi] and each entry is as accurate as one sine there.
     """
     o = np.arange(Q) - Q // 2
     k = (order * o + Q - 1) % (2 * Q) - (Q - 1)
-    out = np.tile(np.stack((np.sin(np.pi * k / Q), np.cos(np.pi * k / Q))), reps)
+    out = np.tile(np.stack((np.sin(np.pi * k / Q), np.cos(np.pi * k / Q))), 2)
     out.flags.writeable = False
     return out
 
@@ -138,17 +138,22 @@ def fejer_identity_check(M, x):
     return float(np.max(np.abs(pe_pmf_rows(M, xs) - kernel_side)))
 
 
+# the one place the kernel kinds are named: each is norm_const * F_n^power
+_FEJER_POWER = {"fejer": 1, "jackson": 2}
+
+
 @dataclass(frozen=True)
 class KernelSpec:
-    """Nonnegative 1-periodic approximation kernel with unit integral; a
-    kind other than "fejer" or "jackson", or an order that is not a
-    positive integer, raises PreconditionError."""
+    """Nonnegative 1-periodic approximation kernel with unit integral,
+    norm_const * F_n^p for the Fejer kernel F_n of order n: p = 1 for
+    "fejer", p = 2 (the Jackson kernel) for "jackson".  Any other kind, or
+    an order that is not a positive integer, raises PreconditionError."""
 
-    kind: str  # "fejer" | "jackson"
+    kind: str  # a key of _FEJER_POWER
     order: int
 
     def __post_init__(self):
-        if not (isinstance(self.kind, str) and self.kind in ("fejer", "jackson")):
+        if not (isinstance(self.kind, str) and self.kind in _FEJER_POWER):
             raise PreconditionError(f"kernel kind must be 'fejer' or 'jackson', got {self.kind!r}")
         # an int order >= 1 is kept: setting a frozen field costs more than the check
         if not (type(self.order) is int and self.order >= 1):
@@ -166,27 +171,20 @@ class KernelSpec:
 
     @property
     def trig_degree(self):
-        if self.kind == "fejer":
-            return self.order - 1
-        return 2 * (self.order - 1)
+        return _FEJER_POWER[self.kind] * (self.order - 1)
 
     def fourier_coeffs(self):
         """Fourier coefficients for k = -trig_degree .. trig_degree.
 
-        F_n has the triangle 1 - |k|/n for |k| < n; F_n^2 has its
-        autocorrelation.
+        F_n has the triangle 1 - |k|/n for |k| < n; F_n^p has the triangle
+        convolved with itself up to power p.
         """
         n = self.order
         triangle = 1.0 - np.abs(np.arange(1 - n, n)) / n
-        if self.kind == "fejer":
-            return triangle
-        return self.norm_const * np.convolve(triangle, triangle)
+        return self.norm_const * reduce(np.convolve, [triangle] * _FEJER_POWER[self.kind])
 
     def __call__(self, t):
-        base = fejer_value(self.order, t)
-        if self.kind == "fejer":
-            return base
-        return self.norm_const * base**2
+        return self.norm_const * fejer_value(self.order, t) ** _FEJER_POWER[self.kind]
 
     def quadrature(self, samples):
         """(band, table) of the Q-node uniform rule on Q = len(samples)
@@ -206,7 +204,7 @@ class KernelSpec:
         -sin(pi m d), and a point with |d| <= 1e-15 takes the limit
         F = order there.
         """
-        Q, n = len(samples), self.order
+        Q, n, p, norm = len(samples), self.order, _FEJER_POWER[self.kind], self.norm_const
         half = Q // 2
         table = np.concatenate((samples[Q - half :], samples, samples[: Q - 1 - half]))
 
@@ -216,15 +214,14 @@ class KernelSpec:
             d = x - c / Q
             a = np.pi * d
             # in place from here: sin(pi n t) / sin(pi t), then F_n(t), then the kernel
-            k = np.stack((np.cos(n * a), -np.sin(n * a)), axis=1) @ _offset_tables(n, Q)
+            k = np.stack((np.cos(n * a), -np.sin(n * a)), axis=1) @ _offset_tables(n, Q)[:, :Q]
             with np.errstate(divide="ignore", invalid="ignore"):
-                k /= np.stack((np.cos(a), -np.sin(a)), axis=1) @ _offset_tables(1, Q)
+                k /= np.stack((np.cos(a), -np.sin(a)), axis=1) @ _offset_tables(1, Q)[:, :Q]
             k[np.abs(d) <= _SINGULARITY_EPS, half] = n
             k *= k
             k /= n
-            if self.kind == "jackson":
-                k *= k
-                k *= self.norm_const
+            k **= p
+            k *= norm
             return c.astype(np.intp) % Q, k
 
         return band, table

@@ -49,6 +49,29 @@ CONST_P = TargetFunction(
     lambda x: np.full_like(np.asarray(x, float), 2.5), periodic=True, name="cp"
 )
 
+# the largest n at which each method's approximant has exact degree 0
+DEGENERATE_UP_TO = {"bernstein": 0, "counting_median3": 5, "counting_single": 1,
+                    "phase_median3": 2, "jackson_kernel": 3}
+
+
+class TestDegenerateFromExactDegree:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_flag_and_warning_exactly_at_degree_zero(self, method):
+        # jackson_kernel at n <= 3 is the constant mean of g and was not flagged
+        g = CORPUS["triangle"]
+        for n in range(1, 13):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                approx = build_approximant(g, method, n)
+            degenerate = n <= DEGENERATE_UP_TO[method]
+            assert approx.degenerate is degenerate, n
+            assert [str(w.message) for w in caught] == (
+                [f"{method} with n={n} has exact degree 0: the approximant "
+                 "degenerates to a constant"] if degenerate else []), n
+            if degenerate:
+                xs = np.linspace(0.0, 1.0, 9)
+                assert np.ptp(approx(xs)) <= 1e-15
+
 
 class TestDerivedParams:
     def test_degree_budgets_respected(self):
@@ -260,6 +283,19 @@ class TestNonfiniteTarget:
         with pytest.raises(PreconditionError, match="finite"):
             build_approximant(g, method, 12)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_complex_target_refused(self, method):
+        # the imaginary part was dropped with only a numpy ComplexWarning
+        g = TargetFunction(lambda x: x + 1j * x, periodic=True, name="complex")
+        with pytest.raises(PreconditionError, match="dtype complex128"):
+            build_approximant(g, method, 12)
+
+    def test_complex_target_refused_on_the_error_grid(self):
+        approx = build_approximant(CORPUS["triangle"], "jackson_kernel", 12)
+        g = TargetFunction(lambda x: np.cos(2 * np.pi * x) + 0j, periodic=True)
+        with pytest.raises(PreconditionError, match="error grid, got dtype complex128"):
+            error_report(g, approx)
+
     def test_rejected_on_the_error_grid(self):
         # finite at the outcomes 0 and 1/2 that phase_median3 samples at n = 4, infinite between
         g = TargetFunction(lambda x: np.where(x % 0.5 == 0.0, 1.0, np.inf), periodic=True)
@@ -377,9 +413,10 @@ class TestJacksonKernelMethod:
     """The jackson_kernel method: convolution with the Jackson kernel."""
 
     def test_order_one_jackson_gives_mean(self):
-        # n = 2 gives order 1, the constant kernel 1
+        # n = 2 gives order 1, the constant kernel 1: exact degree 0
         g = CORPUS["triangle"]
-        reference = build_approximant(g, "jackson_kernel", 2).reference
+        with pytest.warns(UserWarning, match="degenerates"):
+            reference = build_approximant(g, "jackson_kernel", 2).reference
         xs = np.linspace(0, 1, 17)
         mean = np.mean(g(np.arange(4096) / 4096))
         assert reference(xs) == pytest.approx(np.full(17, mean), abs=1e-6)
@@ -434,7 +471,12 @@ class TestRealSpectrum:
         gs = g(np.arange(quad) / quad)
         want = np.zeros(2 * n + 1, dtype=complex)
         want[n - d : n + d + 1] = kernel.fourier_coeffs() * (np.fft.fft(gs) / quad)[np.arange(-d, d + 1)]
-        got = approximant_coefficients(build_approximant(g, "jackson_kernel", n))
+        if d == 0:
+            with pytest.warns(UserWarning, match="degenerates"):
+                approx = build_approximant(g, "jackson_kernel", n)
+        else:
+            approx = build_approximant(g, "jackson_kernel", n)
+        got = approximant_coefficients(approx)
         assert np.max(np.abs(got - want)) <= 1e-15 * (1 + np.max(np.abs(gs)))
 
 
@@ -720,7 +762,11 @@ def test_jackson_exact_on_cos():
     x = np.concatenate((np.random.default_rng(43).uniform(size=400), [0.0, 1.0]))
     for n in (1, 2, 3, 8, 21, 80, 200):
         gain = float(_jackson_cos_gain(max(n // 2, 1)))
-        approx = build_approximant(g, "jackson_kernel", n)
+        if n <= 3:  # order 1: the constant, gain 0
+            with pytest.warns(UserWarning, match="degenerates"):
+                approx = build_approximant(g, "jackson_kernel", n)
+        else:
+            approx = build_approximant(g, "jackson_kernel", n)
         assert np.max(np.abs(approx(x) - gain * np.cos(2 * np.pi * x))) <= 1e-14
 
 
@@ -788,8 +834,9 @@ class TestQuadratureReference:
         for m in (order, 1):
             table = phase_dist._offset_tables(m, Q)
             assert not table.flags.writeable
+            assert table.shape == (2, 2 * Q) and np.array_equal(table[:, :Q], table[:, Q:])
             angle = PI_LD * m * o / Q
-            assert np.max(np.abs(table - np.stack((np.sin(angle), np.cos(angle))))) <= 2e-15
+            assert np.max(np.abs(table[:, :Q] - np.stack((np.sin(angle), np.cos(angle))))) <= 2e-15
 
     def test_build_makes_no_tables(self):
         phase_dist._offset_tables.cache_clear()
@@ -806,7 +853,7 @@ class TestConstantsReproduced:
            st.integers(min_value=0, max_value=2**32 - 1))
     def test_const_is_reproduced_on_every_path(self, method, n, seed):
         g = CORPUS["const-periodic" if method in TRIG_METHODS else "const"]
-        if derived_params(method, n)[0] == 1:
+        if n <= DEGENERATE_UP_TO[method]:
             with pytest.warns(UserWarning, match="degenerates"):
                 approx = build_approximant(g, method, n)
         else:

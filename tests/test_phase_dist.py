@@ -143,7 +143,7 @@ class TestOneOutcomeLawKernel:
         tables = phase_dist._offset_tables
         # [cos; sin] for [sin; cos]: the denominator becomes cos(pi(o/M + d))
         monkeypatch.setattr(phase_dist, "_offset_tables",
-                            lambda order, Q, reps=1: tables(order, Q, reps)[::-1])
+                            lambda order, Q: tables(order, Q)[::-1])
         for right, wrong in zip(before, laws()):
             assert np.max(np.abs(right - wrong)) > 1e-3
 
@@ -183,9 +183,10 @@ class TestInPlaceKernel:
 
     def test_table_is_the_offset_table_laid_out_twice(self):
         for M in (1, 6, 17):
-            once, twice = phase_dist._offset_tables(1, M), phase_dist._offset_tables(1, M, 2)
-            assert np.array_equal(twice, np.concatenate((once, once), axis=1))
-            assert not twice.flags.writeable
+            table = phase_dist._offset_tables(1, M)
+            assert table.shape == (2, 2 * M)
+            assert np.array_equal(table[:, :M], table[:, M:])
+            assert not table.flags.writeable
 
 
 phases = st.floats(allow_nan=False, allow_infinity=False)
@@ -437,6 +438,63 @@ class TestJacksonKernel:
         ts = np.linspace(0, 1, 10_000)
         for n in (2, 5, 12):
             assert np.all(jackson_kernel(n)(ts) >= 0.0)
+
+
+def _unfolded_offset_table(order, Q):
+    """[sin; cos](pi order o/Q), o = -(Q//2) .. Q-1-Q//2, written out once."""
+    o = np.arange(Q) - Q // 2
+    k = (order * o + Q - 1) % (2 * Q) - (Q - 1)
+    return np.stack((np.sin(np.pi * k / Q), np.cos(np.pi * k / Q)))
+
+
+def _kernel_band_by_kind(kind, n, Q, x):
+    """The quadrature band written out per kind: F_n, then squared and
+    normalised for the Jackson kernel."""
+    c = np.rint(x * Q)
+    a = np.pi * (x - c / Q)
+    k = np.stack((np.cos(n * a), -np.sin(n * a)), axis=1) @ _unfolded_offset_table(n, Q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k /= np.stack((np.cos(a), -np.sin(a)), axis=1) @ _unfolded_offset_table(1, Q)
+    k[np.abs(a / np.pi) <= 1e-15, Q // 2] = n
+    k *= k
+    k /= n
+    if kind == "jackson":
+        k *= k
+        k *= 3.0 * n / (2.0 * n * n + 1.0)
+    return c.astype(np.intp) % Q, k
+
+
+class TestKernelFactsFromThePower:
+    """Every fact of norm * F_n^p equals the formula written out per kind, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["fejer", "jackson"])
+    def test_bit_for_bit_orders_1_to_64(self, kind):
+        rng = np.random.default_rng(64)
+        t = np.concatenate(([0.0, 1.0, -2.0, 0.5, 1e-17], rng.uniform(-1.0, 2.0, 40)))
+        for n in range(1, 65):
+            spec = phase_dist.KernelSpec(kind, n)
+            triangle = 1.0 - np.abs(np.arange(1 - n, n)) / n
+            if kind == "fejer":
+                norm, degree, coeffs = 1.0, n - 1, triangle
+            else:
+                norm = 3.0 * n / (2.0 * n * n + 1.0)
+                degree = 2 * (n - 1)
+                coeffs = norm * np.convolve(triangle, triangle)
+
+            def value(t):
+                base = fejer_value(n, t)
+                return base if kind == "fejer" else norm * base**2
+
+            assert spec.norm_const == norm and spec.trig_degree == degree
+            assert np.array_equal(spec.fourier_coeffs(), coeffs)
+            # a float takes numpy's scalar sine, an array its vector sine
+            assert np.array_equal(spec(t), value(t))
+            assert all(spec(x) == value(x) for x in t.tolist())
+            Q = 8 * (degree + 1)
+            x = np.concatenate(([0.0, 0.5, 3 / Q], rng.uniform(0.0, 1.0, 20)))
+            band, _ = spec.quadrature(np.zeros(Q))
+            for got, want in zip(band(x), _kernel_band_by_kind(kind, n, Q, x)):
+                assert np.array_equal(got, want), n
 
 
 class TestKernelCoefficients:
