@@ -31,7 +31,7 @@ from .numerics import (
     effective_algebraic_degree,
     effective_trig_degree,
 )
-from .phase_dist import KernelSpec, pe_pmf
+from .phase_dist import KERNEL_KINDS, KernelSpec, pe_pmf
 from .verify import run_verification
 
 SCHEMA_VERSION = 1
@@ -244,7 +244,7 @@ def dist(M, x, count_n, weight, median3, output):
 
 
 @main.command()
-@click.option("--kind", type=click.Choice(["fejer", "jackson"]), required=True)
+@click.option("--kind", type=click.Choice(KERNEL_KINDS), required=True)
 @click.option("--n", "n", required=True, type=click.IntRange(min=1))
 @click.option("--points", default=512, type=click.IntRange(min=2))
 @click.option("--output", type=click.Path(), default=None)

@@ -16,7 +16,6 @@ methods, 2n+1 Fourier coefficients for the trigonometric ones.
 
 from __future__ import annotations
 
-import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -26,7 +25,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .numerics import (
-    EvaluationError,
     Grid,
     LobattoPoly,
     PreconditionError,
@@ -67,7 +65,8 @@ class Approximant:
     ``reference`` evaluates the defining expectation directly; the degree
     certifications probe it.  Calls go through ``form``, the exact
     coefficient form that ``compile`` builds from the reference's data on
-    first evaluation (a LobattoPoly or a TrigPoly of degree n).
+    first evaluation (a LobattoPoly or a TrigPoly of degree n); the form is
+    the one check of x, so a NaN or infinite x raises PreconditionError.
     """
 
     method: str
@@ -88,10 +87,6 @@ class Approximant:
         return self.compile()
 
     def __call__(self, x):
-        # a single number stays a float, so the form takes its scalar path
-        x = real_x(x)
-        if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
-            raise EvaluationError(f"non-finite x passed to the {self.method} approximant")
         return self.form(x)
 
 

@@ -70,11 +70,12 @@ def finite_phase(x):
 
 
 def finite_phases(x):
-    """x, a phase or an array of them, as floats; PreconditionError unless all are finite reals."""
-    xs = np.asarray(real_x(x))
-    if not np.isfinite(xs).all():
+    """x, a phase or an array of them, as real_x returns it (a float or a
+    float array); PreconditionError unless every phase is a finite real."""
+    x = real_x(x)
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
         raise PreconditionError(f"phase x must be finite, got {x!r}")
-    return xs
+    return x
 
 
 def _finite(values, error, message):
@@ -165,14 +166,14 @@ class TargetFunction:
 
 @dataclass(frozen=True)
 class Grid:
-    """Strictly increasing evaluation points in [0,1]."""
+    """Strictly increasing evaluation points in [0,1], a 1-D array of reals."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.size == 0:
-            raise PreconditionError("grid must be nonempty")
+        pts = real_x(self.points)  # a str is not parsed, nor a bool read as 0 or 1
+        if np.ndim(pts) != 1 or pts.size == 0:
+            raise PreconditionError("grid points must be a nonempty 1-D array")
         if not (pts.min() >= 0.0 and pts.max() <= 1.0):  # NaN fails too
             raise PreconditionError("grid points must lie in [0,1]")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
@@ -220,6 +221,7 @@ class LobattoPoly:
         return len(self.values) - 1
 
     def __call__(self, x):
+        x = real_x(x)  # the one check of x, with the [0, 1] test below
         if isinstance(x, float):
             # one point: the same arithmetic as a row of the array path below
             if not 0.0 <= x <= 1.0:  # NaN fails too
@@ -232,11 +234,10 @@ class LobattoPoly:
                 diff *= _SUBNORMAL_SCALE
             q = self._weights / diff
             return float((q @ self.values) / q.sum())
-        xs = np.asarray(real_x(x))
-        lo, hi = (xs.min(), xs.max()) if xs.size else (1.0, 1.0)
+        lo, hi = (x.min(), x.max()) if x.size else (1.0, 1.0)
         if not (lo >= 0.0 and hi <= 1.0):  # NaN fails too
             raise PreconditionError("all x must lie in [0, 1]")
-        flat = xs.reshape(-1)
+        flat = x.reshape(-1)
         diff = flat[:, None] - self._nodes
         if lo < _TINY:
             diff[diff[:, 0] < _TINY] *= _SUBNORMAL_SCALE
@@ -247,7 +248,7 @@ class LobattoPoly:
         i = self._nodes.searchsorted(flat)
         hit = self._nodes[i] == flat
         out[hit] = self.values[i[hit]]
-        return _scalarize(out.reshape(xs.shape), x)
+        return out.reshape(x.shape)
 
     def chebyshev(self):
         """Chebyshev coefficients in 2x-1 of the same polynomial, degree 0..n."""
@@ -293,18 +294,19 @@ class TrigPoly:
         return (len(self.coeffs) - 1) // 2
 
     def __call__(self, x):
-        # the phases depend on x mod 1 only; reducing first keeps the angles below 2 pi m
+        # the one check of x; the phases depend on x mod 1 only, and reducing
+        # first keeps the angles below 2 pi m
+        x = finite_phases(x)
         if isinstance(x, float):
             # one point: the same arithmetic as a row of the array path below
-            t = finite_phase(x) % 1.0
+            t = x % 1.0
             out = (np.exp(t * self._baby_freqs) @ self._table) * np.exp(t * self._giant_freqs)
             return float(out.sum().real)
-        xs = finite_phases(x) % 1.0
-        t = xs.reshape(-1)
+        t = x.reshape(-1) % 1.0
         baby = np.exp(np.multiply.outer(t, self._baby_freqs))
         giant = np.exp(np.multiply.outer(t, self._giant_freqs))
         out = ((baby @ self._table) * giant).sum(axis=1).real
-        return _scalarize(out.reshape(xs.shape), x)
+        return out.reshape(x.shape)
 
 
 def sup_distance(f, h, grid):

@@ -66,7 +66,7 @@ def pe_pmf_rows(M, xs):
         d = x - c / M
         at = [c % M] if abs(d) <= _SINGULARITY_EPS else []
     else:
-        x = finite_phases(xs)[..., None] % 1.0
+        x = np.asarray(finite_phases(xs))[..., None] % 1.0
         c = np.rint(x * M).astype(np.intp)
         sin_o, cos_o = table[:, (M // 2 - c) % M + np.arange(M)]
         d = x - c / M
@@ -131,7 +131,7 @@ def fejer_identity_check(M, x):
     no M*x may be an integer (the exact-phase case is a point mass).
     """
     M = positive_int(M, "M")
-    xs = finite_phases(x) % 1.0  # reduced first, so M*x cannot overflow
+    xs = np.asarray(finite_phases(x)) % 1.0  # reduced first, so M*x cannot overflow
     if np.any(np.abs(M * xs - np.rint(M * xs)) < 1e-12):
         raise PreconditionError("M*x must not be an integer")
     kernel_side = fejer_value(M, np.arange(M) / M - xs[..., None]) / M
@@ -140,6 +140,7 @@ def fejer_identity_check(M, x):
 
 # the one place the kernel kinds are named: each is norm_const * F_n^power
 _FEJER_POWER = {"fejer": 1, "jackson": 2}
+KERNEL_KINDS = tuple(_FEJER_POWER)
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ class KernelSpec:
 
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in _FEJER_POWER):
-            raise PreconditionError(f"kernel kind must be 'fejer' or 'jackson', got {self.kind!r}")
+            raise PreconditionError(f"kernel kind must be in {KERNEL_KINDS}, got {self.kind!r}")
         # an int order >= 1 is kept: setting a frozen field costs more than the check
         if not (type(self.order) is int and self.order >= 1):
             object.__setattr__(self, "order", positive_int(self.order, "n"))

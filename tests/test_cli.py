@@ -13,6 +13,8 @@ from click.testing import CliRunner
 import jacksonlab
 from jacksonlab.cli import main
 from jacksonlab.constructors import METHODS, TRIG_METHODS
+from jacksonlab.numerics import PreconditionError
+from jacksonlab.phase_dist import KERNEL_KINDS, KernelSpec
 
 
 @pytest.fixture
@@ -326,6 +328,17 @@ class TestKernel:
         result = runner.invoke(main, ["kernel", "--kind", "jackson", "--n", "3"])
         assert result.exit_code == 0
         assert len(result.output.strip().split("\n")) == 513
+
+    def test_kinds_are_the_kernel_kinds(self, runner):
+        # --kind offers exactly the kinds KernelSpec accepts, read from one tuple
+        choices = next(p for p in main.commands["kernel"].params if p.name == "kind").type.choices
+        assert tuple(choices) == KERNEL_KINDS
+        for kind in KERNEL_KINDS:
+            assert KernelSpec(kind, 3).kind == kind
+        with pytest.raises(PreconditionError):
+            KernelSpec("gauss", 3)
+        result = runner.invoke(main, ["kernel", "--kind", "gauss", "--n", "3"])
+        assert result.exit_code == 2
 
 
 class TestConfigFile:

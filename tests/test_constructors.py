@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacksonlab import (
-    EvaluationError,
     Grid,
     PreconditionError,
     TargetFunction,
@@ -19,7 +19,7 @@ from jacksonlab import (
     jackson_kernel,
     pe_statevector_pmf,
 )
-from jacksonlab import constructors
+from jacksonlab import constructors, numerics
 from jacksonlab.constructors import (
     ALGEBRAIC_METHODS,
     METHODS,
@@ -33,6 +33,7 @@ from jacksonlab.numerics import (
     cheb_lobatto_nodes,
     effective_algebraic_degree,
     effective_trig_degree,
+    real_x,
     sup_distance,
     trig_coeffs_from_samples,
 )
@@ -552,11 +553,33 @@ class TestCallDomain:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
     def test_nonfinite_x_raises(self, method, x):
+        # the form is the call's one gate, and a bad x is a precondition, as at every x gate
         approx = build_approximant(CORPUS["triangle"], method, 6)
-        with pytest.raises(EvaluationError):
+        with pytest.raises(PreconditionError):
             approx(x)
-        with pytest.raises(EvaluationError):
+        with pytest.raises(PreconditionError):
             approx(np.array([0.25, x]))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_gate_per_call(self, monkeypatch, method):
+        # a scalar call and a 64-point batch each pass x through real_x once
+        approx = build_approximant(CORPUS["triangle"], method, 6)
+        approx.form  # compiled first: the build's own reference calls are not counted
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return real_x(x)
+
+        bound = [module for name, module in sys.modules.items()
+                 if name.startswith("jacksonlab") and getattr(module, "real_x", None) is real_x]
+        for module in bound:
+            monkeypatch.setattr(module, "real_x", counted)
+        assert numerics in bound and constructors in bound
+        for x in (0.3, np.linspace(0.0, 1.0, 64)):
+            calls.clear()
+            approx(x)
+            assert len(calls) == 1, (method, type(x))
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])

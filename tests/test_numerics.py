@@ -477,6 +477,13 @@ class TestDomainTypes:
             Grid(np.array([0.5, 0.25]))
         with pytest.raises(PreconditionError):
             Grid(np.array([np.nan]))
+        # points are one row of reals: a 2-D array is not increasing along each row only,
+        # a 0-d array has no len(), strings are not parsed nor bools read as 0 and 1
+        for points in (np.array([[0.0, 0.9], [0.1, 1.0]]), np.array(0.5), 0.5,
+                       ["0", "1"], np.array([False, True])):
+            with pytest.raises(PreconditionError):
+                Grid(points)
+        assert Grid([0, 1]).points.dtype == float
         for size in (2.5, "64", np.nan, 0):  # linspace raised TypeError on 2.5 and parsed "64"
             with pytest.raises(PreconditionError):
                 Grid.uniform(size)
