@@ -90,29 +90,20 @@ class Approximant:
         return self.form(x)
 
 
-# matrix entries one block of a reference evaluation may hold: 2 MB per
-# float64 temporary, so a block's working set stays in cache and the
-# reference runs in the same few MB of memory whatever n is
-_BLOCK_ENTRIES = 1 << 18
-
-
 def _blockwise(rows_fn, width):
     """Reference evaluator that applies rows_fn to blocks of points.
 
     rows_fn maps a 1-D array of points to one value each through a
-    (points x width) matrix; each call gets at most
-    max(1, _BLOCK_ENTRIES // width) points.  A scalar x gives a float,
-    an array x an array of its shape.  x is checked as a call checks it
-    (real_x), and a NaN or infinite x raises PreconditionError.
+    (points x width) matrix; numerics._in_blocks hands it the points in
+    blocks.  A scalar x gives a float, an array x an array of its shape.
+    x is checked as a call checks it (real_x), and a NaN or infinite x
+    raises PreconditionError.
     """
 
     def fn(x):
         x = real_x(x)
         xs = numerics._finite(np.ravel(x), PreconditionError, "reference x must be finite")
-        step = max(1, _BLOCK_ENTRIES // width)
-        out = np.empty(len(xs))
-        for i in range(0, len(xs), step):
-            out[i : i + step] = rows_fn(xs[i : i + step])
+        out = numerics._in_blocks(rows_fn, xs, width)
         return float(out[0]) if isinstance(x, float) else out.reshape(x.shape)
 
     return fn
@@ -150,12 +141,18 @@ def _banded(band, table, W):
     """Reference x -> sum_j w[i, j] table[lo[i] + j], where (lo, w) = band(x)
     gives W weights per point of a block, and lo[i] + W <= len(table).
 
-    Each block takes one window view of the table, one gather and one einsum.
+    Each block takes one gather of its points' windows and one einsum.  The
+    window view of the table (about 50 us to make) is made once, on the
+    reference's first call: not per block, and not at build, since a
+    Jackson approximant is built with a reference its form never calls.
     """
+    windows = None
 
     def rows(x):
+        nonlocal windows
+        if windows is None:
+            windows = np.lib.stride_tricks.sliding_window_view(table, W)
         lo, w = band(x)
-        windows = np.lib.stride_tricks.sliding_window_view(table, W)
         return np.einsum("ij,ij->i", w, windows[lo])
 
     return _blockwise(rows, W)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,6 +89,32 @@ def _finite(values, error, message):
     if not np.isfinite(values).all():
         raise error(message)
     return values
+
+
+# matrix entries one block of a (points x width) evaluation may hold: 512 kB
+# per float64 temporary, so a block's working set (about four temporaries in
+# the Jackson band, one in a LobattoPoly block) fits a 2 MB L2 cache and malloc
+# reuses it from block to block; at 2 MB per temporary the Jackson band's were
+# handed back to the OS and faulted in again on every block.  The evaluation
+# runs in the same few MB of memory whatever n is.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _in_blocks(rows_fn, xs, width):
+    """rows_fn's values on the 1-D array xs, one array, with rows_fn applied
+    in order to blocks of at most max(1, _BLOCK_ENTRIES // width) points.
+
+    rows_fn maps a 1-D array of points to one value each through a
+    (points x width) matrix.  Points that fit one block go to rows_fn in
+    one call, whose array is returned as it is.
+    """
+    step = max(1, _BLOCK_ENTRIES // width)
+    if len(xs) <= step:
+        return rows_fn(xs)
+    out = np.empty(len(xs))
+    for i in range(0, len(xs), step):
+        out[i : i + step] = rows_fn(xs[i : i + step])
+    return out
 
 
 def _scalarize(out, like):
@@ -171,7 +198,11 @@ class Grid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = real_x(self.points)  # a str is not parsed, nor a bool read as 0 or 1
+        try:  # a str is not parsed, nor a bool read as 0 or 1
+            pts = real_x(self.points)
+        except PreconditionError:
+            raise PreconditionError(
+                f"grid points must be real numbers, got {self.points!r}") from None
         if np.ndim(pts) != 1 or pts.size == 0:
             raise PreconditionError("grid points must be a nonempty 1-D array")
         if not (pts.min() >= 0.0 and pts.max() <= 1.0):  # NaN fails too
@@ -200,8 +231,9 @@ class LobattoPoly:
     """Algebraic polynomial on [0,1] held by its values at cheb_lobatto_nodes.
 
     Evaluated by the barycentric formula, which returns the stored value
-    exactly at every node, x = 0 and x = 1 included.  Points outside
-    [0,1] are refused rather than extrapolated.  Degree >= 1.
+    exactly at every node, x = 0 and x = 1 included, on an array x in row
+    blocks (_in_blocks), so a call's memory does not grow with n.  Points
+    outside [0,1] are refused rather than extrapolated.  Degree >= 1.
     """
 
     values: np.ndarray
@@ -238,17 +270,29 @@ class LobattoPoly:
         if not (lo >= 0.0 and hi <= 1.0):  # NaN fails too
             raise PreconditionError("all x must lie in [0, 1]")
         flat = x.reshape(-1)
-        diff = flat[:, None] - self._nodes
-        if lo < _TINY:
-            diff[diff[:, 0] < _TINY] *= _SUBNORMAL_SCALE
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = self._weights / diff
-            out = (q @ self.values) / q.sum(axis=1)
+        rows = partial(self._rows, subnormal=True) if lo < _TINY else self._rows
+        out = _in_blocks(rows, flat, self.values.size)
         # node hits by binary search, as in the scalar path: every x <= 1, the last node
         i = self._nodes.searchsorted(flat)
         hit = self._nodes[i] == flat
         out[hit] = self.values[i[hit]]
         return out.reshape(x.shape)
+
+    def _rows(self, xs, subnormal=False):
+        """The barycentric formula at a block of points in [0, 1]; a node
+        hit gives NaN or inf here and is overwritten by the caller.
+        subnormal says whether any point of the call is below _TINY.
+
+        The block's one (points x (n+1)) temporary is divided in place: a
+        second one per block made malloc hand memory back to the OS and
+        fault it in again on every block at large n.
+        """
+        q = xs[:, None] - self._nodes
+        if subnormal:
+            q[xs < _TINY] *= _SUBNORMAL_SCALE  # xs - 0, the first column, is exact
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(self._weights, q, out=q)
+            return (q @ self.values) / q.sum(axis=1)
 
     def chebyshev(self):
         """Chebyshev coefficients in 2x-1 of the same polynomial, degree 0..n."""

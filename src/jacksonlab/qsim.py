@@ -54,13 +54,16 @@ def _check_bitstring(w):
     return w.astype(int), N
 
 
+@lru_cache(maxsize=16)  # N is a power of two, at most 2^10 (grover_unitary)
 def _hadamard(N):
+    """Read-only dense Hadamard transform on N = 2^q amplitudes."""
     H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     out = np.array([[1.0]])
     dim = 1
     while dim < N:
         out = np.kron(out, H)
         dim *= 2
+    out.flags.writeable = False
     return out
 
 

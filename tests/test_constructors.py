@@ -223,7 +223,7 @@ class TestCountingValueTable:
             expect = np.array([np.dot(p, g(v)) for v, p in (law(k, N, M) for k in range(N + 1))])
             # one row per block; 3 rows with a ragged last block; the whole table at once
             for entries in (1, 3 * (M // 2 + 1), 1 << 40):
-                monkeypatch.setattr(constructors, "_BLOCK_ENTRIES", entries)
+                monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", entries)
                 table = constructors._counting_value_table(g, N, M, median3)
                 assert np.max(np.abs(table - expect)) <= 1e-14, (n, entries)
 
@@ -693,7 +693,7 @@ def _term_magnitudes(form, xs):
 
 class TestBlockwiseReference:
     def test_blocks_cover_the_points_in_order(self, monkeypatch):
-        monkeypatch.setattr(constructors, "_BLOCK_ENTRIES", 12)
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 12)
         sizes = []
 
         def rows(x):
@@ -717,14 +717,28 @@ class TestBlockwiseReference:
         x = np.concatenate((np.random.default_rng(5).uniform(size=101), [0.0, 1.0]))
         for n in (1, 7, 20):
             approx = build_approximant(g, method, n)
-            monkeypatch.setattr(constructors, "_BLOCK_ENTRIES", 1 << 40)
+            monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << 40)
             whole = approx.reference(x)
             for entries in (1, 1000):                # one-row blocks; several rows each
-                monkeypatch.setattr(constructors, "_BLOCK_ENTRIES", entries)
+                monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", entries)
                 assert np.max(np.abs(approx.reference(x) - whole)) <= 1e-15
                 y = approx.reference(x[0])
                 assert isinstance(y, float) and abs(y - whole[0]) <= 1e-15
                 assert approx.reference(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("method", ["bernstein", "counting_single", "jackson_kernel"])
+    def test_window_view_made_once_on_the_first_call(self, monkeypatch, method):
+        # not per block, and not at build, which never reads it
+        made = []
+        view = np.lib.stride_tricks.sliding_window_view
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view",
+                            lambda *args: made.append(args[1]) or view(*args))
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1000)
+        approx = build_approximant(CORPUS["triangle"], method, 24)
+        assert made == []
+        whole = approx.reference(np.linspace(0.0, 1.0, 257))  # many blocks
+        assert approx.reference(0.5) == whole[128]
+        assert len(made) == 1
 
     @pytest.mark.parametrize("method", METHODS)
     def test_array_x_keeps_its_shape(self, method):

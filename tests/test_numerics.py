@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jacksonlab import numerics
 from jacksonlab import (
     EvaluationError,
     Grid,
@@ -338,6 +339,38 @@ class TestLobattoPoly:
         with_tiny = np.concatenate((xs[:-1], [1e-310]))
         assert np.array_equal(poly(with_tiny)[:-1], poly(xs)[:-1])
 
+    def test_any_blocking_gives_the_single_block_values(self, monkeypatch):
+        n = 40
+        rng = np.random.default_rng(12)
+        vals = rng.uniform(-1.0, 1.0, size=n + 1)
+        poly = LobattoPoly(vals)
+        nodes = cheb_lobatto_nodes(n + 1)
+        # at 1000 entries a block holds 24 points: the subnormal 1e-310 ends
+        # the first block and 5e-324 starts the second
+        xs = np.concatenate((rng.uniform(size=23), [1e-310, 5e-324, 0.0, 1.0], nodes,
+                             rng.uniform(size=300)))
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << 40)
+        whole = poly(xs)
+        assert np.array_equal(whole[25:27], vals[[0, n]])
+        assert np.array_equal(whole[27 : 28 + n], vals)
+        for entries in (1, 1000):
+            monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", entries)
+            blocked = poly(xs)
+            assert np.array_equal(blocked[25 : 28 + n], whole[25 : 28 + n])
+            assert np.max(np.abs(blocked - whole)) <= 1e-15, entries
+
+    def test_array_call_memory_is_bounded(self):
+        # one (4097 x 401) block held about 40 MB of temporaries
+        poly = LobattoPoly(np.random.default_rng(14).normal(size=401))
+        x = np.linspace(0.0, 1.0, 4097)
+        tracemalloc.start()
+        try:
+            poly(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
     def test_outside_interval_refused(self):
         poly = LobattoPoly(np.arange(4.0))
         # NaN compares false both ways, so it slipped past a test for x < 0 or x > 1
@@ -482,6 +515,10 @@ class TestDomainTypes:
         for points in (np.array([[0.0, 0.9], [0.1, 1.0]]), np.array(0.5), 0.5,
                        ["0", "1"], np.array([False, True])):
             with pytest.raises(PreconditionError):
+                Grid(points)
+        # the refusal names the grid, not real_x's x
+        for points in (["0", "1"], [True, False], [0.5, None]):
+            with pytest.raises(PreconditionError, match="^grid points must be real numbers"):
                 Grid(points)
         assert Grid([0, 1]).points.dtype == float
         for size in (2.5, "64", np.nan, 0):  # linspace raised TypeError on 2.5 and parsed "64"

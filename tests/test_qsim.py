@@ -10,7 +10,7 @@ from jacksonlab import (
     pe_statevector_pmf,
     single_run_pmf,
 )
-from jacksonlab.qsim import ResourceError, _inverse_dft
+from jacksonlab.qsim import ResourceError, _hadamard, _inverse_dft
 from jacksonlab.verify import _x_sweep
 from oracles import norm_residual, unitarity_residual
 
@@ -68,6 +68,16 @@ class TestPeStatevector:
         with pytest.raises(ValueError):
             F[0, 0] = 0.0
         assert np.max(np.abs(F @ F.conj().T - np.eye(16))) < 1e-14
+
+    def test_hadamard_cached_and_read_only(self):
+        H = _hadamard(16)
+        assert _hadamard(16) is H
+        assert not H.flags.writeable
+        with pytest.raises(ValueError):
+            H[0, 0] = 0.0
+        signs = (-1.0) ** np.array([[bin(i & j).count("1") for j in range(16)] for i in range(16)])
+        assert np.max(np.abs(4.0 * H - signs)) < 1e-15
+        assert np.array_equal(_hadamard(1), [[1.0]])
 
 
 class TestGroverUnitary:
