@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import PreconditionError, median3_pmf, positive_int
-from .phase_dist import pe_pmf_rows
+from .phase_dist import _float_law, pe_pmf_rows
 
 
 def theta_of_weight(k, N):
@@ -30,7 +30,7 @@ def theta_of_weight(k, N):
 def single_run_pmf(k, N, M):
     """Outcome pmf of one counting run: equal mixture of the two eigenphases."""
     phi = theta_of_weight(k, N) / np.pi
-    probs = pe_pmf_rows(positive_int(M, "M"), np.array([phi, 1.0 - phi]))
+    probs = pe_pmf_rows(M, np.array([phi, 1.0 - phi]))
     return 0.5 * probs[0] + 0.5 * probs[1]
 
 
@@ -57,8 +57,9 @@ def single_run_amp_pmf(k, N, M):
     One eigenphase is enough: 1 - theta/pi puts on z the mass theta/pi puts
     on M-z, which the fold merges with z, so this is the folded mixture.
     """
-    values, fold = amp_support(M)
-    probs = pe_pmf_rows(int(M), theta_of_weight(k, N) / np.pi)
+    values, fold = amp_support(M)  # checks M; a cached M was checked when it came in
+    # theta/pi lies in [0, 1/2], a phase already reduced mod 1
+    probs = _float_law(len(fold), theta_of_weight(k, N) / np.pi)
     return values, np.bincount(fold, weights=probs)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +20,7 @@ from .numerics import PreconditionError, _scalarize, finite_phase, finite_phases
 _SINGULARITY_EPS = 1e-15
 
 
-@dataclass(frozen=True)
-class PhasePMF:
+class PhasePMF(NamedTuple):
     """Outcome law of phase estimation: precision M, eigenphase x."""
 
     M: int
@@ -32,18 +32,19 @@ def pe_pmf(M, x):
     """Exact pmf of the phase-estimation outcome Z at precision M, phase x.
 
     x must be finite and is reduced mod 1 into [0, 1); the probabilities are
-    pe_pmf_rows(M, x).
+    the float law of pe_pmf_rows.
     """
     M = positive_int(M, "M")
     x = finite_phase(x) % 1.0
-    # a phase just below 0 (-1e-17) rounds to 1.0
-    return PhasePMF(M=M, x=0.0 if x == 1.0 else x, probs=pe_pmf_rows(M, x))
+    # a phase just below 0 (-1e-17) rounds to 1.0, whose law is the law at 0
+    return PhasePMF(M, 0.0 if x == 1.0 else x, _float_law(M, x))
 
 
 def pe_pmf_rows(M, xs):
     """Outcome law of phase estimation at precision M (a positive int): the
     (M,) law of a float phase xs, or one row per phase of a 1-D xs.  Every
-    outcome law is built here.  A NaN or infinite phase raises PreconditionError.
+    outcome law is built here, a float's by _float_law.  A NaN or infinite
+    phase raises PreconditionError.
 
     Pr[Z=z] = sin(pi M t)^2 / (M sin(pi t))^2 at t = z/M - x.  With
     c = rint(M x) and d = x - c/M, the numerator is sin(pi M d)^2 for every z.
@@ -54,26 +55,35 @@ def pe_pmf_rows(M, xs):
     phase with |d| <= 1e-15 takes the limit 1 there.
     """
     M = positive_int(M, "M")
-    # [sin; cos](pi o/M) laid out twice, so a phase's M outcomes are one window
-    table = _offset_tables(1, M)
-    # the phase is checked before the remainder, which warns on a NaN; c is M
-    # for x within 1/(2M) below 1, and the window start is taken mod M
+    # the phase is checked before the remainder, which warns on a NaN
     if isinstance(xs, float):
-        x = finite_phase(xs) % 1.0
-        c = round(x * M)
-        s = (M // 2 - c) % M
-        sin_o, cos_o = table[0, s:s + M], table[1, s:s + M]
-        d = x - c / M
-        at = [c % M] if abs(d) <= _SINGULARITY_EPS else []
-    else:
-        x = np.asarray(finite_phases(xs))[..., None] % 1.0
-        c = np.rint(x * M).astype(np.intp)
-        sin_o, cos_o = table[:, (M // 2 - c) % M + np.arange(M)]
-        d = x - c / M
-        near = np.flatnonzero(np.abs(d) <= _SINGULARITY_EPS)
-        at = near * M + c.ravel()[near] % M
-    # at: flat indices of the o = 0 entries that take the limit; writing them
-    # before the division too keeps 0/0 out at d = 0
+        return _float_law(M, finite_phase(xs) % 1.0)
+    x = np.asarray(finite_phases(xs))[..., None] % 1.0
+    c = np.rint(x * M).astype(np.intp)
+    # [sin; cos](pi o/M) laid out twice, so a phase's M outcomes are one window
+    sin_o, cos_o = _offset_tables(1, M)[:, (M // 2 - c) % M + np.arange(M)]
+    d = x - c / M
+    near = np.flatnonzero(np.abs(d) <= _SINGULARITY_EPS)
+    return _law(M, sin_o, cos_o, d, near * M + c.ravel()[near] % M)
+
+
+def _float_law(M, x):
+    """The (M,) law at one phase, with no check of its own: M an int >= 1
+    (from positive_int) and x a finite float in [0, 1] (reduced mod 1, so
+    1.0 only from a phase just below 0).  c is M for x within 1/(2M) below
+    1, and the window start is taken mod M, so x = 1.0 gives the law at 0."""
+    c = round(x * M)
+    s = (M // 2 - c) % M
+    table = _offset_tables(1, M)
+    d = x - c / M
+    return _law(M, table[0, s:s + M], table[1, s:s + M], d,
+                [c % M] if abs(d) <= _SINGULARITY_EPS else [])
+
+
+def _law(M, sin_o, cos_o, d, at):
+    """sin(pi M d)^2 / (M (sin_o cos(pi d) - cos_o sin(pi d)))^2, with 1 at
+    the flat indices at of the o = 0 entries that take the limit; writing
+    them before the division too keeps 0/0 out at d = 0."""
     a = np.pi * d
     law = sin_o * np.cos(a)
     law -= cos_o * np.sin(a)

@@ -29,6 +29,7 @@ from jacksonlab.constructors import (
 )
 from jacksonlab.corpus import CORPUS, PERIODIC_NAMES, target_from_csv
 from jacksonlab.counting_model import median3_amp_pmf, single_run_amp_pmf, theta_of_weight
+from jacksonlab.qsim import counting_statevector_pmf
 from jacksonlab.numerics import (
     cheb_lobatto_nodes,
     effective_algebraic_degree,
@@ -43,6 +44,7 @@ from oracles import (
     conjugate_symmetry_defect,
     imag_residue,
     median3_circle_error,
+    median3_pmf_by_unique,
 )
 
 CONST = TargetFunction(lambda x: np.full_like(np.asarray(x, float), 2.5), name="c")
@@ -784,6 +786,59 @@ def test_compiled_form_matches_reference(method, name):
         x = np.concatenate((rng.uniform(size=400), [0.0, 1.0]))
         worst = max(worst, float(np.max(np.abs(approx(x) - approx.reference(x)))))
     assert worst <= 1e-12
+
+
+def _piecewise_linear(knots, periodic):
+    """The target through equispaced knots, wrapped mod 1 when periodic."""
+    ys = np.array(knots + knots[:1] if periodic else knots, dtype=float)
+    xs = np.linspace(0.0, 1.0, len(ys))
+    if periodic:
+        return TargetFunction(lambda t: np.interp(np.asarray(t, float) % 1.0, xs, ys), periodic=True)
+    return TargetFunction(lambda t: np.interp(np.asarray(t, float), xs, ys))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(METHODS), st.integers(min_value=1, max_value=24),
+       st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=12),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_form_matches_reference_on_random_piecewise_linear_targets(method, n, knots, seed):
+    g = _piecewise_linear(knots, method in TRIG_METHODS)
+    if n <= DEGENERATE_UP_TO[method]:
+        with pytest.warns(UserWarning, match="degenerates"):
+            approx = build_approximant(g, method, n)
+    else:
+        approx = build_approximant(g, method, n)
+    x = np.concatenate((np.random.default_rng(seed).uniform(size=32), [0.0, 1.0]))
+    assert np.max(np.abs(approx(x) - approx.reference(x))) <= 1e-12
+
+
+def _statevector_counting_table(g, N, M, median3):
+    """E[g(estimate) | weight k], k = 0..N, from the full counting statevector:
+    each weight's outcome law folded by amplitude value, then for median3 the
+    law of the median of three runs."""
+    z = np.arange(M)
+    amplitude = np.sin(np.pi * np.minimum(z, M - z) / M) ** 2
+    values, fold = np.unique(amplitude, return_inverse=True)
+    table = []
+    for k in range(N + 1):
+        law = np.bincount(fold, weights=counting_statevector_pmf(np.arange(N) < k, M))
+        support, law = median3_pmf_by_unique(values, law) if median3 else (values, law)
+        table.append(float(law @ g(support)))
+    return table
+
+
+@pytest.mark.parametrize("method,n", [("counting_single", 4), ("counting_single", 8),
+                                      ("counting_median3", 8)])
+@pytest.mark.parametrize("name", ["abs-half", "sqrt"])
+def test_counting_end_to_end_against_the_statevector(method, n, name):
+    # counting_median3 at n = 4 is left out: M = 1, a constant
+    g = CORPUS[name]
+    approx = build_approximant(g, method, n)
+    table = _statevector_counting_table(g, approx.N, approx.M, method == "counting_median3")
+    x = np.concatenate((np.random.default_rng(47).uniform(size=64), [0.0, 1.0]))
+    expect = np.array([binomial_mixture(approx.N, table, p) for p in x.tolist()])
+    assert np.max(np.abs(approx(x) - expect)) <= 1e-12
+    assert np.max(np.abs(approx.reference(x) - expect)) <= 1e-12
 
 
 def _jackson_cos_gain(order):

@@ -116,6 +116,12 @@ class TestSingleRunAmpPmf:
             with pytest.raises(ValueError):
                 array[0] = 1
 
+    def test_bool_precision_refused_after_one_is_cached(self):
+        # the law checks M only through amp_support, whose cache keeps True apart from 1
+        single_run_amp_pmf(0, 4, 1)
+        with pytest.raises(PreconditionError, match="M must be a positive integer"):
+            single_run_amp_pmf(0, 4, True)
+
 
 class TestAmpEstimate:
     # the estimate sin(pi z/M)^2 of outcome z, on the support amp_support(M)[0]

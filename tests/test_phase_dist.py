@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from jacksonlab import (
     phase_dist,
     single_run_pmf,
 )
-from jacksonlab.counting_model import single_run_amp_pmf
-from jacksonlab.numerics import effective_trig_degree, trig_coeffs_from_samples
+from jacksonlab.counting_model import single_run_amp_pmf, theta_of_weight
+from jacksonlab.numerics import effective_trig_degree, finite_phase, positive_int, trig_coeffs_from_samples
 from jacksonlab.numerics import median3_pmf
 from jacksonlab.phase_dist import kernel_integral, pe_pmf_rows, tail_bound
 from oracles import expected_circle_error, median3_circle_error
@@ -148,6 +149,63 @@ class TestOneOutcomeLawKernel:
             assert np.max(np.abs(right - wrong)) > 1e-3
 
 
+def _count_calls(monkeypatch, fn):
+    """Calls of fn, counted through a wrapper patched onto every jacksonlab
+    module bound to its name."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    bound = [module for name, module in sys.modules.items()
+             if name.startswith("jacksonlab") and getattr(module, fn.__name__, None) is fn]
+    assert bound
+    for module in bound:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+class TestOneGatePerLawCall:
+    def test_pe_pmf_checks_m_and_x_once(self, monkeypatch):
+        # pe_pmf checked x, then pe_pmf_rows checked it again
+        phases = _count_calls(monkeypatch, finite_phase)
+        ints = _count_calls(monkeypatch, positive_int)
+        for x in (0.3, -1e-17, np.float64(2.7), 5):
+            phases.clear(), ints.clear()
+            pe_pmf(7, x)
+            assert len(phases) == 1 and len(ints) == 1, x
+
+    def test_float_rows_check_m_and_x_once(self, monkeypatch):
+        phases = _count_calls(monkeypatch, finite_phase)
+        ints = _count_calls(monkeypatch, positive_int)
+        pe_pmf_rows(7, 0.3)
+        assert len(phases) == 1 and len(ints) == 1
+
+    def test_amp_law_takes_one_angle_and_no_phase_check(self, monkeypatch):
+        # theta/pi lies in [0, 1/2], so it is not checked as a phase
+        phases = _count_calls(monkeypatch, finite_phase)
+        angles = _count_calls(monkeypatch, theta_of_weight)
+        for k, N, M in ((3, 16, 7), (0, 1, 1), (9216, 9216, 33), (5, 64, 7)):
+            angles.clear()
+            single_run_amp_pmf(k, N, M)
+            assert len(angles) == 1 and phases == [], (k, N, M)
+
+
+class TestPhasePMFRecord:
+    def test_fields_by_name_and_as_a_tuple(self):
+        pmf = pe_pmf(8, 1.3)
+        M, x, probs = pmf
+        assert (pmf.M, pmf.x) == (M, x) == (8, 1.3 % 1.0)
+        assert pmf.probs is probs
+
+    def test_fields_cannot_be_assigned(self):
+        pmf = pe_pmf(8, 0.3)
+        for field in ("M", "x", "probs"):
+            with pytest.raises(AttributeError):
+                setattr(pmf, field, np.zeros(8))
+
+
 class TestPePmfRowsInputs:
     @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, np.float64(np.nan), np.float64(-np.inf)])
     def test_nonfinite_phase_refused(self, x):
@@ -172,6 +230,7 @@ class TestInPlaceKernel:
         assert np.max(np.abs(rows - _law_oracle(M, xs))) <= ORACLE_TOL
         for x, row in zip(xs.tolist(), rows):
             assert np.array_equal(pe_pmf_rows(M, x), row), x
+            assert np.array_equal(pe_pmf(M, x).probs, row), x
 
     @pytest.mark.parametrize("M", [1, 2, 7, 64, 255])
     def test_phase_rounding_up_to_m_wraps_to_outcome_zero(self, M):
