@@ -222,9 +222,10 @@ def verify(output):
 @click.option("--m", "M", required=True, type=click.IntRange(min=1),
               help="Phase-estimation precision.")
 @click.option("--x", type=float, default=None, help="Eigenphase in [0,1).")
-@click.option("--count-n", "count_n", type=int, default=None,
+@click.option("--count-n", "count_n", type=click.IntRange(min=1), default=None,
               help="Bitstring length for a quantum-counting pmf.")
-@click.option("--weight", type=int, default=None, help="Hamming weight.")
+@click.option("--weight", type=click.IntRange(min=0), default=None,
+              help="Hamming weight, at most --count-n.")
 @click.option("--median3", is_flag=True, help="Dump the median-of-three A' pmf.")
 @click.option("--output", type=click.Path(), default=None)
 def dist(M, x, count_n, weight, median3, output):

@@ -305,15 +305,24 @@ class LobattoPoly:
         return coeffs
 
 
+_TWO_PI_I = 2j * np.pi
+
+
 @dataclass(frozen=True)
 class TrigPoly:
     """Trigonometric polynomial sum_k c_k e^{2 pi i k x}, k in [-m, m].
 
     Calls return the real part, Re sum_{k=0..m} b_k e^{2 pi i k x} with
     b_0 = c_0 and b_k = c_k + conj(c_-k), evaluated baby-step/giant-step:
-    k = aB + r with B = ceil(sqrt(m+1)), so each point needs B + A complex
-    exponentials (A = ceil((m+1)/B)) and one product with the B x A table
-    T[r, a] = b_{aB+r}, not m cosines and m sines.
+    k = aB + r with B = ceil(sqrt(m+1)) and A = ceil((m+1)/B), so each
+    point needs one complex exponential z = e^{2 pi i (x mod 1)}, the
+    integer powers z^r (r < B) and (z^B)^a (a < A), and one product with
+    the B x A table T[r, a] = b_{aB+r}, not m cosines and m sines.
+
+    np.power takes an integer exponent below 100 by repeated squaring, at
+    about half the cost of a complex exp; once m + 1 > 99**2 = 9801, B
+    reaches 100 and numpy takes its general complex power instead, more
+    than ten times slower, though still accurate to rounding.
     """
 
     coeffs: np.ndarray  # complex, ordered k = -m .. m
@@ -330,8 +339,10 @@ class TrigPoly:
         b[1 : m + 1] += np.conj(c[:m][::-1])
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_table", b.reshape(giant, baby).T.copy())
-        object.__setattr__(self, "_baby_freqs", 2j * np.pi * np.arange(baby))
-        object.__setattr__(self, "_giant_freqs", 2j * np.pi * baby * np.arange(giant))
+        # the exponents r, B and a, complex as np.power's complex loop takes them
+        object.__setattr__(self, "_baby_exps", np.arange(baby, dtype=complex))
+        object.__setattr__(self, "_step_exp", complex(baby))
+        object.__setattr__(self, "_giant_exps", np.arange(giant, dtype=complex))
 
     @property
     def degree(self):
@@ -339,18 +350,16 @@ class TrigPoly:
 
     def __call__(self, x):
         # the one check of x; the phases depend on x mod 1 only, and reducing
-        # first keeps the angles below 2 pi m
+        # first keeps the angle below 2 pi
         x = finite_phases(x)
-        if isinstance(x, float):
-            # one point: the same arithmetic as a row of the array path below
-            t = x % 1.0
-            out = (np.exp(t * self._baby_freqs) @ self._table) * np.exp(t * self._giant_freqs)
-            return float(out.sum().real)
-        t = x.reshape(-1) % 1.0
-        baby = np.exp(np.multiply.outer(t, self._baby_freqs))
-        giant = np.exp(np.multiply.outer(t, self._giant_freqs))
-        out = ((baby @ self._table) * giant).sum(axis=1).real
-        return out.reshape(x.shape)
+        # one point (a float) makes the same ufunc calls as a row of an array;
+        # np.power, not **, which on a numpy scalar takes numpy's scalar math
+        one = isinstance(x, float)
+        z = np.exp((x % 1.0 if one else x.reshape(-1, 1) % 1.0) * _TWO_PI_I)
+        baby = np.power(z, self._baby_exps)
+        giant = np.power(np.power(z, self._step_exp), self._giant_exps)
+        out = ((baby @ self._table) * giant).sum(axis=-1).real
+        return float(out) if one else out.reshape(x.shape)
 
 
 def sup_distance(f, h, grid):

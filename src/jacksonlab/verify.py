@@ -1,4 +1,5 @@
-"""Cross-validation suite: closed forms against the statevector oracle.
+"""Cross-validation suite: closed forms against the statevector oracle,
+and each approximant's coefficient form against its defining expectation.
 
 Each check pits two independently coded paths against each other (or an
 exact identity against floating-point evaluation) and reports the max
@@ -12,6 +13,8 @@ import time
 import numpy as np
 
 from . import phase_dist, qsim
+from .constructors import METHODS, TRIG_METHODS, build_approximant
+from .corpus import get_target
 from .counting_model import amp_support, single_run_amp_pmf, single_run_pmf
 from .numerics import circle_dist
 
@@ -20,6 +23,11 @@ from .numerics import circle_dist
 _PE_M = range(2, 65)
 _X_COUNT = 32
 _SIZES = (4, 8, 16)
+# the form check's degree budget and points: 64 of the golden-ratio sequence,
+# spread over [0, 1), with no numpy.random (its first import costs a verify
+# run about 16 ms, more than the check itself)
+_FORM_N = 12
+_FORM_XS = (0.5 + np.arange(64) * ((np.sqrt(5.0) - 1.0) / 2.0)) % 1.0
 
 
 def _x_sweep():
@@ -96,6 +104,18 @@ def check_kernel_normalization():
     return worst
 
 
+def check_form_vs_reference():
+    # every method's compiled form (LobattoPoly or TrigPoly) against the
+    # expectation it was compiled from, which has degree <= n, off its nodes
+    worst = 0.0
+    for method in METHODS:
+        g = get_target("triangle" if method in TRIG_METHODS else "abs-half")
+        approx = build_approximant(g, method, _FORM_N)
+        gap = approx(_FORM_XS) - approx.reference(_FORM_XS)
+        worst = max(worst, float(np.max(np.abs(gap))))
+    return worst
+
+
 CHECKS = (
     ("pe_closed_form_vs_statevector", check_pe_equivalence, 1e-12),
     ("quadratic_tail_bound", check_tail_bound, 1e-15),
@@ -104,6 +124,7 @@ CHECKS = (
     ("amp_law_vs_statevector", check_amp_law, 1e-12),
     ("fejer_identity", check_fejer_identity, 1e-12),
     ("kernel_normalization", check_kernel_normalization, 1e-10),
+    ("form_vs_reference", check_form_vs_reference, 1e-12),
 )
 
 # the checks that take the statevector counting laws, which one run simulates once

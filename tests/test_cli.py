@@ -299,7 +299,23 @@ class TestDist:
             main, ["dist", "--m", "4", "--count-n", "0", "--weight", "0", *median3]
         )
         assert result.exit_code == 2
-        assert "N must be a positive integer" in result.output
+        assert "Invalid value for '--count-n'" in result.output
+
+    @pytest.mark.parametrize("median3", [[], ["--median3"]], ids=["single", "median3"])
+    def test_negative_weight_is_usage_error(self, runner, median3):
+        result = runner.invoke(
+            main, ["dist", "--m", "4", "--count-n", "9", "--weight", "-1", *median3]
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--weight'" in result.output
+
+    @pytest.mark.parametrize("median3", [[], ["--median3"]], ids=["single", "median3"])
+    def test_weight_above_length_is_usage_error(self, runner, median3):
+        result = runner.invoke(
+            main, ["dist", "--m", "4", "--count-n", "9", "--weight", "10", *median3]
+        )
+        assert result.exit_code == 2
+        assert "weight k must lie in [0, N]" in result.output
 
     @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
     def test_nonfinite_phase_is_usage_error(self, runner, x):

@@ -560,7 +560,8 @@ class TestDomainTypes:
 
 
 class TestTrigPolyEvaluation:
-    DEGREES = (0, 1, 2, 3, 7, 8, 15, 16, 200, 512, 1024)
+    # 9800 and 9801 straddle np.power's integer-exponent cutoff: B = 99, then 100
+    DEGREES = (0, 1, 2, 3, 7, 8, 15, 16, 200, 512, 1024, 9800, 9801)
 
     @pytest.mark.parametrize("m", DEGREES)
     def test_matches_the_defining_sum(self, m):

@@ -2,7 +2,7 @@ import numpy as np
 
 import pytest
 
-from jacksonlab import phase_dist, verify
+from jacksonlab import numerics, phase_dist, verify
 from jacksonlab.counting_model import amp_support, theta_of_weight
 from jacksonlab.phase_dist import pe_pmf, pe_pmf_rows
 
@@ -58,6 +58,24 @@ def test_phase_check_catches_shifted_closed_form(monkeypatch, name):
     assert CHECK[name]() <= TOLERANCE[name]
     monkeypatch.setattr(phase_dist, "pe_pmf_rows",
                         lambda M, xs: pe_pmf_rows(M, np.asarray(xs) + 0.5 / M))
+    assert CHECK[name]() > TOLERANCE[name]
+
+
+@pytest.mark.parametrize("form, field, mutate", [
+    ("TrigPoly", "_giant_exps", lambda exps: exps + 1),  # giant steps off by one power of z^B
+    ("LobattoPoly", "_weights", np.abs),                 # barycentric weights without their signs
+], ids=["TrigPoly", "LobattoPoly"])
+def test_form_check_catches_a_broken_form(monkeypatch, form, field, mutate):
+    name = "form_vs_reference"
+    assert CHECK[name]() <= TOLERANCE[name]
+    cls = getattr(numerics, form)
+    post_init = cls.__post_init__
+
+    def broken(self):
+        post_init(self)
+        object.__setattr__(self, field, mutate(getattr(self, field)))
+
+    monkeypatch.setattr(cls, "__post_init__", broken)
     assert CHECK[name]() > TOLERANCE[name]
 
 
