@@ -26,6 +26,7 @@ from .constructors import (
 from .corpus import CORPUS, get_target, target_from_csv
 from .counting_model import median3_amp_pmf, single_run_pmf
 from .numerics import (
+    EvaluationError,
     Grid,
     PreconditionError,
     effective_algebraic_degree,
@@ -43,20 +44,12 @@ def _fmt(v):
     return f"{v:.17g}"
 
 
-def _io_error(exc):
-    click.echo(f"I/O error: {exc}", err=True)
-    sys.exit(4)
-
-
 def _write_text(path, text):
-    try:
-        if path is None:
-            sys.stdout.write(text)
-        else:
-            with open(path, "w") as fh:
-                fh.write(text)
-    except OSError as exc:
-        _io_error(exc)
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def _resolve_target(name_or_path, periodic_hint=False):
@@ -67,8 +60,6 @@ def _resolve_target(name_or_path, periodic_hint=False):
             return target_from_csv(name_or_path, periodic=periodic_hint)
         except PreconditionError as exc:
             raise click.UsageError(f"bad target CSV {name_or_path!r}: {exc}")
-        except OSError as exc:
-            _io_error(exc)
     valid = ", ".join(sorted(CORPUS))
     raise click.UsageError(
         f"unknown target {name_or_path!r}: not a corpus name ({valid}) or CSV path"
@@ -91,36 +82,40 @@ def _parse_range(spec):
 
 
 class LibraryCommand(click.Command):
-    """A subcommand whose library PreconditionError is a usage error (exit 2)."""
+    """A subcommand whose library failures exit 2: a refused input, a non-finite
+    result (too large for float64) or a refused allocation; nothing broader."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except PreconditionError as exc:
+        except (PreconditionError, EvaluationError, MemoryError) as exc:
             raise click.UsageError(str(exc), ctx) from None
 
 
 class ConfigDefaults(click.Group):
-    """Lets a key=value config file (sections per subcommand) seed defaults."""
+    """Lets a key=value config file (sections per subcommand) seed defaults;
+    every OSError, the config file's or a subcommand's, exits 4."""
 
     command_class = LibraryCommand
 
     def invoke(self, ctx):
         path = ctx.params.get("config")
-        if path:
-            parser = configparser.ConfigParser()
-            try:
-                with open(path) as fh:
-                    parser.read_file(fh)
-                # items() interpolates, so a bad %-reference is caught here too
-                ctx.default_map = {
-                    section: dict(parser.items(section)) for section in parser.sections()
-                }
-            except OSError as exc:
-                _io_error(exc)
-            except (configparser.Error, UnicodeDecodeError) as exc:
-                raise click.UsageError(f"bad config file {path!r}: {exc}", ctx) from None
-        return super().invoke(ctx)
+        try:
+            if path:
+                parser = configparser.ConfigParser()
+                try:
+                    with open(path) as fh:
+                        parser.read_file(fh)
+                    # items() interpolates, so a bad %-reference is caught here too
+                    ctx.default_map = {
+                        section: dict(parser.items(section)) for section in parser.sections()
+                    }
+                except (configparser.Error, UnicodeDecodeError) as exc:
+                    raise click.UsageError(f"bad config file {path!r}: {exc}", ctx) from None
+            return super().invoke(ctx)
+        except OSError as exc:
+            click.echo(f"I/O error: {exc}", err=True)
+            sys.exit(4)
 
 
 @click.group(cls=ConfigDefaults)

@@ -177,19 +177,19 @@ def _bernstein(g, n, M, N):
 def _counting_value_table(g, N, M, median3):
     """v_k = E[g(A)|weight k] (or E[g(A')|k]), one entry per weight.
 
-    The weights run in the reference's row blocks; per block the median rule
-    and g, evaluated once on the amplitude support, are applied once.
+    The integer weights run in row blocks (numerics._in_blocks); per block the
+    median rule and g, evaluated once on the amplitude support, apply once.
     """
     values = amp_support(M)[0]
     gvals = _target_values(g, values, "on the counting amplitude support")
 
     def rows(weights):
-        laws = np.array([single_run_amp_pmf(k, N, M)[1] for k in weights.astype(int).tolist()])
+        laws = np.array([single_run_amp_pmf(k, N, M)[1] for k in weights.tolist()])
         if median3:
             laws = numerics.median3_pmf(values, laws)[1]
         return laws @ gvals
 
-    return _blockwise(rows, len(values))(np.arange(N + 1))
+    return numerics._in_blocks(rows, np.arange(N + 1), len(values))
 
 
 def _counting(g, n, M, N, median3):

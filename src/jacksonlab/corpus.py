@@ -87,26 +87,27 @@ def target_from_csv(path, periodic=False):
 
     x must be strictly increasing with first x = 0 and last x = 1, and
     every y finite.  Periodic targets additionally require y(0) = y(1).
-    A non-numeric first non-empty row is treated as a header and skipped;
-    any other non-numeric row raises PreconditionError, as does a file
-    that does not decode as text.
+    The file is UTF-8 (a byte-order mark is dropped).  A first non-empty row
+    with a non-numeric field is a header and skipped; any other row that is
+    not two numbers raises PreconditionError, as does a file that is not text.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except UnicodeDecodeError as exc:
         raise PreconditionError(f"not a text file ({exc.reason} at byte {exc.start})") from None
-    xs, ys = [], []
+    points = []
     for i, row in enumerate(rows):
         try:
-            x, y = float(row[0]), float(row[1])
-        except (ValueError, IndexError):
+            fields = [float(field) for field in row]
+        except ValueError:
             if i == 0:
                 continue  # header row
-            raise PreconditionError(f"malformed CSV row: {row!r}") from None
-        xs.append(x)
-        ys.append(y)
-    xs = np.asarray(xs)
+            fields = []
+        if len(fields) != 2:
+            raise PreconditionError(f"malformed CSV row: {row!r}")
+        points.append(fields)
+    xs, ys = np.reshape(points, (-1, 2)).T.copy()  # contiguous columns for np.interp
     if len(xs) < 2:
         raise PreconditionError("need at least two data rows")
     if not np.all(np.diff(xs) > 0):

@@ -442,10 +442,15 @@ def trig_coeffs_from_samples(values):
 
 
 def _probe_residual(h, trunc, seed):
-    """max |h - trunc| at 512 fresh random points in [0,1); h must be finite there."""
+    """max |h - trunc| at 512 fresh random points in [0,1); EvaluationError unless
+    both are finite there (a truncation of values near 1e308 can overflow)."""
     pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=512)
     hv = _finite(h(pts), EvaluationError, "non-finite value at a fresh point of the degree probe")
-    return float(np.max(np.abs(hv - trunc(pts))))
+    gap = np.abs(hv - trunc(pts))
+    bad = ~np.isfinite(gap)
+    if bad.any():
+        raise EvaluationError(f"non-finite degree-probe residual at x={pts[bad][0]!r}")
+    return float(np.max(gap))
 
 
 def effective_algebraic_degree(h, claimed_degree, seed=0):

@@ -43,8 +43,8 @@ def pe_pmf(M, x):
 def pe_pmf_rows(M, xs):
     """Outcome law of phase estimation at precision M (a positive int): the
     (M,) law of a float phase xs, or one row per phase of a 1-D xs.  Every
-    outcome law is built here, a float's by _float_law.  A NaN or infinite
-    phase raises PreconditionError.
+    outcome law is built here or, for pe_pmf and the counting law, by its
+    float path _float_law.  A NaN or infinite phase raises PreconditionError.
 
     Pr[Z=z] = sin(pi M t)^2 / (M sin(pi t))^2 at t = z/M - x.  With
     c = rint(M x) and d = x - c/M, the numerator is sin(pi M d)^2 for every z.
@@ -56,8 +56,6 @@ def pe_pmf_rows(M, xs):
     """
     M = positive_int(M, "M")
     # the phase is checked before the remainder, which warns on a NaN
-    if isinstance(xs, float):
-        return _float_law(M, finite_phase(xs) % 1.0)
     x = np.asarray(finite_phases(xs))[..., None] % 1.0
     c = np.rint(x * M).astype(np.intp)
     # [sin; cos](pi o/M) laid out twice, so a phase's M outcomes are one window

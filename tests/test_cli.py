@@ -7,6 +7,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -150,6 +151,20 @@ class TestConstruct:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    @pytest.mark.parametrize("command,n", [("construct", "8"), ("sweep", "8:16:8")])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_float64_overflow_is_usage_error(self, runner, tmp_path, command, n, method):
+        # the knots and the target are finite, but a mixture, an FFT or the
+        # degree probe's truncation overflows; numpy warns on it, so it is silenced
+        path = tmp_path / "huge.csv"
+        path.write_text("0,3e307\n0.5,-3e307\n1,3e307\n")
+        with np.errstate(all="ignore"):
+            result = runner.invoke(main, [command, "--method", method, "--n", n,
+                                          "--target", str(path), "--periodic"])
+        assert result.exit_code == 2, result.output
+        assert "non-finite" in result.output
+        assert f"Usage: main {command} [OPTIONS]" in result.output
+
     @pytest.mark.parametrize("command,n", [("construct", "4"), ("sweep", "4:6")])
     def test_unreadable_target_is_io_error(self, runner, tmp_path, command, n):
         result = runner.invoke(
@@ -242,6 +257,49 @@ def test_one_build_per_n(runner, monkeypatch, command, n, expect):
     assert sorted(built) == expect
 
 
+class TestLibraryFailures:
+    """Each failure kind has one handler: a library failure exits 2, an
+    OSError 4, and any other exception keeps its traceback."""
+
+    @staticmethod
+    def _failing_build(monkeypatch, exc):
+        from jacksonlab import cli
+
+        def build(g, method, n):
+            raise exc
+
+        monkeypatch.setattr(cli, "build_approximant", build)
+
+    @pytest.mark.parametrize("command,n", [("construct", "6"), ("sweep", "4:8:2")])
+    def test_refused_allocation_is_usage_error(self, runner, monkeypatch, command, n):
+        self._failing_build(monkeypatch, MemoryError("Unable to allocate 745. GiB"))
+        result = runner.invoke(
+            main, [command, "--method", "bernstein", "--n", n, "--target", "sqrt"]
+        )
+        assert result.exit_code == 2
+        assert "Unable to allocate 745. GiB" in result.output
+        assert f"Usage: main {command} [OPTIONS]" in result.output
+
+    @pytest.mark.parametrize("command,n", [("construct", "6"), ("sweep", "4:8:2")])
+    def test_os_error_is_io_error(self, runner, monkeypatch, command, n):
+        self._failing_build(monkeypatch, PermissionError("denied"))
+        result = runner.invoke(
+            main, [command, "--method", "bernstein", "--n", n, "--target", "sqrt"]
+        )
+        assert result.exit_code == 4
+        assert "I/O error: denied" in result.output
+
+    @pytest.mark.parametrize("exc", [ValueError("defect"), ZeroDivisionError("defect"),
+                                     RuntimeError("defect"), KeyError("defect")])
+    def test_other_exceptions_are_not_caught(self, runner, monkeypatch, exc):
+        self._failing_build(monkeypatch, exc)
+        result = runner.invoke(
+            main, ["construct", "--method", "bernstein", "--n", "6", "--target", "sqrt"]
+        )
+        assert result.exit_code == 1
+        assert result.exception is exc
+
+
 def test_shared_options_share_their_help():
     # --n takes one budget in construct and a range in sweep; its help starts alike
     helps = [{p.name: p.help for p in main.commands[c].params} for c in ("construct", "sweep")]
@@ -262,6 +320,17 @@ class TestVerify:
         assert doc["passed"] is True
         for check in doc["checks"].values():
             assert check["max_residual"] < check["tolerance"]
+
+    def test_os_error_is_io_error(self, runner, monkeypatch):
+        from jacksonlab import cli
+
+        def run_verification():
+            raise OSError("no space left")
+
+        monkeypatch.setattr(cli, "run_verification", run_verification)
+        result = runner.invoke(main, ["verify"])
+        assert result.exit_code == 4
+        assert "I/O error: no space left" in result.output
 
 
 class TestDist:

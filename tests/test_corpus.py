@@ -99,3 +99,24 @@ class TestCsvIngestion:
         path = tmp_path / "t.csv"
         path.write_text("\n\nx,y\n\n0,0\n1,2\n")
         assert target_from_csv(path)(np.array([0.5]))[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("header", [b"", b"x,y\n"], ids=["no-header", "header"])
+    def test_byte_order_mark_is_not_part_of_the_first_row(self, tmp_path, header):
+        # with the mark read as text, "0,0" was unparsable and skipped as a header
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + header + b"0,0\n0.5,1\n1,0\n")
+        g = target_from_csv(path)
+        assert g(np.array([0.0, 0.25, 0.5])) == pytest.approx([0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("text", ["0,0,9\n0.5,1\n1,0\n",
+                                      "x,y\n0,0\n0.5,1,2\n1,0\n",
+                                      "0\n0.5,1\n1,0\n",
+                                      "0,0\n0.5,1\n1,0,\n"],
+                             ids=["third-field-first", "third-field-later",
+                                  "one-field-first", "trailing-comma"])
+    def test_a_row_of_numbers_has_exactly_two_fields(self, tmp_path, text):
+        # a third field was dropped, and a one-number first row skipped as a header
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(PreconditionError, match="malformed"):
+            target_from_csv(path)

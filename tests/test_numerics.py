@@ -499,6 +499,16 @@ class TestEffectiveDegree:
         with pytest.raises(EvaluationError, match="non-finite sample during degree probe"):
             effective_trig_degree(h, 1)
 
+    @pytest.mark.parametrize("probe,h", [
+        (effective_trig_degree, lambda x: 3e307 * np.cos(2 * np.pi * x)),
+        (effective_algebraic_degree, lambda x: 3e307 * (2 * x - 1) ** 3),
+    ], ids=["trig", "algebraic"])
+    def test_overflowing_truncation_raises(self, probe, h):
+        # h is finite everywhere, but its truncated series overflows, and the
+        # residual came back NaN; numpy warns on the overflow, so it is silenced
+        with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="residual at x="):
+            probe(h, 8)
+
 
 class TestDomainTypes:
     def test_grid_validation(self):
