@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .constructors import (
+    DEFAULT_GRID_SIZE,
     METHODS,
     TRIG_METHODS,
     approximant_coefficients,
@@ -37,11 +38,13 @@ from .verify import run_verification
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1234
-DEFAULT_GRID = 4097
 
 
 def _fmt(v):
-    return f"{v:.17g}"
+    """A CSV field: a float to 17 significant digits, None empty, anything else str()."""
+    if v is None:
+        return ""
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def _write_text(path, text):
@@ -83,11 +86,14 @@ def _parse_range(spec):
 
 class LibraryCommand(click.Command):
     """A subcommand whose library failures exit 2: a refused input, a non-finite
-    result (too large for float64) or a refused allocation; nothing broader."""
+    result (too large for float64) or a refused allocation; nothing broader.
+    numpy's floating-point warnings are off: the library checks its results, so
+    an overflow exits 2 whatever the warnings filter, not with a traceback."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            with np.errstate(all="ignore"):
+                return super().invoke(ctx)
         except (PreconditionError, EvaluationError, MemoryError) as exc:
             raise click.UsageError(str(exc), ctx) from None
 
@@ -102,20 +108,37 @@ class ConfigDefaults(click.Group):
         path = ctx.params.get("config")
         try:
             if path:
-                parser = configparser.ConfigParser()
-                try:
-                    with open(path) as fh:
-                        parser.read_file(fh)
-                    # items() interpolates, so a bad %-reference is caught here too
-                    ctx.default_map = {
-                        section: dict(parser.items(section)) for section in parser.sections()
-                    }
-                except (configparser.Error, UnicodeDecodeError) as exc:
-                    raise click.UsageError(f"bad config file {path!r}: {exc}", ctx) from None
+                ctx.default_map = self._read_config(ctx, path)
             return super().invoke(ctx)
         except OSError as exc:
             click.echo(f"I/O error: {exc}", err=True)
             sys.exit(4)
+
+    def _read_config(self, ctx, path):
+        """{subcommand: {parameter name: value}}; a section that names no subcommand,
+        or a key that names none of its parameters, is a usage error."""
+        parser = configparser.ConfigParser()
+        parser.optionxform = str  # keys are parameter names, such as dist's M
+        try:
+            with open(path) as fh:
+                parser.read_file(fh)
+            # items() interpolates, so a bad %-reference is caught here too
+            defaults = {section: dict(parser.items(section)) for section in parser.sections()}
+            if parser.defaults():  # [DEFAULT] names no subcommand, yet would seed every one
+                defaults[parser.default_section] = parser.defaults()
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise click.UsageError(f"bad config file {path!r}: {exc}", ctx) from None
+        for section, values in defaults.items():
+            if section not in self.commands:
+                valid = ", ".join(sorted(self.commands))
+                raise click.UsageError(
+                    f"bad config file {path!r}: [{section}] names no subcommand ({valid})", ctx)
+            names = sorted(param.name for param in self.commands[section].params)
+            for key in values:
+                if key not in names:
+                    raise click.UsageError(f"bad config file {path!r}: [{section}] {key!r} "
+                                           f"names no parameter ({', '.join(names)})", ctx)
+        return defaults
 
 
 @click.group(cls=ConfigDefaults)
@@ -127,32 +150,11 @@ def main(config):
 
 
 def _measure(g, method, n, grid, seed):
-    """(approx, its error report on grid, the degree residual of its defining expectation)."""
+    """(approx, a record of every field that construct and sweep print)."""
     approx = build_approximant(g, method, n)
     report = error_report(g, approx, grid=grid)
     probe = effective_trig_degree if approx.basis == "fourier" else effective_algebraic_degree
-    return approx, report, probe(approx.reference, approx.n, seed=seed)
-
-
-@main.command()
-@click.option("--method", required=True, type=click.Choice(METHODS))
-@click.option("--n", "n", required=True, type=int, help="Degree budget n.")
-@click.option("--target", required=True)
-@click.option("--periodic", is_flag=True, help="Treat a CSV target as 1-periodic.")
-@click.option("--grid-size", default=DEFAULT_GRID, type=click.IntRange(min=65))
-@click.option("--seed", default=DEFAULT_SEED, type=int)
-@click.option("--output", type=click.Path(), default=None)
-def construct(method, n, target, periodic, grid_size, seed, output):
-    """Build one approximant; emit coefficients and its error report as JSON."""
-    g = _resolve_target(target, periodic_hint=periodic or method in TRIG_METHODS)
-    approx, report, residual = _measure(g, method, n, Grid.uniform(grid_size), seed)
-    coeffs = approximant_coefficients(approx)
-    if approx.basis == "fourier":
-        coeff_list = [[float(c.real), float(c.imag)] for c in coeffs]
-    else:
-        coeff_list = [float(c) for c in coeffs]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
+    return approx, {
         "method": method,
         "target": g.name,
         "n": n,
@@ -161,45 +163,55 @@ def construct(method, n, target, periodic, grid_size, seed, output):
         "degenerate": approx.degenerate,
         "seed": seed,
         "basis": approx.basis,
-        "coefficients": coeff_list,
-        "degree_residual": residual,
-        "error_report": {
-            "sup_err": report.sup_err,
-            "omega_ref": report.omega_ref,
-            "ratio": report.ratio,
-            "grid_size": report.grid_size,
-        },
+        "degree_residual": probe(approx.reference, approx.n, seed=seed),
+        "sup_err": report.sup_err,
+        "omega_ref": report.omega_ref,
+        "ratio": report.ratio,
+        "grid_size": report.grid_size,
     }
+
+
+def _options(n_type, n_help):
+    """The options construct and sweep share; only the type and help of --n differ."""
+    return [
+        click.Option(["--method"], required=True, type=click.Choice(METHODS)),
+        click.Option(["--n"], required=True, type=n_type, help=n_help),
+        click.Option(["--target"], required=True),
+        click.Option(["--periodic"], is_flag=True, help="Treat a CSV target as 1-periodic."),
+        click.Option(["--grid-size"], default=DEFAULT_GRID_SIZE, type=click.IntRange(min=65)),
+        click.Option(["--seed"], default=DEFAULT_SEED, type=int),
+        click.Option(["--output"], type=click.Path(), default=None),
+    ]
+
+
+@main.command(params=_options(int, "Degree budget n."))
+def construct(method, n, target, periodic, grid_size, seed, output):
+    """Build one approximant; emit coefficients and its error report as JSON."""
+    g = _resolve_target(target, periodic_hint=periodic or method in TRIG_METHODS)
+    approx, record = _measure(g, method, n, Grid.uniform(grid_size), seed)
+    coeffs = approximant_coefficients(approx)
+    if approx.basis == "fourier":  # JSON has no complex numbers: each c_k as [re, im]
+        coeffs = np.stack((coeffs.real, coeffs.imag), axis=1)
+    report = {key: record.pop(key) for key in ("sup_err", "omega_ref", "ratio", "grid_size")}
+    residual = record.pop("degree_residual")
+    doc = {"schema_version": SCHEMA_VERSION, **record, "coefficients": coeffs.tolist(),
+           "degree_residual": residual, "error_report": report}
     _write_text(output, json.dumps(doc, indent=2) + "\n")
 
 
-SWEEP_HEADER = "method,n,M,sup_err,omega_ref,ratio,degree_residual,grid_size,seed"
+SWEEP_COLUMNS = ("method", "n", "M", "sup_err", "omega_ref", "ratio", "degree_residual",
+                 "grid_size", "seed")
+SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 
 
-@main.command()
-@click.option("--method", required=True, type=click.Choice(METHODS))
-@click.option("--n", "n_range", required=True,
-              help="Degree budget n, or a range of them as start:stop:step.")
-@click.option("--target", required=True)
-@click.option("--periodic", is_flag=True, help="Treat a CSV target as 1-periodic.")
-@click.option("--grid-size", default=DEFAULT_GRID, type=click.IntRange(min=65))
-@click.option("--seed", default=DEFAULT_SEED, type=int)
-@click.option("--output", type=click.Path(), default=None)
-def sweep(method, n_range, target, periodic, grid_size, seed, output):
+@main.command(params=_options(str, "Degree budget n, or a range of them as start:stop:step."))
+def sweep(method, n, target, periodic, grid_size, seed, output):
     """Error and degree-residual sweep over a range of degree budgets (CSV)."""
-    ns = _parse_range(n_range)
+    ns = _parse_range(n)
     g = _resolve_target(target, periodic_hint=periodic or method in TRIG_METHODS)
     grid = Grid.uniform(grid_size)
-
-    def row(n):
-        approx, report, residual = _measure(g, method, n, grid, seed)
-        m_field = "" if approx.M is None else str(approx.M)
-        return ",".join(
-            [method, str(n), m_field, _fmt(report.sup_err), _fmt(report.omega_ref),
-             _fmt(report.ratio), _fmt(residual), str(grid_size), str(seed)]
-        )
-
-    rows = [row(n) for n in ns]
+    records = [_measure(g, method, budget, grid, seed)[1] for budget in ns]
+    rows = [",".join(_fmt(record[column]) for column in SWEEP_COLUMNS) for record in records]
     _write_text(output, SWEEP_HEADER + "\n" + "\n".join(rows) + "\n")
 
 

@@ -45,6 +45,8 @@ from .counting_model import (
 )
 from .phase_dist import jackson_kernel, pe_pmf_rows
 
+DEFAULT_GRID_SIZE = 4097  # points of error_report's uniform grid, and the CLI's --grid-size
+
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -299,7 +301,7 @@ def error_report(g, method, n=None, grid=None):
     ``method`` is either an Approximant already built for g (n, if given,
     must be its n) or a method name, built here at budget n.
     """
-    grid = grid or Grid.uniform(4097)
+    grid = grid or Grid.uniform(DEFAULT_GRID_SIZE)
     approx = method if isinstance(method, Approximant) else build_approximant(g, method, n)
     if n not in (None, approx.n):
         raise PreconditionError(f"n={n!r} differs from the approximant's n={approx.n}")

@@ -18,57 +18,52 @@ def _holder_cusp(x):
     return np.sqrt(np.abs(np.asarray(x, dtype=float) - 1.0 / 3.0))
 
 
-CORPUS = {
-    "abs-half": TargetFunction(
+CORPUS = {target.name: target for target in (
+    TargetFunction(
         lambda x: np.abs(x - 0.5),
-        periodic=False,
         analytic_modulus=lambda d: min(d, 0.5),
         name="abs-half",
     ),
-    "sqrt": TargetFunction(
+    TargetFunction(
         np.sqrt,
-        periodic=False,
         analytic_modulus=lambda d: np.sqrt(d),
         name="sqrt",
     ),
-    "identity": TargetFunction(
+    TargetFunction(
         lambda x: np.asarray(x, dtype=float) + 0.0,
-        periodic=False,
         analytic_modulus=lambda d: d,
         name="identity",
     ),
-    "const": TargetFunction(
+    TargetFunction(
         lambda x: np.full_like(np.asarray(x, dtype=float), 0.75),
-        periodic=False,
         analytic_modulus=lambda d: 0.0,
         name="const",
     ),
     # sup |f(x)-f(y)| over |x-y|<=d equals sqrt(d) up to d=2/3, then saturates
-    "holder-cusp": TargetFunction(
+    TargetFunction(
         _holder_cusp,
-        periodic=False,
         analytic_modulus=lambda d: np.sqrt(min(d, 2.0 / 3.0)),
         name="holder-cusp",
     ),
-    "triangle": TargetFunction(
+    TargetFunction(
         _triangle,
         periodic=True,
         analytic_modulus=lambda d: min(2.0 * d, 1.0),
         name="triangle",
     ),
-    "cos": TargetFunction(
+    TargetFunction(
         lambda x: np.cos(2.0 * np.pi * (np.asarray(x, dtype=float) % 1.0)),
         periodic=True,
         analytic_modulus=lambda d: 2.0 * np.sin(np.pi * min(d, 0.5)),
         name="cos",
     ),
-    "const-periodic": TargetFunction(
+    TargetFunction(
         lambda x: np.full_like(np.asarray(x, dtype=float), 0.75),
         periodic=True,
         analytic_modulus=lambda d: 0.0,
         name="const-periodic",
     ),
-}
+)}
 
 PERIODIC_NAMES = tuple(k for k, v in CORPUS.items() if v.periodic)
 NONPERIODIC_NAMES = tuple(k for k, v in CORPUS.items() if not v.periodic)

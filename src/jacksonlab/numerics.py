@@ -370,7 +370,7 @@ def sup_distance(f, h, grid):
     diff = fv - hv
     bad = ~np.isfinite(diff)
     if bad.any():
-        raise EvaluationError(f"non-finite value at x={pts[bad][0]!r}")
+        raise EvaluationError(f"non-finite value at x={float(pts[bad][0])!r}")
     return float(np.max(np.abs(diff)))
 
 
@@ -393,7 +393,7 @@ def modulus_estimate(f, delta, grid):
     vals = np.asarray(f(pts), dtype=float)
     bad = ~np.isfinite(vals)
     if bad.any():
-        raise PreconditionError(f"non-finite value at x={pts[bad][0]!r}")
+        raise PreconditionError(f"non-finite value at x={float(pts[bad][0])!r}")
     best = 0.0
     tol = delta * (1.0 + 1e-12)
     for shift in range(1, len(pts)):
@@ -449,7 +449,7 @@ def _probe_residual(h, trunc, seed):
     gap = np.abs(hv - trunc(pts))
     bad = ~np.isfinite(gap)
     if bad.any():
-        raise EvaluationError(f"non-finite degree-probe residual at x={pts[bad][0]!r}")
+        raise EvaluationError(f"non-finite degree-probe residual at x={float(pts[bad][0])!r}")
     return float(np.max(gap))
 
 

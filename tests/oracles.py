@@ -2,12 +2,15 @@
 
 The oracles (the triple median, the direct Fourier sum and the checks
 built on it, the unitarity and norm residuals, the full-width binomial
-mixture and the np.unique form of the median-of-three law) import nothing
+mixture, the exact Bernstein sum and the np.unique form of the
+median-of-three law) import nothing
 from jacksonlab, so they stay independent of the code they check.  The statistics are exact expectations under the public
 outcome laws.
 """
 
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -86,6 +89,18 @@ def binomial_mixture(N, table, x):
             total += term * Decimal(float(table[k]))
             term = term * (N - k) / (k + 1) * ratio
         return float(total)
+
+
+def bernstein_exact(samples, x):
+    """sum_k C(n, k) x^k (1-x)^(n-k) g_k over the float samples g_k = g(k/n), exactly.
+
+    Every float is a dyadic rational, so the Fraction sum at the float x is the
+    exact value that a float Bernstein evaluation rounds.
+    """
+    n = len(samples) - 1
+    t = Fraction(float(x))
+    return sum(comb(n, k) * t**k * (1 - t) ** (n - k) * Fraction(float(g))
+               for k, g in enumerate(samples))
 
 
 def _outcome_distances(pmf):

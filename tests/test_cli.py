@@ -7,7 +7,6 @@ import sys
 import threading
 from pathlib import Path
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -154,16 +153,19 @@ class TestConstruct:
     @pytest.mark.parametrize("command,n", [("construct", "8"), ("sweep", "8:16:8")])
     @pytest.mark.parametrize("method", METHODS)
     def test_float64_overflow_is_usage_error(self, runner, tmp_path, command, n, method):
-        # the knots and the target are finite, but a mixture, an FFT or the
-        # degree probe's truncation overflows; numpy warns on it, so it is silenced
+        # the knots and the target are finite, but a form's matmul, an FFT or the
+        # degree probe's truncation overflows; numpy's warning on it must not turn
+        # into a traceback under the warnings-as-errors filter
         path = tmp_path / "huge.csv"
         path.write_text("0,3e307\n0.5,-3e307\n1,3e307\n")
-        with np.errstate(all="ignore"):
-            result = runner.invoke(main, [command, "--method", method, "--n", n,
-                                          "--target", str(path), "--periodic"])
+        result = runner.invoke(main, [command, "--method", method, "--n", n,
+                                      "--target", str(path), "--periodic"])
         assert result.exit_code == 2, result.output
         assert "non-finite" in result.output
         assert f"Usage: main {command} [OPTIONS]" in result.output
+        assert "np.float64" not in result.output  # the point prints as a Python float
+        if method not in TRIG_METHODS:  # the error grid's second point, 1/4096
+            assert "non-finite value at x=0.000244140625" in result.output
 
     @pytest.mark.parametrize("command,n", [("construct", "4"), ("sweep", "4:6")])
     def test_unreadable_target_is_io_error(self, runner, tmp_path, command, n):
@@ -303,7 +305,6 @@ class TestLibraryFailures:
 def test_shared_options_share_their_help():
     # --n takes one budget in construct and a range in sweep; its help starts alike
     helps = [{p.name: p.help for p in main.commands[c].params} for c in ("construct", "sweep")]
-    helps[1]["n"] = helps[1].pop("n_range")
     assert helps[0].keys() <= helps[1].keys()
     for name, text in helps[0].items():
         if name == "n":
@@ -447,7 +448,11 @@ class TestConfigFile:
         b"[construct]\nn = 6\n[construct]\nn = 7\n",
         b"[construct]\nmethod = \x80\x81\xff\xfe\n",
         b"[construct]\nmethod = %(nowhere\n",
-    ], ids=["no-section-header", "duplicate-section", "not-utf8", "bad-interpolation"])
+        b"[construct]\ngrid-size = 129\n",
+        b"[sweeep]\nmethod = bernstein\n",
+        b"[DEFAULT]\nn = 6\n",
+    ], ids=["no-section-header", "duplicate-section", "not-utf8", "bad-interpolation",
+            "key-not-a-parameter", "section-not-a-subcommand", "default-section"])
     def test_malformed_config_is_usage_error(self, runner, tmp_path, content):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(content)
@@ -455,6 +460,32 @@ class TestConfigFile:
                                       "bernstein", "--target", "sqrt"])
         assert result.exit_code == 2
         assert f"bad config file {str(cfg)!r}" in result.output
+
+    def test_refusal_names_the_key_and_the_valid_keys(self, runner, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[sweep]\nn_range = 4:8:2\n")
+        result = runner.invoke(main, ["--config", str(cfg), "sweep", "--method", "bernstein",
+                                      "--target", "sqrt"])
+        assert result.exit_code == 2
+        assert ("[sweep] 'n_range' names no parameter (grid_size, method, n, output, periodic, "
+                "seed, target)") in result.output
+
+    def test_config_seeds_sweep_n(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[sweep]\nn = 4:8:2\n")
+        args = ["sweep", "--method", "bernstein", "--target", "sqrt"]
+        result = runner.invoke(main, ["--config", str(cfg), *args])
+        assert result.exit_code == 0, result.output
+        assert result.output == runner.invoke(main, [*args, "--n", "4:8:2"]).output
+        assert len(result.output.splitlines()) == 4
+
+    def test_keys_keep_their_case(self, runner, tmp_path):
+        # dist's --m is the parameter M
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[dist]\nM = 4\nx = 0.25\n")
+        result = runner.invoke(main, ["--config", str(cfg), "dist"])
+        assert result.exit_code == 0, result.output
+        assert result.output == runner.invoke(main, ["dist", "--m", "4", "--x", "0.25"]).output
 
     def test_unreadable_config_is_io_error(self, runner, tmp_path):
         result = runner.invoke(main, ["--config", str(tmp_path), "construct", "--method",

@@ -40,6 +40,7 @@ from jacksonlab.numerics import (
 )
 from jacksonlab import phase_dist
 from oracles import (
+    bernstein_exact,
     binomial_mixture,
     conjugate_symmetry_defect,
     imag_residue,
@@ -135,6 +136,22 @@ class TestBernstein:
             comb(n, k) * 0.5**n * abs(k / n - 0.5) for k in range(n + 1)
         )
         assert build_approximant(g, "bernstein", n)(0.5) == pytest.approx(oracle, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("name", ["abs-half", "identity", "const"])
+    def test_form_and_reference_against_the_exact_sum(self, name, n):
+        # each float result lies within a few roundings of the exact sum over
+        # its own float samples g(k/n); the form measured up to 2.7 and the
+        # reference up to 1.3, in units of eps * max|g|
+        g = CORPUS[name]
+        samples = g(np.arange(n + 1) / n)
+        tol = 16 * np.finfo(float).eps * np.max(np.abs(samples))
+        approx = build_approximant(g, "bernstein", n)
+        xs = (0.5 + np.arange(32) * ((np.sqrt(5.0) - 1.0) / 2.0)) % 1.0
+        for x, form, reference in zip(xs, approx(xs), approx.reference(xs)):
+            exact = bernstein_exact(samples, x)
+            assert abs(float(Fraction(float(form)) - exact)) <= tol, x
+            assert abs(float(Fraction(float(reference)) - exact)) <= tol, x
 
     @settings(deadline=None)
     @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=6,
