@@ -6,11 +6,11 @@ import csv
 
 import numpy as np
 
-from .numerics import PreconditionError, TargetFunction, _finite
+from .numerics import PreconditionError, TargetFunction, _finite, frac
 
 
 def _triangle(x):
-    f = np.asarray(x, dtype=float) % 1.0
+    f = frac(np.asarray(x, dtype=float))
     return 2.0 * np.minimum(f, 1.0 - f)
 
 
@@ -52,7 +52,7 @@ CORPUS = {target.name: target for target in (
         name="triangle",
     ),
     TargetFunction(
-        lambda x: np.cos(2.0 * np.pi * (np.asarray(x, dtype=float) % 1.0)),
+        lambda x: np.cos(2.0 * np.pi * frac(np.asarray(x, dtype=float))),
         periodic=True,
         analytic_modulus=lambda d: 2.0 * np.sin(np.pi * min(d, 0.5)),
         name="cos",
@@ -114,7 +114,7 @@ def target_from_csv(path, periodic=False):
         raise PreconditionError("periodic target requires y(0) = y(1)")
 
     if periodic:
-        evaluator = lambda t: np.interp(np.asarray(t, dtype=float) % 1.0, xs, ys)
+        evaluator = lambda t: np.interp(frac(np.asarray(t, dtype=float)), xs, ys)
     else:
         evaluator = lambda t: np.interp(np.asarray(t, dtype=float), xs, ys)
     return TargetFunction(evaluator, periodic=periodic, name=str(path))

@@ -123,9 +123,15 @@ def _scalarize(out, like):
     return out
 
 
+def frac(x):
+    """x mod 1 of a float array, bit for bit x % 1.0 at about a tenth of its
+    cost: floor is exact, and x - floor(x) rounds the true remainder once."""
+    return x - np.floor(x)
+
+
 def circle_dist(a, b):
     """Distance between phases a and b on the circle R/Z, in [0, 1/2]."""
-    d = (np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
+    d = frac(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
     return _scalarize(np.minimum(d, 1.0 - d), d)
 
 
@@ -355,7 +361,7 @@ class TrigPoly:
         # one point (a float) makes the same ufunc calls as a row of an array;
         # np.power, not **, which on a numpy scalar takes numpy's scalar math
         one = isinstance(x, float)
-        z = np.exp((x % 1.0 if one else x.reshape(-1, 1) % 1.0) * _TWO_PI_I)
+        z = np.exp((x % 1.0 if one else frac(x.reshape(-1, 1))) * _TWO_PI_I)
         baby = np.power(z, self._baby_exps)
         giant = np.power(np.power(z, self._step_exp), self._giant_exps)
         out = ((baby @ self._table) * giant).sum(axis=-1).real

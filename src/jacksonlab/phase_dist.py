@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import PreconditionError, _scalarize, finite_phase, finite_phases, positive_int
+from .numerics import PreconditionError, _scalarize, finite_phase, finite_phases, frac, positive_int
 
 # below this circle distance the removable singularity is replaced by its limit
 _SINGULARITY_EPS = 1e-15
@@ -42,9 +42,10 @@ def pe_pmf(M, x):
 
 def pe_pmf_rows(M, xs):
     """Outcome law of phase estimation at precision M (a positive int): the
-    (M,) law of a float phase xs, or one row per phase of a 1-D xs.  Every
-    outcome law is built here or, for pe_pmf and the counting law, by its
-    float path _float_law.  A NaN or infinite phase raises PreconditionError.
+    (M,) law of a float phase xs, or one row per phase of an array xs, of
+    shape xs.shape + (M,).  Every outcome law is built here or, for pe_pmf
+    and the counting law, by its float path _float_law.  A NaN or infinite
+    phase raises PreconditionError.
 
     Pr[Z=z] = sin(pi M t)^2 / (M sin(pi t))^2 at t = z/M - x.  With
     c = rint(M x) and d = x - c/M, the numerator is sin(pi M d)^2 for every z.
@@ -55,12 +56,18 @@ def pe_pmf_rows(M, xs):
     phase with |d| <= 1e-15 takes the limit 1 there.
     """
     M = positive_int(M, "M")
-    # the phase is checked before the remainder, which warns on a NaN
-    x = np.asarray(finite_phases(xs))[..., None] % 1.0
+    # the phase is checked before the reduction, which warns on an infinity
+    x = frac(np.asarray(finite_phases(xs)))
     c = np.rint(x * M).astype(np.intp)
-    # [sin; cos](pi o/M) laid out twice, so a phase's M outcomes are one window
-    sin_o, cos_o = _offset_tables(1, M)[:, (M // 2 - c) % M + np.arange(M)]
-    d = x - c / M
+    # [sin; cos](pi o/M) laid out twice, so a phase's M outcomes are one row,
+    # starting at column (M//2 - c) mod M, of its (2, M + 1, M) window view:
+    # an ndarray over the table (sliding_window_view's checks cost 10 us a
+    # call), indexed in place, so a batch copies its P rows and no O(M^2) view
+    table = _offset_tables(1, M)
+    step = table.itemsize
+    windows = np.ndarray((2, M + 1, M), float, table, strides=(table.strides[0], step, step))
+    sin_o, cos_o = windows[:, (M // 2 - c) % M]
+    d = (x - c / M)[..., None]
     near = np.flatnonzero(np.abs(d) <= _SINGULARITY_EPS)
     return _law(M, sin_o, cos_o, d, near * M + c.ravel()[near] % M)
 
@@ -118,9 +125,9 @@ def fejer_value(n, t):
 # one entry per precision M of the outcome laws: verify alone sweeps 63
 @lru_cache(maxsize=128)
 def _offset_tables(order, Q):
-    """Read-only (2, 2Q) table [sin; cos] of pi*order*u at the offsets
-    u = o/Q, o = -(Q//2) .. Q-1-Q//2, of a Q-node uniform rule, laid out
-    twice in a row, so any Q consecutive columns are one window of it.
+    """Read-only C-contiguous (2, 2Q) table [sin; cos] of pi*order*u at the
+    offsets u = o/Q, o = -(Q//2) .. Q-1-Q//2, of a Q-node uniform rule, laid
+    out twice in a row, so any Q consecutive columns are one window of it.
 
     order*o is reduced to (-Q, Q] in integers first, so every angle lies in
     (-pi, pi] and each entry is as accurate as one sine there.
@@ -139,7 +146,7 @@ def fejer_identity_check(M, x):
     no M*x may be an integer (the exact-phase case is a point mass).
     """
     M = positive_int(M, "M")
-    xs = np.asarray(finite_phases(x)) % 1.0  # reduced first, so M*x cannot overflow
+    xs = frac(np.asarray(finite_phases(x)))  # reduced first, so M*x cannot overflow
     if np.any(np.abs(M * xs - np.rint(M * xs)) < 1e-12):
         raise PreconditionError("M*x must not be an integer")
     kernel_side = fejer_value(M, np.arange(M) / M - xs[..., None]) / M
@@ -218,7 +225,7 @@ class KernelSpec:
         table = np.concatenate((samples[Q - half :], samples, samples[: Q - 1 - half]))
 
         def band(x):
-            x = x % 1.0
+            x = frac(x)
             c = np.rint(x * Q)
             d = x - c / Q
             a = np.pi * d

@@ -2,8 +2,8 @@
 
 The oracles (the triple median, the direct Fourier sum and the checks
 built on it, the unitarity and norm residuals, the full-width binomial
-mixture, the exact Bernstein sum and the np.unique form of the
-median-of-three law) import nothing
+mixture, the exact Bernstein sum, the Decimal phase_median3 expectation and
+the np.unique form of the median-of-three law) import nothing
 from jacksonlab, so they stay independent of the code they check.  The statistics are exact expectations under the public
 outcome laws.
 """
@@ -101,6 +101,57 @@ def bernstein_exact(samples, x):
     t = Fraction(float(x))
     return sum(comb(n, k) * t**k * (1 - t) ** (n - k) * Fraction(float(g))
                for k, g in enumerate(samples))
+
+
+# pi to 50 digits, past the 40 the Decimal oracles carry
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _sin_pi(u):
+    """sin(pi u) in Decimal: u is reduced exactly to r in [-1/2, 1/2], and
+    the Taylor series of sin at pi r, |pi r| <= pi/2, is summed until its
+    terms no longer change the total."""
+    r = u - u.to_integral_value()  # round half even: |r| <= 1/2
+    a = _PI * r
+    term, total, k, last = a, a, 1, None
+    while total != last:
+        last = total
+        term = -term * a * a / ((2 * k) * (2 * k + 1))
+        total += term
+        k += 1
+    return total
+
+
+def phase_median3_exact(samples, x):
+    """E[median of g(Z_1/M), g(Z_2/M), g(Z_3/M)] for three i.i.d. phase
+    estimation outcomes at precision M = len(samples) and phase x, with the
+    float samples g_z = g(z/M), at 40 digits.
+
+    Pr[Z = z] = sin(pi M t)^2 / (M sin(pi t))^2 at t = z/M - x, with x taken
+    exactly as the float it is; a t that is an integer takes the limit 1.
+    The median's law is P[med <= v] = F(v)^2 (3 - 2 F(v)) over the sorted,
+    merged sample values.  The result is rounded once, to float.
+    """
+    M = len(samples)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        xd = Decimal(float(x))
+        law = {}
+        for z, g in enumerate(samples):
+            t = Decimal(z) / M - xd
+            if t == t.to_integral_value():
+                p = Decimal(1)
+            else:
+                p = (_sin_pi(M * t) / (M * _sin_pi(t))) ** 2
+            v = Decimal(float(g))
+            law[v] = law.get(v, Decimal(0)) + p
+        total, cdf, below = Decimal(0), Decimal(0), Decimal(0)
+        for v in sorted(law):
+            cdf = min(cdf + law[v], Decimal(1))
+            med = cdf * cdf * (3 - 2 * cdf)
+            total += v * (med - below)
+            below = med
+        return float(total)
 
 
 def _outcome_distances(pmf):

@@ -46,6 +46,7 @@ from oracles import (
     imag_residue,
     median3_circle_error,
     median3_pmf_by_unique,
+    phase_median3_exact,
 )
 
 CONST = TargetFunction(lambda x: np.full_like(np.asarray(x, float), 2.5), name="c")
@@ -395,6 +396,25 @@ class TestPhase:
                 p = pe_statevector_pmf(M, x)
                 expect = float(np.prod(p[triples], axis=1) @ medians)
                 assert abs(approx.reference(x) - expect) <= 1e-12
+
+    @pytest.mark.parametrize("n", [6, 12, 24])
+    @pytest.mark.parametrize("name", ["cos", "triangle"])
+    def test_form_and_reference_against_the_decimal_expectation(self, name, n):
+        # each float result lies within a few roundings of the 40-digit
+        # expectation over its own float samples g(z/M); on 32 golden-ratio
+        # points and four exact phases the form measured up to 6.5 and the
+        # reference up to 3.0, in units of eps * max|g|
+        g = CORPUS[name]
+        M, _ = derived_params("phase_median3", n)
+        samples = g(np.arange(M) / M)
+        tol = 16 * np.finfo(float).eps * np.max(np.abs(samples))
+        approx = build_approximant(g, "phase_median3", n)
+        xs = np.concatenate(((0.5 + np.arange(32) * ((np.sqrt(5.0) - 1.0) / 2.0)) % 1.0,
+                             [0.0, 0.25, 1 / 3, 0.5]))
+        for x, form, reference in zip(xs, approx(xs), approx.reference(xs)):
+            exact = phase_median3_exact(samples, x)
+            assert abs(form - exact) <= tol, x
+            assert abs(reference - exact) <= tol, x
 
 
 class TestPhaseToTrigPoly:

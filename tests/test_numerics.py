@@ -59,6 +59,35 @@ class TestCircleDist:
         )
 
 
+class TestFrac:
+    """numerics.frac is x % 1.0 bit for bit, signed zeros included."""
+
+    @staticmethod
+    def _same_as_remainder(x):
+        got, want = numerics.frac(x), x % 1.0
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_edge_values(self):
+        # -5e-324 and -1e-17 round up to 1.0; 1 - 2^-53 is the largest float below 1
+        self._same_as_remainder(np.array(
+            [0.0, -0.0, 5e-324, -5e-324, -1e-17, -1.0, 1.0 - 2.0**-53]))
+
+    def test_near_and_past_the_last_fraction_bit(self):
+        big = np.array([2.0**52 - 0.5, 2.0**53, 1e308])
+        self._same_as_remainder(np.concatenate((big, -big)))
+
+    def test_seeded_uniforms(self):
+        self._same_as_remainder(np.random.default_rng(3).uniform(-1e6, 1e6, 10**5))
+
+    def test_infinities_and_nan_give_nan_in_the_same_places(self):
+        x = np.array([np.inf, -np.inf, np.nan, 0.25, -np.inf])
+        with np.errstate(invalid="ignore"):
+            got, want = numerics.frac(x), x % 1.0
+        assert np.array_equal(np.isnan(got), np.isnan(x) | np.isinf(x))
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestMedian3:
     def test_basic(self):
         assert median3(1, 5, 3) == 3

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,9 +149,10 @@ class TestOneOutcomeLawKernel:
 
         before = laws()
         tables = phase_dist._offset_tables
-        # [cos; sin] for [sin; cos]: the denominator becomes cos(pi(o/M + d))
+        # [cos; sin] for [sin; cos]: the denominator becomes cos(pi(o/M + d));
+        # contiguous, as pe_pmf_rows lays its window view over the table's buffer
         monkeypatch.setattr(phase_dist, "_offset_tables",
-                            lambda order, Q: tables(order, Q)[::-1])
+                            lambda order, Q: np.ascontiguousarray(tables(order, Q)[::-1]))
         for right, wrong in zip(before, laws()):
             assert np.max(np.abs(right - wrong)) > 1e-3
 
@@ -246,6 +248,45 @@ class TestInPlaceKernel:
         assert np.all(rows.argmax(axis=1) == 0)
         assert np.max(np.abs(rows - _law_oracle(M, xs))) <= ORACLE_TOL
 
+    @pytest.mark.parametrize("M", [1, 2, 3, 64, 256])
+    def test_rows_at_their_edges_are_the_float_law(self, M):
+        # each row is one window of the offset table; these pin the window
+        # start at exact phases, at the limit branch within 1e-15 of them,
+        # at the phases that reduce to 1.0 or just below, and far out
+        z = np.arange(M) / M
+        xs = np.concatenate((z, z + 1e-15, z - 1e-15, z + 4e-16,
+                             [-1e-17, 1.0 - 1e-17, 1e300, -1e300]))
+        rows = pe_pmf_rows(M, xs)
+        assert rows.shape == (len(xs), M)
+        for x, row in zip(xs.tolist(), rows):
+            assert np.array_equal(row, pe_pmf(M, x).probs), x
+        assert np.array_equal(rows[:M], np.eye(M))
+
+    @pytest.mark.parametrize("M", [1, 3, 64])
+    def test_batch_keeps_the_phases_shape(self, M):
+        xs = np.linspace(-1.0, 2.0, 12).reshape(3, 4)
+        rows = pe_pmf_rows(M, xs)
+        assert rows.shape == (3, 4, M)
+        assert np.array_equal(rows.reshape(12, M), pe_pmf_rows(M, xs.ravel()))
+        assert pe_pmf_rows(M, 0.3).shape == (M,)
+
+    def test_two_phases_at_a_large_precision_read_only_their_rows(self):
+        # a gather that copied the (2, M + 1, M) window view would ask for
+        # 160 GB here; the rows and the law's temporaries take about 4 x 3.2 MB
+        M = 10**5
+        phi = theta_of_weight(3, 8) / np.pi
+        xs = np.array([phi, 1.0 - phi])
+        phase_dist._offset_tables(1, M)
+        tracemalloc.start()
+        try:
+            rows = pe_pmf_rows(M, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * rows.nbytes
+        for x, row in zip(xs.tolist(), rows):
+            assert np.array_equal(row, phase_dist._float_law(M, x))
+
     def test_table_is_the_offset_table_laid_out_twice(self):
         for M in (1, 6, 17):
             table = phase_dist._offset_tables(1, M)
@@ -289,7 +330,7 @@ class TestKernelProperties:
         if not weights.sum() > 0.0:
             weights = np.ones_like(weights)
         support, probs = median3_pmf(values, weights / weights.sum())
-        assert np.all(np.diff(support) > 0) and np.array_equal(support, np.unique(values))
+        assert np.all(support[1:] > support[:-1]) and np.array_equal(support, np.unique(values))
         assert abs(probs.sum() - 1.0) <= 1e-12
 
 
