@@ -24,7 +24,8 @@ def theta_of_weight(k, N):
     k = positive_int(k, "weight k", low=0)
     if k > N:
         raise PreconditionError("weight k must lie in [0, N]")
-    return float(np.arcsin(np.sqrt(k / N)))
+    # math.sqrt is correctly rounded, as np.sqrt is; math.asin is not np.arcsin
+    return float(np.arcsin(math.sqrt(k / N)))
 
 
 def single_run_pmf(k, N, M):

@@ -9,6 +9,7 @@ certification.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -252,6 +253,8 @@ class LobattoPoly:
         weights[[0, -1]] *= 0.5
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_nodes", nodes)
+        # the same floats: bisect and float == cost a quarter of searchsorted and a numpy ==
+        object.__setattr__(self, "_node_list", nodes.tolist())
         object.__setattr__(self, "_weights", weights)
 
     @property
@@ -264,14 +267,16 @@ class LobattoPoly:
             # one point: the same arithmetic as a row of the array path below
             if not 0.0 <= x <= 1.0:  # NaN fails too
                 raise PreconditionError("all x must lie in [0, 1]")
-            i = self._nodes.searchsorted(x)  # x <= 1, the last node, so i is in range
-            if self._nodes[i] == x:
+            # searchsorted's index, by bisect: x <= 1, the last node, so i is in range
+            i = bisect.bisect_left(self._node_list, x)
+            if self._node_list[i] == x:
                 return float(self.values[i])
             diff = x - self._nodes
             if x < _TINY:
                 diff *= _SUBNORMAL_SCALE
             q = self._weights / diff
-            return float((q @ self.values) / q.sum())
+            # q @'s BLAS dot and ndarray.sum's pairwise sum, without their dispatch
+            return float(q.dot(self.values) / np.add.reduce(q))
         lo, hi = (x.min(), x.max()) if x.size else (1.0, 1.0)
         if not (lo >= 0.0 and hi <= 1.0):  # NaN fails too
             raise PreconditionError("all x must lie in [0, 1]")
@@ -298,7 +303,7 @@ class LobattoPoly:
             q[xs < _TINY] *= _SUBNORMAL_SCALE  # xs - 0, the first column, is exact
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(self._weights, q, out=q)
-            return (q @ self.values) / q.sum(axis=1)
+            return (q @ self.values) / np.add.reduce(q, axis=1)
 
     def chebyshev(self):
         """Chebyshev coefficients in 2x-1 of the same polynomial, degree 0..n."""
@@ -364,7 +369,7 @@ class TrigPoly:
         z = np.exp((x % 1.0 if one else frac(x.reshape(-1, 1))) * _TWO_PI_I)
         baby = np.power(z, self._baby_exps)
         giant = np.power(np.power(z, self._step_exp), self._giant_exps)
-        out = ((baby @ self._table) * giant).sum(axis=-1).real
+        out = np.add.reduce((baby @ self._table) * giant, axis=-1).real
         return float(out) if one else out.reshape(x.shape)
 
 

@@ -2,15 +2,16 @@
 
 The oracles (the triple median, the direct Fourier sum and the checks
 built on it, the unitarity and norm residuals, the full-width binomial
-mixture, the exact Bernstein sum, the Decimal phase_median3 expectation and
-the np.unique form of the median-of-three law) import nothing
-from jacksonlab, so they stay independent of the code they check.  The statistics are exact expectations under the public
-outcome laws.
+mixture, the exact Bernstein sum, the 40-digit phase_median3 expectation,
+counting value table and Jackson sum, and the np.unique form of the
+median-of-three law) import nothing from jacksonlab, so they stay
+independent of the code they check.  The statistics are exact
+expectations under the public outcome laws.
 """
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb
+from math import asin, comb, pi, sqrt
 
 import numpy as np
 
@@ -71,10 +72,16 @@ def norm_residual(state):
     return float(abs(np.vdot(state, state).real - 1.0))
 
 
+def _decimal(v):
+    """v as a Decimal: a Decimal as it is, anything else exactly as its float."""
+    return v if isinstance(v, Decimal) else Decimal(float(v))
+
+
 def binomial_mixture(N, table, x):
     """sum_{k=0..N} C(N, k) x^k (1-x)^(N-k) table[k] over every weight, at 40 digits.
 
-    x is taken exactly as the float it is; the result is rounded once, to float.
+    x is taken exactly as the float it is, and each table entry as the float
+    it is or as a Decimal; the result is rounded once, to float.
     """
     if x == 0.0:
         return float(table[0])
@@ -86,7 +93,7 @@ def binomial_mixture(N, table, x):
         ratio = p / (1 - p)
         term, total = (1 - p) ** N, Decimal(0)
         for k in range(N + 1):
-            total += term * Decimal(float(table[k]))
+            total += term * _decimal(table[k])
             term = term * (N - k) / (k + 1) * ratio
         return float(total)
 
@@ -108,18 +115,44 @@ _PI = Decimal("3.1415926535897932384626433832795028841971693993751")
 
 
 def _sin_pi(u):
-    """sin(pi u) in Decimal: u is reduced exactly to r in [-1/2, 1/2], and
-    the Taylor series of sin at pi r, |pi r| <= pi/2, is summed until its
-    terms no longer change the total."""
-    r = u - u.to_integral_value()  # round half even: |r| <= 1/2
-    a = _PI * r
+    """sin(pi u) in Decimal: u is reduced exactly to r = u - m in [-1/2, 1/2]
+    for an integer m, the Taylor series of sin at pi r, |pi r| <= pi/2, is
+    summed until its terms no longer change the total, and the sum changes
+    sign for an odd m."""
+    m = u.to_integral_value()  # round half even: |r| <= 1/2
+    a = _PI * (u - m)
     term, total, k, last = a, a, 1, None
     while total != last:
         last = total
         term = -term * a * a / ((2 * k) * (2 * k + 1))
         total += term
         k += 1
-    return total
+    return -total if m % 2 else total
+
+
+def _pe_law(M, x):
+    """The phase-estimation outcome law at precision M and the Decimal phase
+    x: Pr[Z = z] = sin(pi M t)^2 / (M sin(pi t))^2 at t = z/M - x, where a t
+    that is an integer takes the limit 1.  Runs in the caller's context."""
+    law = []
+    for z in range(M):
+        t = Decimal(z) / M - x
+        law.append(Decimal(1) if t == t.to_integral_value()
+                   else (_sin_pi(M * t) / (M * _sin_pi(t))) ** 2)
+    return law
+
+
+def _median3_law(law):
+    """The law of the median of three i.i.d. draws from a law on an ordered
+    support, law[i] on its i-th smallest value, by P[med <= v] = F(v)^2 (3 - 2 F(v)).
+    Runs in the caller's context."""
+    out, cdf, below = [], Decimal(0), Decimal(0)
+    for p in law:
+        cdf = min(cdf + p, Decimal(1))
+        med = cdf * cdf * (3 - 2 * cdf)
+        out.append(med - below)
+        below = med
+    return out
 
 
 def phase_median3_exact(samples, x):
@@ -132,26 +165,78 @@ def phase_median3_exact(samples, x):
     The median's law is P[med <= v] = F(v)^2 (3 - 2 F(v)) over the sorted,
     merged sample values.  The result is rounded once, to float.
     """
-    M = len(samples)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        law = {}
+        for g, p in zip(samples, _pe_law(len(samples), Decimal(float(x)))):
+            v = Decimal(float(g))
+            law[v] = law.get(v, Decimal(0)) + p
+        support = sorted(law)
+        return float(sum(v * p for v, p in zip(support, _median3_law([law[v] for v in support]))))
+
+
+def _grover_phase(k, N):
+    """theta/pi for theta = arcsin sqrt(k/N), by Newton's method on
+    sin(pi u) = sqrt(k/N) from the float estimate, to the caller's precision;
+    the ends k = 0 and k = N are exactly 0 and 1/2."""
+    if k in (0, N):
+        return Decimal(k) / N / 2
+    s = (Decimal(k) / N).sqrt()
+    u = Decimal(asin(sqrt(k / N)) / pi)
+    for _ in range(20):
+        # d/du sin(pi u) = pi cos(pi u) = pi sin(pi (u + 1/2))
+        step = (_sin_pi(u) - s) / (_PI * _sin_pi(u + Decimal("0.5")))
+        u -= step
+        if abs(step) < Decimal("1e-38"):
+            return u
+    raise ArithmeticError(f"Newton's method did not converge at k={k}, N={N}")
+
+
+def counting_table(samples, M, N, median3):
+    """v_k, k = 0..N, at 40 digits: E[g(A)] (median3 false) or E[g(median
+    of three A)] for the amplitude estimate A = sin(pi Z/M)^2 of one counting
+    run on N bits of weight k; binomial_mixture(N, table, x) mixes them.
+
+    samples are the float values g(sin(pi j/M)^2), j = 0..M//2, whose A
+    increases with j.  Z is phase estimation at precision M on the eigenphase
+    theta/pi; the other eigenphase, 1 - theta/pi, gives the same law once
+    each outcome z is folded onto j = min(z, M - z).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        g = [Decimal(float(v)) for v in samples]
+        table = []
+        for k in range(N + 1):
+            law = [Decimal(0)] * len(g)
+            for z, p in enumerate(_pe_law(M, _grover_phase(k, N))):
+                law[min(z, M - z)] += p
+            if median3:  # j orders the estimates as A does
+                law = _median3_law(law)
+            table.append(sum(p * v for p, v in zip(law, g)))
+        return table
+
+
+def jackson_exact(samples, order, x):
+    """(1/Q) sum_j K(j/Q - x) g_j over the Q = len(samples) float samples
+    g_j = g(j/Q), at 40 digits, for the Jackson kernel K = c F^2 of the
+    given order n: F(t) = sin(pi n t)^2 / (n sin(pi t)^2), with its limit n
+    at an integer t, and c the reciprocal of F^2's mean,
+    sum_{|k|<n} (1 - |k|/n)^2 (Parseval on F's Fourier triangle).
+
+    x is taken exactly as the float it is; the result is rounded once, to float.
+    """
+    n, Q = order, len(samples)
     with localcontext() as ctx:
         ctx.prec = 40
         xd = Decimal(float(x))
-        law = {}
-        for z, g in enumerate(samples):
-            t = Decimal(z) / M - xd
-            if t == t.to_integral_value():
-                p = Decimal(1)
-            else:
-                p = (_sin_pi(M * t) / (M * _sin_pi(t))) ** 2
-            v = Decimal(float(g))
-            law[v] = law.get(v, Decimal(0)) + p
-        total, cdf, below = Decimal(0), Decimal(0), Decimal(0)
-        for v in sorted(law):
-            cdf = min(cdf + law[v], Decimal(1))
-            med = cdf * cdf * (3 - 2 * cdf)
-            total += v * (med - below)
-            below = med
-        return float(total)
+        total = Decimal(0)
+        for j, g in enumerate(samples):
+            t = Decimal(j) / Q - xd
+            f = (Decimal(n) if t == t.to_integral_value()
+                 else _sin_pi(n * t) ** 2 / (n * _sin_pi(t) ** 2))
+            total += f * f * Decimal(float(g))
+        mean = sum(Fraction(n - abs(k), n) ** 2 for k in range(1 - n, n))
+        return float(total * mean.denominator / mean.numerator / Q)
 
 
 def _outcome_distances(pmf):

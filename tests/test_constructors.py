@@ -43,7 +43,9 @@ from oracles import (
     bernstein_exact,
     binomial_mixture,
     conjugate_symmetry_defect,
+    counting_table,
     imag_residue,
+    jackson_exact,
     median3_circle_error,
     median3_pmf_by_unique,
     phase_median3_exact,
@@ -228,6 +230,27 @@ class TestCounting:
             )
             rep = error_report(g, "counting_median3", n)
             assert rep.sup_err <= np.pi * dmed + 0.5 / n + 1e-12
+
+
+    @pytest.mark.parametrize("method", ["counting_median3", "counting_single"])
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("name", ["abs-half", "sqrt"])
+    def test_form_and_reference_against_the_40_digit_mixture(self, method, n, name):
+        # each float result lies within a few roundings of the 40-digit
+        # mixture of the 40-digit value table over its own float samples
+        # g(sin(pi j/M)^2); on 32 golden-ratio points and both ends the form
+        # measured up to 3.1 and the reference up to 2.1, in units of eps * max|g|
+        g = CORPUS[name]
+        M, N = derived_params(method, n)
+        samples = g(np.sin(np.pi * np.arange(M // 2 + 1) / M) ** 2)
+        tol = 16 * np.finfo(float).eps * np.max(np.abs(samples))
+        approx = build_approximant(g, method, n)
+        table = counting_table(samples, M, N, method == "counting_median3")
+        xs = np.concatenate(((0.5 + np.arange(32) * ((np.sqrt(5.0) - 1.0) / 2.0)) % 1.0, [0.0, 1.0]))
+        for x, form, reference in zip(xs, approx(xs), approx.reference(xs)):
+            exact = binomial_mixture(N, table, x)
+            assert abs(form - exact) <= tol, x
+            assert abs(reference - exact) <= tol, x
 
 
 class TestCountingValueTable:
@@ -469,6 +492,25 @@ class TestJacksonKernelMethod:
     def test_degree_reduction(self):
         approx = build_approximant(CORPUS["triangle"], "jackson_kernel", 16)
         assert effective_trig_degree(approx.reference, 16, seed=19) < 1e-10
+
+    @pytest.mark.parametrize("n", [8, 24, 48])
+    @pytest.mark.parametrize("name", ["cos", "triangle"])
+    def test_form_and_reference_against_the_40_digit_sum(self, name, n):
+        # each float result lies within a few roundings of the 40-digit
+        # Q-node sum over its own float samples g(j/Q); on 32 golden-ratio
+        # points and both ends the form measured up to 2.5 and the reference
+        # up to 3.5, in units of eps * max|g|
+        g = CORPUS[name]
+        order = max(n // 2, 1)
+        Q = 8 * (jackson_kernel(order).trig_degree + 1)
+        samples = g(np.arange(Q) / Q)
+        tol = 16 * np.finfo(float).eps * np.max(np.abs(samples))
+        approx = build_approximant(g, "jackson_kernel", n)
+        xs = np.concatenate(((0.5 + np.arange(32) * ((np.sqrt(5.0) - 1.0) / 2.0)) % 1.0, [0.0, 1.0]))
+        for x, form, reference in zip(xs, approx(xs), approx.reference(xs)):
+            exact = jackson_exact(samples, order, x)
+            assert abs(form - exact) <= tol, x
+            assert abs(reference - exact) <= tol, x
 
 
 @pytest.fixture(scope="module")

@@ -36,6 +36,12 @@ class TestThetaOfWeight:
                 theta = theta_of_weight(k, N)
                 assert abs(np.sin(theta) ** 2 - k / N) < 1e-15
 
+    @pytest.mark.parametrize("N", [1, 16, 1600])
+    def test_is_arcsin_of_np_sqrt_bit_for_bit(self, N):
+        # math.sqrt and np.sqrt are both correctly rounded
+        ks = range(N + 1)
+        assert [theta_of_weight(k, N) for k in ks] == [float(np.arcsin(np.sqrt(k / N))) for k in ks]
+
     def test_out_of_range(self):
         with pytest.raises(PreconditionError):
             theta_of_weight(-1, 4)

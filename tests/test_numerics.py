@@ -362,6 +362,55 @@ class TestLobattoPoly:
         # elsewhere a batch sums in its BLAS call's order, not the scalar path's
         assert np.max(np.abs(scalar - out.reshape(-1))) <= 1e-13 * (1 + np.max(np.abs(vals)))
 
+    @pytest.mark.parametrize("n", [1, 2, 40, 200])
+    def test_float_path_is_the_searchsorted_form_bit_for_bit(self, n):
+        # the float path (bisect on a node list, q.dot, np.add.reduce) gives
+        # the bits of this form: a searchsorted hit, then float((q @ v) / q.sum())
+        values = np.random.default_rng(n).normal(size=n + 1)
+        poly = LobattoPoly(values)
+        nodes = cheb_lobatto_nodes(n + 1)
+        weights = np.ones(n + 1)
+        weights[1::2] = -1.0
+        weights[[0, -1]] *= 0.5
+
+        def searchsorted_form(x):
+            i = nodes.searchsorted(x)
+            if nodes[i] == x:
+                return float(values[i])
+            diff = x - nodes
+            if x < np.finfo(float).tiny:
+                diff *= 2.0**1000
+            q = weights / diff
+            return float((q @ values) / q.sum())
+
+        xs = np.concatenate((np.random.default_rng(100 + n).uniform(size=2000), nodes,
+                             np.nextafter(nodes, -1.0), np.nextafter(nodes, 2.0),
+                             [0.0, -0.0, 5e-324, 1e-310, 1.0]))
+        xs = xs[(xs >= 0.0) & (xs <= 1.0)]  # -5e-324 and 1.0000000000000002 are refused below
+        got = np.array([poly(x) for x in xs.tolist()])
+        want = np.array([searchsorted_form(x) for x in xs.tolist()])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+        # the array path's row sums (np.add.reduce) give those of q.sum(axis=1);
+        # BLAS may sum a row by its place in a block, so these run in the same blocks
+        def sum_rows(block):
+            q = block[:, None] - nodes
+            q[block < np.finfo(float).tiny] *= 2.0**1000
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = weights / q
+                return (q @ values) / q.sum(axis=1)
+
+        want = numerics._in_blocks(sum_rows, xs, n + 1)
+        i = nodes.searchsorted(xs)
+        hit = nodes[i] == xs
+        want[hit] = values[i[hit]]
+        assert np.array_equal(poly(xs).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("x", [1.0000000000000002, -5e-324, np.nan, np.inf, -np.inf, True])
+    def test_float_path_refusals(self, x):
+        with pytest.raises(PreconditionError):
+            LobattoPoly(np.arange(4.0))(x)
+
     def test_scaling_leaves_the_other_points_alone(self):
         poly = LobattoPoly(np.random.default_rng(8).normal(size=9))
         xs = np.random.default_rng(9).uniform(size=64)
@@ -614,6 +663,24 @@ class TestTrigPolyEvaluation:
         # a float takes the scalar path, which must give the one-point array path's bits
         xs = np.concatenate((xs, [-0.0, 5.3, -1e-300, 1e308, -2.0]))
         assert [poly(x) for x in xs.tolist()] == [poly(xs[i : i + 1])[0] for i in range(xs.size)]
+
+    @pytest.mark.parametrize("m", DEGREES)
+    def test_float_call_and_row_are_the_ndarray_sum_form_bit_for_bit(self, m):
+        # the sum over giant steps (np.add.reduce) gives the bits of
+        # ndarray.sum, computed here on the form's own tables
+        rng = np.random.default_rng(m)
+        poly = TrigPoly(rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1))
+        xs = np.concatenate(([0.0, -0.0, 0.5, 1.0 - 2.0**-53, -1e-300, 5.3],
+                             rng.uniform(0.0, 1.0, size=100))).tolist()
+        want = []
+        for x in xs:
+            z = np.exp((x % 1.0) * (2j * np.pi))
+            baby = np.power(z, poly._baby_exps)
+            giant = np.power(np.power(z, poly._step_exp), poly._giant_exps)
+            want.append(float(((baby @ poly._table) * giant).sum(axis=-1).real))
+        want = np.array(want).view(np.int64)
+        assert np.array_equal(np.array([poly(x) for x in xs]).view(np.int64), want)
+        assert np.array_equal(np.array([poly(np.array([x]))[0] for x in xs]).view(np.int64), want)
 
     @pytest.mark.parametrize("m", DEGREES)
     def test_phases_depend_on_x_mod_one_only(self, m):
