@@ -190,14 +190,9 @@ class KernelSpec:
         return _FEJER_POWER[self.kind] * (self.order - 1)
 
     def fourier_coeffs(self):
-        """Fourier coefficients for k = -trig_degree .. trig_degree.
-
-        F_n has the triangle 1 - |k|/n for |k| < n; F_n^p has the triangle
-        convolved with itself up to power p.
-        """
-        n = self.order
-        triangle = 1.0 - np.abs(np.arange(1 - n, n)) / n
-        return self.norm_const * reduce(np.convolve, [triangle] * _FEJER_POWER[self.kind])
+        """Read-only Fourier coefficients for k = -trig_degree .. trig_degree,
+        one array per kernel (_fourier_coeffs)."""
+        return _fourier_coeffs(self)
 
     def __call__(self, t):
         return self.norm_const * fejer_value(self.order, t) ** _FEJER_POWER[self.kind]
@@ -241,6 +236,22 @@ class KernelSpec:
             return c.astype(np.intp) % Q, k
 
         return band, table
+
+
+# one entry per kernel (kind, order), 4 * order doubles at most: the target
+# never enters, so every Jackson compile at an order after the first reads it
+@lru_cache(maxsize=128)
+def _fourier_coeffs(kernel):
+    """Read-only coefficients of norm_const * F_n^p, k = -p(n-1) .. p(n-1).
+
+    F_n has the triangle 1 - |k|/n for |k| < n; F_n^p has the triangle
+    convolved with itself up to power p.
+    """
+    n = kernel.order
+    triangle = 1.0 - np.abs(np.arange(1 - n, n)) / n
+    out = kernel.norm_const * reduce(np.convolve, [triangle] * _FEJER_POWER[kernel.kind])
+    out.flags.writeable = False
+    return out
 
 
 def fejer_kernel(n):

@@ -2,13 +2,14 @@
 
 The oracles (the triple median, the direct Fourier sum and the checks
 built on it, the unitarity and norm residuals, the full-width binomial
-mixture, the exact Bernstein sum, the 40-digit phase_median3 expectation,
-counting value table and Jackson sum, and the np.unique form of the
-median-of-three law) import nothing from jacksonlab, so they stay
-independent of the code they check.  The statistics are exact
-expectations under the public outcome laws.
+mixture, the exact Bernstein sum, piecewise-linear interpolant and kernel
+spectrum, the 40-digit phase_median3 expectation, counting value table and
+Jackson sum, and the np.unique form of the median-of-three law) import
+nothing from jacksonlab, so they stay independent of the code they check.
+The statistics are exact expectations under the public outcome laws.
 """
 
+from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import asin, comb, pi, sqrt
@@ -99,15 +100,32 @@ def binomial_mixture(N, table, x):
 
 
 def bernstein_exact(samples, x):
-    """sum_k C(n, k) x^k (1-x)^(n-k) g_k over the float samples g_k = g(k/n), exactly.
+    """sum_k C(n, k) x^k (1-x)^(n-k) g_k over the samples g_k = g(k/n), exactly.
 
     Every float is a dyadic rational, so the Fraction sum at the float x is the
-    exact value that a float Bernstein evaluation rounds.
+    exact value that a float Bernstein evaluation rounds.  A sample is taken
+    exactly as the float it is, or as a Fraction as it is.
     """
     n = len(samples) - 1
     t = Fraction(float(x))
-    return sum(comb(n, k) * t**k * (1 - t) ** (n - k) * Fraction(float(g))
+    return sum(comb(n, k) * t**k * (1 - t) ** (n - k)
+               * (g if isinstance(g, Fraction) else Fraction(float(g)))
                for k, g in enumerate(samples))
+
+
+def piecewise_linear_exact(knots_x, knots_y, t):
+    """The piecewise-linear interpolant of the float knots at t, exactly.
+
+    The knots are dyadic rationals, as every float is, so the interpolation
+    between the two knots around t, in Fractions, is the exact value of the
+    target that a float interpolation rounds.  knots_x increases from
+    knots_x[0] <= t to knots_x[-1] >= t; t is an int, float or Fraction.
+    """
+    xs = [Fraction(float(v)) for v in knots_x]
+    ys = [Fraction(float(v)) for v in knots_y]
+    t = Fraction(t)
+    i = min(bisect_right(xs, t), len(xs) - 1) - 1
+    return ys[i] + (ys[i + 1] - ys[i]) * (t - xs[i]) / (xs[i + 1] - xs[i])
 
 
 # pi to 50 digits, past the 40 the Decimal oracles carry
@@ -237,6 +255,26 @@ def jackson_exact(samples, order, x):
             total += f * f * Decimal(float(g))
         mean = sum(Fraction(n - abs(k), n) ** 2 for k in range(1 - n, n))
         return float(total * mean.denominator / mean.numerator / Q)
+
+
+def kernel_coeffs_exact(kind, order):
+    """Fourier coefficients c_k, k = -p(n-1) .. p(n-1), of the kernel of the
+    given kind and order n, as Fractions.
+
+    "fejer" (p = 1) is F_n's triangle 1 - |k|/n, |k| < n.  "jackson" (p = 2)
+    is c F_n^2: the triangle's autocorrelation, summed in integers, divided
+    by its centre sum_{|k|<n} (1 - |k|/n)^2, which is the mean of F_n^2
+    (Parseval), so c_0 = 1.
+    """
+    n = order
+    triangle = [n - abs(k) for k in range(1 - n, n)]  # n times F_n's coefficients
+    if kind == "fejer":
+        return [Fraction(t, n) for t in triangle]
+    auto = [0] * (2 * len(triangle) - 1)
+    for i, a in enumerate(triangle):
+        for j, b in enumerate(triangle):
+            auto[i + j] += a * b
+    return [Fraction(s, auto[len(triangle) - 1]) for s in auto]
 
 
 def _outcome_distances(pmf):

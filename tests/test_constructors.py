@@ -49,6 +49,7 @@ from oracles import (
     median3_circle_error,
     median3_pmf_by_unique,
     phase_median3_exact,
+    piecewise_linear_exact,
 )
 
 CONST = TargetFunction(lambda x: np.full_like(np.asarray(x, float), 2.5), name="c")
@@ -150,6 +151,27 @@ class TestBernstein:
         samples = g(np.arange(n + 1) / n)
         tol = 16 * np.finfo(float).eps * np.max(np.abs(samples))
         approx = build_approximant(g, "bernstein", n)
+        xs = (0.5 + np.arange(32) * ((np.sqrt(5.0) - 1.0) / 2.0)) % 1.0
+        for x, form, reference in zip(xs, approx(xs), approx.reference(xs)):
+            exact = bernstein_exact(samples, x)
+            assert abs(float(Fraction(float(form)) - exact)) <= tol, x
+            assert abs(float(Fraction(float(reference)) - exact)) <= tol, x
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_csv_target_against_the_exact_sum(self, tmp_path, n):
+        # the target's exact values at the nodes k/n (exact floats at these
+        # n) interpolate its float knots in Fractions, apart from the
+        # target's own np.interp; over four seeds the form measured up to
+        # 3.3 and the reference up to 2.5, in units of eps * max|g|
+        rng = np.random.default_rng(31)
+        knots_x = np.concatenate(([0.0], np.sort(rng.uniform(0.02, 0.98, 10)), [1.0]))
+        knots_y = rng.uniform(-1.0, 1.0, 12)
+        path = tmp_path / "knots.csv"
+        path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n"
+                                          for x, y in zip(knots_x.tolist(), knots_y.tolist())))
+        samples = [piecewise_linear_exact(knots_x, knots_y, Fraction(k, n)) for k in range(n + 1)]
+        tol = 16 * np.finfo(float).eps * float(max(abs(v) for v in samples))
+        approx = build_approximant(target_from_csv(str(path)), "bernstein", n)
         xs = (0.5 + np.arange(32) * ((np.sqrt(5.0) - 1.0) / 2.0)) % 1.0
         for x, form, reference in zip(xs, approx(xs), approx.reference(xs)):
             exact = bernstein_exact(samples, x)
@@ -523,6 +545,38 @@ def periodic_csv_target(tmp_path_factory):
     path = tmp_path_factory.mktemp("csv") / "periodic.csv"
     path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), ys.tolist())))
     return target_from_csv(str(path), periodic=True)
+
+
+class TestJacksonKernelCoefficientsOncePerOrder:
+    """The Jackson form reads its kernel's coefficients from one cached
+    array per order, bit for bit the convolution it replaced."""
+
+    def test_two_builds_at_one_order_make_one_array(self, periodic_csv_target):
+        phase_dist._fourier_coeffs.cache_clear()
+        for _ in range(2):
+            build_approximant(periodic_csv_target, "jackson_kernel", 200)(0.3)
+        info = phase_dist._fourier_coeffs.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("name", ["triangle", "csv"])
+    def test_form_is_the_convolution_bit_for_bit(self, periodic_csv_target, name):
+        g = periodic_csv_target if name == "csv" else CORPUS[name]
+        n, order = 200, 100
+        triangle = 1.0 - np.abs(np.arange(1 - order, order)) / order
+        kernel = (3.0 * order / (2.0 * order * order + 1.0)) * np.convolve(triangle, triangle)
+        d = 2 * (order - 1)
+        quad = 8 * (d + 1)
+        coeffs = np.zeros(2 * n + 1, dtype=complex)
+        coeffs[n - d : n + d + 1] = kernel * numerics._real_spectrum(g(np.arange(quad) / quad), d)
+        want = TrigPoly(coeffs)
+        # every fourth quadrature node and 602 seeded points
+        xs = np.concatenate((np.arange(0, quad, 4) / quad,
+                             np.random.default_rng(34).uniform(0.0, 1.0, 602)))
+        assert len(xs) == 1000
+        for _ in range(2):  # the build that makes the array, then one that reads it
+            approx = build_approximant(g, "jackson_kernel", n)
+            assert np.array_equal(approximant_coefficients(approx), want.coeffs)
+            assert np.array_equal(approx(xs), want(xs))
 
 
 class TestRealSpectrum:
