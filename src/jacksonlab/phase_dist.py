@@ -50,26 +50,34 @@ def pe_pmf_rows(M, xs):
     Pr[Z=z] = sin(pi M t)^2 / (M sin(pi t))^2 at t = z/M - x.  With
     c = rint(M x) and d = x - c/M, the numerator is sin(pi M d)^2 for every z.
     With o = z - c reduced into -(M//2) .. M-1-M//2, the denominator's sine is
-    sin(pi(o/M - d)) = sin(pi o/M) cos(pi d) - cos(pi o/M) sin(pi d): a rank-2
-    product of the cached table _offset_tables(1, M) with two numbers per
-    phase, so no entry takes a sine.  At o = 0 it is exactly -sin(pi d); a
-    phase with |d| <= 1e-15 takes the limit 1 there.
+    sin(pi(o/M - d)) = Re(F e^{i pi d}), where F = sin(pi o/M) + i cos(pi o/M)
+    is the complex view of the cached table _offset_tables(1, M): one complex
+    product per entry with one number per phase, so no entry takes a sine.
+    At o = 0, F = i and the product is exactly -sin(pi d); a phase with
+    |d| <= 1e-15 takes the limit 1 there.
     """
     M = positive_int(M, "M")
     # the phase is checked before the reduction, which warns on an infinity
     x = frac(np.asarray(finite_phases(xs)))
     c = np.rint(x * M).astype(np.intp)
-    # [sin; cos](pi o/M) laid out twice, so a phase's M outcomes are one row,
-    # starting at column (M//2 - c) mod M, of its (2, M + 1, M) window view:
-    # an ndarray over the table (sliding_window_view's checks cost 10 us a
-    # call), indexed in place, so a batch copies its P rows and no O(M^2) view
-    table = _offset_tables(1, M)
-    step = table.itemsize
-    windows = np.ndarray((2, M + 1, M), float, table, strides=(table.strides[0], step, step))
-    sin_o, cos_o = windows[:, (M // 2 - c) % M]
-    d = (x - c / M)[..., None]
+    # F laid out twice, so a phase's M outcomes are row (M//2 - c) mod M of
+    # its (M + 1, M) window view: an ndarray over the table's buffer
+    # (sliding_window_view's checks cost 10 us a call), indexed in place, so
+    # a batch copies its P rows and no O(M^2) view
+    windows = np.ndarray((M + 1, M), complex, _offset_tables(1, M), strides=(16, 16))
+    d = x - c / M
+    a = np.pi * d[..., None]
+    # cos + i sin of pi d, from the same np.cos and np.sin as the float law's
+    e = np.empty(a.shape, complex)
+    e.real = np.cos(a)
+    e.imag = np.sin(a)
+    # the gathered rows are a fresh copy (an index array, 0-d for a float
+    # phase, never a scalar's view), so the product goes in place: a second
+    # (P, M) complex array cost more in page faults than it saved
+    rows = windows[np.asarray((M // 2 - c) % M)]
+    rows *= e
     near = np.flatnonzero(np.abs(d) <= _SINGULARITY_EPS)
-    return _law(M, sin_o, cos_o, d, near * M + c.ravel()[near] % M)
+    return _law(M, rows.real, a, near * M + c.ravel()[near] % M)
 
 
 def _float_law(M, x):
@@ -79,22 +87,22 @@ def _float_law(M, x):
     1, and the window start is taken mod M, so x = 1.0 gives the law at 0."""
     c = round(x * M)
     s = (M // 2 - c) % M
-    table = _offset_tables(1, M)
     d = x - c / M
-    return _law(M, table[0, s:s + M], table[1, s:s + M], d,
+    a = np.pi * d
+    f = _offset_tables(1, M).view(complex)[s:s + M, 0]
+    return _law(M, (f * complex(np.cos(a), np.sin(a))).real, a,
                 [c % M] if abs(d) <= _SINGULARITY_EPS else [])
 
 
-def _law(M, sin_o, cos_o, d, at):
-    """sin(pi M d)^2 / (M (sin_o cos(pi d) - cos_o sin(pi d)))^2, with 1 at
-    the flat indices at of the o = 0 entries that take the limit; writing
-    them before the division too keeps 0/0 out at d = 0."""
-    a = np.pi * d
-    law = sin_o * np.cos(a)
-    law -= cos_o * np.sin(a)
+def _law(M, sines, a, at):
+    """sin(M a)^2 / (M sines)^2, for the sines Re(F e^{i a}) of the
+    outcomes, with 1 at the flat indices at of the o = 0 entries that take
+    the limit; writing them into the sines before the division too keeps
+    0/0 out at a = 0."""
     if len(at):
-        law.flat[at] = 1.0
-    np.divide(np.sin(M * a) / M, law, out=law)
+        sines.flat[at] = 1.0
+    # into a new array: the rows come out C-contiguous, not strided over F
+    law = np.divide(np.sin(M * a) / M, sines)
     law *= law
     if len(at):
         law.flat[at] = 1.0
@@ -125,16 +133,17 @@ def fejer_value(n, t):
 # one entry per precision M of the outcome laws: verify alone sweeps 63
 @lru_cache(maxsize=128)
 def _offset_tables(order, Q):
-    """Read-only C-contiguous (2, 2Q) table [sin; cos] of pi*order*u at the
-    offsets u = o/Q, o = -(Q//2) .. Q-1-Q//2, of a Q-node uniform rule, laid
-    out twice in a row, so any Q consecutive columns are one window of it.
+    """Read-only C-contiguous (2Q, 2) table of the pairs (sin, cos) of
+    pi*order*u at the offsets u = o/Q, o = -(Q//2) .. Q-1-Q//2, of a Q-node
+    uniform rule, laid out twice, so any Q consecutive rows are one window
+    of it.  Its complex view is sin + i cos, and [:Q].T is [sin; cos].
 
     order*o is reduced to (-Q, Q] in integers first, so every angle lies in
     (-pi, pi] and each entry is as accurate as one sine there.
     """
     o = np.arange(Q) - Q // 2
     k = (order * o + Q - 1) % (2 * Q) - (Q - 1)
-    out = np.tile(np.stack((np.sin(np.pi * k / Q), np.cos(np.pi * k / Q))), 2)
+    out = np.tile(np.stack((np.sin(np.pi * k / Q), np.cos(np.pi * k / Q)), axis=1), (2, 1))
     out.flags.writeable = False
     return out
 
@@ -224,10 +233,13 @@ class KernelSpec:
             c = np.rint(x * Q)
             d = x - c / Q
             a = np.pi * d
-            # in place from here: sin(pi n t) / sin(pi t), then F_n(t), then the kernel
-            k = np.stack((np.cos(n * a), -np.sin(n * a)), axis=1) @ _offset_tables(n, Q)[:, :Q]
+            # in place from here: sin(pi n t) / sin(pi t), then F_n(t), then the
+            # kernel; each product reads [sin; cos] as a C-ordered copy of the
+            # table's [:Q].T view, as BLAS on the view took 7-17% longer a block
+            k = (np.stack((np.cos(n * a), -np.sin(n * a)), axis=1)
+                 @ _offset_tables(n, Q)[:Q].T.copy())
             with np.errstate(divide="ignore", invalid="ignore"):
-                k /= np.stack((np.cos(a), -np.sin(a)), axis=1) @ _offset_tables(1, Q)[:, :Q]
+                k /= np.stack((np.cos(a), -np.sin(a)), axis=1) @ _offset_tables(1, Q)[:Q].T.copy()
             k[np.abs(d) <= _SINGULARITY_EPS, half] = n
             k *= k
             k /= n

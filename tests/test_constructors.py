@@ -1058,10 +1058,15 @@ class TestQuadratureReference:
         o = np.arange(Q, dtype=np.longdouble) - Q // 2
         for m in (order, 1):
             table = phase_dist._offset_tables(m, Q)
-            assert not table.flags.writeable
-            assert table.shape == (2, 2 * Q) and np.array_equal(table[:, :Q], table[:, Q:])
+            assert not table.flags.writeable and table.flags.c_contiguous
+            assert table.shape == (2 * Q, 2) and np.array_equal(table[:Q], table[Q:])
             angle = PI_LD * m * o / Q
-            assert np.max(np.abs(table[:, :Q] - np.stack((np.sin(angle), np.cos(angle))))) <= 2e-15
+            sin, cos = np.sin(angle), np.cos(angle)
+            # the outcome laws read the complex view sin + i cos, the band [sin; cos]: one buffer
+            f, band = table.view(complex)[:Q, 0], table[:Q].T
+            assert np.shares_memory(f, band)
+            assert np.max(np.abs(f.real - sin)) <= 2e-15 and np.max(np.abs(f.imag - cos)) <= 2e-15
+            assert np.max(np.abs(band - np.stack((sin, cos)))) <= 2e-15
 
     def test_build_makes_no_tables(self):
         phase_dist._offset_tables.cache_clear()

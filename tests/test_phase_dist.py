@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from jacksonlab import (
     PreconditionError,
@@ -61,8 +61,7 @@ def _edge_phases(M):
 
 
 EDGE_ORDERS = [*range(1, 65), 67, 100, 127, 128, 171, 255, 256]
-# largest |law - _law_oracle| over EDGE_ORDERS x _edge_phases: 7.8e-15 (M = 171);
-# the sine-per-entry form it replaced reached 2.3e-14 there
+# largest |law - _law_oracle| over EDGE_ORDERS x _edge_phases: 8.0e-15 (M = 171)
 ORACLE_TOL = 1e-14
 
 
@@ -140,20 +139,24 @@ class TestOutcomePhases:
 
 class TestOneOutcomeLawKernel:
     def test_every_law_comes_from_pe_pmf_rows(self, monkeypatch):
-        # a wrong sine table reaches every outcome law, so none rebuilds the formula itself
-        reference = build_approximant(get_target("triangle"), "phase_median3", 12).reference
+        # a wrong sine table reaches every outcome law and the Jackson band,
+        # so none rebuilds the formula itself
+        triangle = get_target("triangle")
+        references = [build_approximant(triangle, method, 12).reference
+                      for method in ("phase_median3", "jackson_kernel")]
         xs = np.array([0.1, 0.37, 0.8])
 
         def laws():
             return (pe_pmf(7, 0.3).probs, single_run_pmf(3, 16, 7),
-                    single_run_amp_pmf(3, 16, 7)[1], reference(xs))
+                    single_run_amp_pmf(3, 16, 7)[1], *(reference(xs) for reference in references))
 
         before = laws()
         tables = phase_dist._offset_tables
-        # [cos; sin] for [sin; cos]: the denominator becomes cos(pi(o/M + d));
-        # contiguous, as pe_pmf_rows lays its window view over the table's buffer
+        # (cos, sin) for (sin, cos): the outcome laws' sine becomes
+        # cos(pi(o/M + d)) and the band's rows swap; contiguous, as
+        # pe_pmf_rows lays its window view over the table's buffer
         monkeypatch.setattr(phase_dist, "_offset_tables",
-                            lambda order, Q: np.ascontiguousarray(tables(order, Q)[::-1]))
+                            lambda order, Q: np.ascontiguousarray(tables(order, Q)[:, ::-1]))
         for right, wrong in zip(before, laws()):
             assert np.max(np.abs(right - wrong)) > 1e-3
 
@@ -291,8 +294,8 @@ class TestInPlaceKernel:
     def test_table_is_the_offset_table_laid_out_twice(self):
         for M in (1, 6, 17):
             table = phase_dist._offset_tables(1, M)
-            assert table.shape == (2, 2 * M)
-            assert np.array_equal(table[:, :M], table[:, M:])
+            assert table.shape == (2 * M, 2) and table.flags.c_contiguous
+            assert np.array_equal(table[:M], table[M:])
             assert not table.flags.writeable
 
 
@@ -316,6 +319,22 @@ class TestKernelProperties:
     @given(orders, phases)
     def test_reduced_phase_lies_in_the_unit_interval(self, M, x):
         assert 0.0 <= pe_pmf(M, x).x < 1.0
+
+    # most draws of phases are whole numbers or huge, whose d is 0
+    @given(orders, st.one_of(st.floats(min_value=-2.0, max_value=2.0), phases))
+    def test_nearest_entry_is_exact_whatever_the_complex_rounding(self, M, x):
+        # at o = 0 the table's complex entry is i, so the product's real part is
+        # fma(0, cos, -1 * sin) = -sin(pi d) exactly, with or without an FMA
+        reduced = x % 1.0
+        c = round(reduced * M)
+        d = reduced - c / M
+        assume(abs(d) > 1e-15)
+        a = np.pi * d
+        # squared as a product, as the law squares: pow(ratio, 2) can be one ulp off it
+        ratio = (np.sin(M * a) / M) / -np.sin(a)
+        nearest = ratio * ratio
+        assert pe_pmf(M, x).probs[c % M] == nearest
+        assert pe_pmf_rows(M, np.array([x, 0.3]))[0, c % M] == nearest
 
     @given(orders, st.lists(phases, min_size=1, max_size=8))
     def test_each_row_is_the_float_law(self, M, xs):
