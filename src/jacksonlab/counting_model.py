@@ -120,11 +120,11 @@ def binom_weight_matrix(N, xs):
     interior = (xs > 0.0) & (xs < 1.0)
     x = np.where(interior, xs, 0.5)[:, None]  # endpoint rows are overwritten below
     # log C(N, k) + k log x + (N - k) log(1 - x), in place: a block's working
-    # set is three (points x W) arrays
+    # set is three (points x W) arrays, both products made in one of them
     k = lo[:, None] + np.arange(W)
     w = _log_binom(N)[k]
-    w += np.log(x) * k
-    w += np.log1p(-x) * np.subtract(N, k, out=k)
+    w += (prod := np.multiply(np.log(x), k))
+    w += np.multiply(np.log1p(-x), np.subtract(N, k, out=k), out=prod)
     np.exp(w, out=w)
     w /= np.where(interior, w.sum(axis=1), 1.0)[:, None]
     w[~interior] = 0.0

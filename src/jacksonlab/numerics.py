@@ -326,9 +326,11 @@ class TrigPoly:
     Calls return the real part, Re sum_{k=0..m} b_k e^{2 pi i k x} with
     b_0 = c_0 and b_k = c_k + conj(c_-k), evaluated baby-step/giant-step:
     k = aB + r with B = ceil(sqrt(m+1)) and A = ceil((m+1)/B), so each
-    point needs one complex exponential z = e^{2 pi i (x mod 1)}, the
-    integer powers z^r (r < B) and (z^B)^a (a < A), and one product with
-    the B x A table T[r, a] = b_{aB+r}, not m cosines and m sines.
+    point needs one complex exponential z = e^{2 pi i (x mod 1)}, one power
+    table z^0 .. z^B (the baby steps z^r, r < B, and the giant base z^B),
+    the giant steps (z^B)^a (a < A), and the sum over r and a of
+    z^r T[r, a] (z^B)^a for the B x A table T[r, a] = b_{aB+r}: two BLAS
+    products, not m cosines and m sines.
 
     np.power takes an integer exponent below 100 by repeated squaring, at
     about half the cost of a complex exp; once m + 1 > 99**2 = 9801, B
@@ -350,9 +352,8 @@ class TrigPoly:
         b[1 : m + 1] += np.conj(c[:m][::-1])
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "_table", b.reshape(giant, baby).T.copy())
-        # the exponents r, B and a, complex as np.power's complex loop takes them
-        object.__setattr__(self, "_baby_exps", np.arange(baby, dtype=complex))
-        object.__setattr__(self, "_step_exp", complex(baby))
+        # the exponents 0 .. B and a, complex as np.power's complex loop takes them
+        object.__setattr__(self, "_power_exps", np.arange(baby + 1, dtype=complex))
         object.__setattr__(self, "_giant_exps", np.arange(giant, dtype=complex))
 
     @property
@@ -364,13 +365,17 @@ class TrigPoly:
         # first keeps the angle below 2 pi
         x = finite_phases(x)
         # one point (a float) makes the same ufunc calls as a row of an array;
-        # np.power, not **, which on a numpy scalar takes numpy's scalar math
+        # the giant base is the table's one-entry last column, never a numpy
+        # scalar, so np.power runs its ufunc loop and not numpy's scalar math
         one = isinstance(x, float)
         z = np.exp((x % 1.0 if one else frac(x.reshape(-1, 1))) * _TWO_PI_I)
-        baby = np.power(z, self._baby_exps)
-        giant = np.power(np.power(z, self._step_exp), self._giant_exps)
-        out = np.add.reduce((baby @ self._table) * giant, axis=-1).real
-        return float(out) if one else out.reshape(x.shape)
+        w = np.power(z, self._power_exps)
+        giant = np.power(w[..., -1:], self._giant_exps)
+        if one:
+            return float(w[:-1].dot(self._table).dot(giant).real)
+        # a stack of (1 x A) by (A x 1) products: each row is np.dot's BLAS dot
+        out = np.matmul((w[:, :-1] @ self._table)[:, None], giant[..., None])
+        return out.real.reshape(x.shape)
 
 
 def sup_distance(f, h, grid):

@@ -228,18 +228,27 @@ class KernelSpec:
         half = Q // 2
         table = np.concatenate((samples[Q - half :], samples, samples[: Q - 1 - half]))
 
+        copies = {}
+
+        def sin_cos(order):
+            # [sin; cos] as a C-ordered copy of the table's [:Q].T view (BLAS on
+            # the view took 7-17% longer a block), made once per table: again
+            # only when the cache lookup returns another table
+            offsets = _offset_tables(order, Q)
+            kept = copies.get(order)
+            if kept is None or kept[0] is not offsets:
+                kept = copies[order] = offsets, offsets[:Q].T.copy()
+            return kept[1]
+
         def band(x):
             x = frac(x)
             c = np.rint(x * Q)
             d = x - c / Q
             a = np.pi * d
-            # in place from here: sin(pi n t) / sin(pi t), then F_n(t), then the
-            # kernel; each product reads [sin; cos] as a C-ordered copy of the
-            # table's [:Q].T view, as BLAS on the view took 7-17% longer a block
-            k = (np.stack((np.cos(n * a), -np.sin(n * a)), axis=1)
-                 @ _offset_tables(n, Q)[:Q].T.copy())
+            # in place from here: sin(pi n t) / sin(pi t), then F_n(t), then the kernel
+            k = np.stack((np.cos(n * a), -np.sin(n * a)), axis=1) @ sin_cos(n)
             with np.errstate(divide="ignore", invalid="ignore"):
-                k /= np.stack((np.cos(a), -np.sin(a)), axis=1) @ _offset_tables(1, Q)[:Q].T.copy()
+                k /= np.stack((np.cos(a), -np.sin(a)), axis=1) @ sin_cos(1)
             k[np.abs(d) <= _SINGULARITY_EPS, half] = n
             k *= k
             k /= n

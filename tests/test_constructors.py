@@ -1076,6 +1076,33 @@ class TestQuadratureReference:
         # one table of order n // 2 = 20 (numerator) and one of order 1 (denominator)
         assert phase_dist._offset_tables.cache_info().currsize == 2
 
+    def test_band_copies_each_table_once(self):
+        # the band's [sin; cos] copies are made on the first block and kept: a
+        # reference evaluated over eight blocks holds what one block made, two
+        # copies of 2Q doubles, and no other array of Q doubles or more
+        n = 64
+        order = n // 2
+        Q = 8 * (jackson_kernel(order).trig_degree + 1)
+        for m in (order, 1):
+            phase_dist._offset_tables(m, Q)  # cached before tracing
+        approx = build_approximant(CORPUS["triangle"], "jackson_kernel", n)
+        block = numerics._BLOCK_ENTRIES // Q
+        xs = np.random.default_rng(5).uniform(size=8 * block)
+        held = []
+        tracemalloc.start()
+        try:
+            for points in (xs[:block], xs):
+                approx.reference(points)
+                snapshot = tracemalloc.take_snapshot()
+                # numpy's data buffers, made on a line of phase_dist
+                for only in (tracemalloc.Filter(True, phase_dist.__file__),
+                             tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)):
+                    snapshot = snapshot.filter_traces([only])
+                held.append(sorted(t.size for t in snapshot.traces if t.size >= Q * 8))
+        finally:
+            tracemalloc.stop()
+        assert held == [[2 * Q * 8] * 2] * 2
+
 
 class TestConstantsReproduced:
     @settings(deadline=None)

@@ -665,22 +665,33 @@ class TestTrigPolyEvaluation:
         assert [poly(x) for x in xs.tolist()] == [poly(xs[i : i + 1])[0] for i in range(xs.size)]
 
     @pytest.mark.parametrize("m", DEGREES)
-    def test_float_call_and_row_are_the_ndarray_sum_form_bit_for_bit(self, m):
-        # the sum over giant steps (np.add.reduce) gives the bits of
-        # ndarray.sum, computed here on the form's own tables
+    def test_float_call_and_row_are_the_power_table_dot_form_bit_for_bit(self, m):
+        # one power table z^0 .. z^B, the giant steps from its last entry, and
+        # the giant sum as two BLAS dots, computed here on the form's own tables
         rng = np.random.default_rng(m)
         poly = TrigPoly(rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1))
         xs = np.concatenate(([0.0, -0.0, 0.5, 1.0 - 2.0**-53, -1e-300, 5.3],
                              rng.uniform(0.0, 1.0, size=100))).tolist()
         want = []
         for x in xs:
-            z = np.exp((x % 1.0) * (2j * np.pi))
-            baby = np.power(z, poly._baby_exps)
-            giant = np.power(np.power(z, poly._step_exp), poly._giant_exps)
-            want.append(float(((baby @ poly._table) * giant).sum(axis=-1).real))
+            w = np.power(np.exp((x % 1.0) * (2j * np.pi)), poly._power_exps)
+            giant = np.power(w[-1:], poly._giant_exps)
+            want.append(float(np.dot(np.dot(w[:-1], poly._table), giant).real))
         want = np.array(want).view(np.int64)
         assert np.array_equal(np.array([poly(x) for x in xs]).view(np.int64), want)
         assert np.array_equal(np.array([poly(np.array([x]))[0] for x in xs]).view(np.int64), want)
+
+    @pytest.mark.parametrize("m", DEGREES)
+    def test_power_table_giant_base_is_the_separate_power(self, m):
+        # z^B from the one power table is the entry np.power(z, complex(B)) gives alone
+        poly = TrigPoly(np.ones(2 * m + 1, dtype=complex))
+        B = len(poly._table)
+        assert poly._power_exps.tolist() == list(range(B + 1))
+        xs = np.concatenate(([0.0, 0.25, 0.5, 1.0 - 2.0**-53],
+                             np.random.default_rng(m).uniform(0.0, 1.0, size=2000)))
+        z = np.exp(xs * (2j * np.pi))
+        table = np.power(z[:, None], poly._power_exps)
+        assert np.array_equal(table[:, -1].copy().view(np.int64), np.power(z, complex(B)).view(np.int64))
 
     @pytest.mark.parametrize("m", DEGREES)
     def test_phases_depend_on_x_mod_one_only(self, m):
