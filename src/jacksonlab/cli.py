@@ -11,6 +11,7 @@ import configparser
 import json
 import os
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -88,14 +89,22 @@ class LibraryCommand(click.Command):
     """A subcommand whose library failures exit 2: a refused input, a non-finite
     result (too large for float64) or a refused allocation; nothing broader.
     numpy's floating-point warnings are off: the library checks its results, so
-    an overflow exits 2 whatever the warnings filter, not with a traceback."""
+    an overflow exits 2 whatever the warnings filter, not with a traceback.
+    The library's own notices (a UserWarning, such as a degenerate approximant)
+    are recorded and shown on stderr after the command, whatever the filter."""
 
     def invoke(self, ctx):
         try:
-            with np.errstate(all="ignore"):
+            with warnings.catch_warnings(record=True) as notices, np.errstate(all="ignore"):
+                warnings.simplefilter("always", UserWarning)
                 return super().invoke(ctx)
         except (PreconditionError, EvaluationError, MemoryError) as exc:
             raise click.UsageError(str(exc), ctx) from None
+        finally:
+            # shown, not warned again: showwarning passes no filter
+            for notice in notices:
+                warnings.showwarning(notice.message, notice.category, notice.filename,
+                                     notice.lineno)
 
 
 class ConfigDefaults(click.Group):

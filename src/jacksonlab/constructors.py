@@ -136,7 +136,10 @@ def derived_params(method, n):
     n = positive_int(n, "degree budget n")
     if not (isinstance(method, str) and method in _METHOD_TABLE):  # a list is refused too
         raise PreconditionError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
-    return _METHOD_TABLE[method].params(n)
+    M, N = _METHOD_TABLE[method].params(n)
+    if N is not None:  # the counting value table has N + 1 weights
+        positive_int(N, "N = n^2")
+    return M, N
 
 
 def _banded(band, table, W):

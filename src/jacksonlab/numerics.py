@@ -27,18 +27,30 @@ class EvaluationError(ArithmeticError):
     """A function produced a non-finite value at a named point."""
 
 
+# the largest array a size s makes is the Jackson band's [sin; cos] rows at
+# budget s: 2Q doubles with Q <= 8s, under 128 bytes per unit of s; numpy
+# refuses an array of more than intp.max bytes with a ValueError (a MemoryError
+# below that), so a larger size could only fail that way
+_MAX_SIZE = np.iinfo(np.intp).max // 128
+
+
 def positive_int(value, name, low=1):
-    """value as an int; PreconditionError unless it is a whole number >= low.
+    """value as an int; PreconditionError unless it is a whole number >= low
+    and at most _MAX_SIZE.
 
     low is 1 for an order or a precision, 0 for a degree.  A bool is
     refused; an integral float such as 4.0 is accepted.
     """
-    if type(value) is int and value >= low:
+    if type(value) is int and value >= low and value <= _MAX_SIZE:
         return value  # the common case, spared the numbers.Real check (about 0.4 us)
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer() or value < low):
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())
+            or value < low):
         kind = "a positive integer" if low == 1 else f"an integer >= {low}"
         raise PreconditionError(f"{name} must be {kind}, got {value!r}")
+    if value > _MAX_SIZE:
+        raise PreconditionError(f"{name} must be at most {_MAX_SIZE}, got {value!r}: "
+                                "arrays of that size cannot be allocated")
     return int(value)
 
 

@@ -51,8 +51,8 @@ def pe_pmf_rows(M, xs):
     c = rint(M x) and d = x - c/M, the numerator is sin(pi M d)^2 for every z.
     With o = z - c reduced into -(M//2) .. M-1-M//2, the denominator's sine is
     sin(pi(o/M - d)) = Re(F e^{i pi d}), where F = sin(pi o/M) + i cos(pi o/M)
-    is the complex view of the cached table _offset_tables(1, M): one complex
-    product per entry with one number per phase, so no entry takes a sine.
+    is read from the cached table _law_table(M): one complex product per
+    entry with one number per phase, so no entry takes a sine.
     At o = 0, F = i and the product is exactly -sin(pi d); a phase with
     |d| <= 1e-15 takes the limit 1 there.
     """
@@ -64,7 +64,7 @@ def pe_pmf_rows(M, xs):
     # its (M + 1, M) window view: an ndarray over the table's buffer
     # (sliding_window_view's checks cost 10 us a call), indexed in place, so
     # a batch copies its P rows and no O(M^2) view
-    windows = np.ndarray((M + 1, M), complex, _offset_tables(1, M), strides=(16, 16))
+    windows = np.ndarray((M + 1, M), complex, _law_table(M), strides=(16, 16))
     d = x - c / M
     a = np.pi * d[..., None]
     # cos + i sin of pi d, from the same np.cos and np.sin as the float law's
@@ -89,7 +89,7 @@ def _float_law(M, x):
     s = (M // 2 - c) % M
     d = x - c / M
     a = np.pi * d
-    f = _offset_tables(1, M).view(complex)[s:s + M, 0]
+    f = _law_table(M)[s:s + M]
     return _law(M, (f * complex(np.cos(a), np.sin(a))).real, a,
                 [c % M] if abs(d) <= _SINGULARITY_EPS else [])
 
@@ -130,20 +130,23 @@ def fejer_value(n, t):
     return _scalarize(out, t)
 
 
+def _offset_angles(order, Q):
+    """pi*order*u at the offsets u = o/Q, o = -(Q//2) .. Q-1-Q//2, of a
+    Q-node uniform rule.  order*o is reduced to (-Q, Q] in integers first,
+    so every angle lies in (-pi, pi] and its sine and cosine are each as
+    accurate as one sine there."""
+    o = np.arange(Q) - Q // 2
+    return np.pi * ((order * o + Q - 1) % (2 * Q) - (Q - 1)) / Q
+
+
 # one entry per precision M of the outcome laws: verify alone sweeps 63
 @lru_cache(maxsize=128)
-def _offset_tables(order, Q):
-    """Read-only C-contiguous (2Q, 2) table of the pairs (sin, cos) of
-    pi*order*u at the offsets u = o/Q, o = -(Q//2) .. Q-1-Q//2, of a Q-node
-    uniform rule, laid out twice, so any Q consecutive rows are one window
-    of it.  Its complex view is sin + i cos, and [:Q].T is [sin; cos].
-
-    order*o is reduced to (-Q, Q] in integers first, so every angle lies in
-    (-pi, pi] and each entry is as accurate as one sine there.
-    """
-    o = np.arange(Q) - Q // 2
-    k = (order * o + Q - 1) % (2 * Q) - (Q - 1)
-    out = np.tile(np.stack((np.sin(np.pi * k / Q), np.cos(np.pi * k / Q)), axis=1), (2, 1))
+def _law_table(M):
+    """Read-only C-contiguous (2M,) complex table F = sin + i cos of the
+    offset angles pi o/M (_offset_angles(1, M)), laid out twice, so any M
+    consecutive entries are one window of it."""
+    a = _offset_angles(1, M)
+    out = np.tile(np.sin(a) + 1j * np.cos(a), 2)
     out.flags.writeable = False
     return out
 
@@ -217,38 +220,33 @@ class KernelSpec:
         the table is the samples wrapped round to 2Q - 1 entries.  s - x[i]
         is u - d, with u = (o - Q//2)/Q and d = x - rint(Q x)/Q,
         |d| <= 1/(2Q).  sin(pi m (u - d)) is expanded by angle addition into
-        a rank-2 product of the offset table of order m with the per-point
-        sin and cos of pi m d, for m = order (numerator) and m = 1
-        (denominator), so no entry takes a sine.  For u != 0, |u| >= 2|d|
-        and neither difference cancels badly; at u = 0 both are exactly
-        -sin(pi m d), and a point with |d| <= 1e-15 takes the limit
+        a rank-2 product of [sin; cos] of the angles pi m u (_offset_angles)
+        with the per-point sin and cos of pi m d, for m = order (numerator)
+        and m = 1 (denominator), so no entry takes a sine.  For u != 0,
+        |u| >= 2|d| and neither difference cancels badly; at u = 0 both are
+        exactly -sin(pi m d), and a point with |d| <= 1e-15 takes the limit
         F = order there.
         """
         Q, n, p, norm = len(samples), self.order, _FEJER_POWER[self.kind], self.norm_const
         half = Q // 2
         table = np.concatenate((samples[Q - half :], samples, samples[: Q - 1 - half]))
 
-        copies = {}
-
-        def sin_cos(order):
-            # [sin; cos] as a C-ordered copy of the table's [:Q].T view (BLAS on
-            # the view took 7-17% longer a block), made once per table: again
-            # only when the cache lookup returns another table
-            offsets = _offset_tables(order, Q)
-            kept = copies.get(order)
-            if kept is None or kept[0] is not offsets:
-                kept = copies[order] = offsets, offsets[:Q].T.copy()
-            return kept[1]
+        rows = []
 
         def band(x):
+            if not rows:
+                # C-ordered (2, Q) [sin; cos] rows at m = n and m = 1: made on the
+                # first block, not at build, and freed with the band
+                rows.extend(np.array((np.sin(u), np.cos(u)))
+                            for u in (_offset_angles(n, Q), _offset_angles(1, Q)))
             x = frac(x)
             c = np.rint(x * Q)
             d = x - c / Q
             a = np.pi * d
             # in place from here: sin(pi n t) / sin(pi t), then F_n(t), then the kernel
-            k = np.stack((np.cos(n * a), -np.sin(n * a)), axis=1) @ sin_cos(n)
+            k = np.stack((np.cos(n * a), -np.sin(n * a)), axis=1) @ rows[0]
             with np.errstate(divide="ignore", invalid="ignore"):
-                k /= np.stack((np.cos(a), -np.sin(a)), axis=1) @ sin_cos(1)
+                k /= np.stack((np.cos(a), -np.sin(a)), axis=1) @ rows[1]
             k[np.abs(d) <= _SINGULARITY_EPS, half] = n
             k *= k
             k /= n

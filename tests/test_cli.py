@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,15 @@ from jacksonlab.cli import main
 from jacksonlab.constructors import METHODS, TRIG_METHODS
 from jacksonlab.numerics import PreconditionError
 from jacksonlab.phase_dist import KERNEL_KINDS, KernelSpec
+
+
+# a size above numerics._MAX_SIZE, so large that numpy can hold no array of it
+HUGE = "100000000000000000000000"
+# requests whose approximants degenerate to a constant, each with a UserWarning
+DEGENERATE_REQUESTS = [
+    ["construct", "--method", "jackson_kernel", "--n", "2", "--target", "cos"],
+    ["sweep", "--method", "counting_median3", "--n", "1:12:1", "--target", "sqrt"],
+]
 
 
 @pytest.fixture
@@ -291,6 +301,29 @@ class TestLibraryFailures:
         assert result.exit_code == 4
         assert "I/O error: denied" in result.output
 
+    @pytest.mark.parametrize("args", [
+        *(["construct", "--method", method, "--n", HUGE,
+           "--target", "cos" if method in TRIG_METHODS else "sqrt"] for method in METHODS),
+        ["dist", "--m", HUGE, "--x", "0.3"],
+    ], ids=[*METHODS, "dist"])
+    def test_size_no_array_can_hold_is_usage_error(self, runner, args):
+        # numpy refuses such an array with a ValueError, so the size is refused before
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "arrays of that size cannot be allocated" in result.output
+
+    @pytest.mark.parametrize("args", DEGENERATE_REQUESTS, ids=["construct", "sweep"])
+    def test_degenerate_request_exits_0_under_any_filter(self, runner, args):
+        # the notice is shown, whatever the filter, and the output is the same
+        stdouts = set()
+        for action in ("error", "ignore", "default"):
+            with pytest.warns(UserWarning, match="degenerates to a constant"):
+                warnings.simplefilter(action)
+                result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            stdouts.add(result.stdout)
+        assert len(stdouts) == 1
+
     @pytest.mark.parametrize("exc", [ValueError("defect"), ZeroDivisionError("defect"),
                                      RuntimeError("defect"), KeyError("defect")])
     def test_other_exceptions_are_not_caught(self, runner, monkeypatch, exc):
@@ -494,14 +527,29 @@ class TestConfigFile:
         assert "I/O error" in result.output
 
 
-def test_import_does_not_load_scipy():
+def _src_path():
     src = str(Path(jacksonlab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
+def test_import_does_not_load_scipy():
+    path = _src_path()
     code = ("import sys, jacksonlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_degenerate_notice_under_warnings_as_errors():
+    # the installed CLI runs under PYTHONWARNINGS=error: the notice is on stderr, not a traceback
+    out = subprocess.run([sys.executable, "-m", "jacksonlab.cli", *DEGENERATE_REQUESTS[0]],
+                         env={**os.environ, "PYTHONPATH": _src_path(), "PYTHONWARNINGS": "error"},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "UserWarning: jackson_kernel with n=2 has exact degree 0" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert json.loads(out.stdout)["degenerate"] is True
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import sys
 import tracemalloc
@@ -106,6 +107,26 @@ class TestDerivedParams:
         with pytest.raises(PreconditionError, match="n must be a positive integer"):
             derived_params("counting_median3", n)
         assert derived_params("counting_median3", 12.0) == derived_params("counting_median3", 12)
+
+    @pytest.mark.parametrize("n", [numerics._MAX_SIZE + 1, 10**23, 10**400, 1e30,
+                                   np.uint64(2**64 - 1)])
+    def test_budget_no_array_can_hold_is_refused(self, n):
+        # numpy would refuse such an array with a ValueError, not a MemoryError
+        with pytest.raises(PreconditionError, match="arrays of that size cannot be allocated"):
+            derived_params("bernstein", n)
+        assert derived_params("bernstein", numerics._MAX_SIZE) == (None, None)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_build_refuses_a_size_no_array_can_hold(self, method):
+        with pytest.raises(PreconditionError, match="arrays of that size cannot be allocated"):
+            build_approximant(CONST_P, method, 10**23)
+
+    @pytest.mark.parametrize("method", ["counting_median3", "counting_single"])
+    def test_counting_refuses_an_n_squared_no_array_can_hold(self, method):
+        # n = 10**9 passes the gate, but the value table would have n^2 + 1 = 10**18 + 1 weights
+        with pytest.raises(PreconditionError, match=r"N = n\^2 must be at most"):
+            derived_params(method, 10**9)
+        assert derived_params(method, 2**28 - 1)[1] <= numerics._MAX_SIZE
 
 
 class TestBernstein:
@@ -1056,35 +1077,50 @@ class TestQuadratureReference:
         # order*o is reduced in integers: sin(pi*order*o/Q) taken directly is off by 1.8e-13 at 1024
         Q = 8 * (2 * order - 1) + 1
         o = np.arange(Q, dtype=np.longdouble) - Q // 2
-        for m in (order, 1):
-            table = phase_dist._offset_tables(m, Q)
-            assert not table.flags.writeable and table.flags.c_contiguous
-            assert table.shape == (2 * Q, 2) and np.array_equal(table[:Q], table[Q:])
-            angle = PI_LD * m * o / Q
-            sin, cos = np.sin(angle), np.cos(angle)
-            # the outcome laws read the complex view sin + i cos, the band [sin; cos]: one buffer
-            f, band = table.view(complex)[:Q, 0], table[:Q].T
-            assert np.shares_memory(f, band)
-            assert np.max(np.abs(f.real - sin)) <= 2e-15 and np.max(np.abs(f.imag - cos)) <= 2e-15
-            assert np.max(np.abs(band - np.stack((sin, cos)))) <= 2e-15
 
-    def test_build_makes_no_tables(self):
-        phase_dist._offset_tables.cache_clear()
+        def exact(m):
+            angle = PI_LD * m * o / Q
+            return np.stack((np.sin(angle), np.cos(angle)))
+
+        # the outcome laws read F = sin + i cos at m = 1, laid out twice
+        table = phase_dist._law_table(Q)
+        assert not table.flags.writeable and table.flags.c_contiguous
+        assert table.shape == (2 * Q,) and np.array_equal(table[:Q], table[Q:])
+        assert np.max(np.abs(np.stack((table[:Q].real, table[:Q].imag)) - exact(1))) <= 2e-15
+        # the band multiplies C-ordered [sin; cos] rows at m = order and m = 1
+        band, _ = jackson_kernel(order).quadrature(np.zeros(Q))
+        band(np.array([0.3]))
+        for m, rows in zip((order, 1), _band_rows(band), strict=True):
+            assert rows.shape == (2, Q) and rows.flags.c_contiguous
+            assert np.max(np.abs(rows - exact(m))) <= 2e-15
+
+    def test_build_makes_no_tables(self, monkeypatch):
+        angles = phase_dist._offset_angles
+        made = []
+
+        def counted(order, Q):
+            made.append((order, Q))
+            return angles(order, Q)
+
+        monkeypatch.setattr(phase_dist, "_offset_angles", counted)
+        phase_dist._law_table.cache_clear()
         approx = build_approximant(CORPUS["triangle"], "jackson_kernel", 40)
-        assert phase_dist._offset_tables.cache_info().currsize == 0
+        assert made == [] and phase_dist._law_table.cache_info().currsize == 0
         approx.reference(np.linspace(0.0, 1.0, 5))
-        # one table of order n // 2 = 20 (numerator) and one of order 1 (denominator)
-        assert phase_dist._offset_tables.cache_info().currsize == 2
+        approx.reference(np.linspace(0.0, 1.0, 5))
+        # rows of order n // 2 = 20 (numerator) and of order 1 (denominator), made
+        # on the first call only; the Jackson reference makes no law table
+        Q = 8 * (jackson_kernel(20).trig_degree + 1)
+        assert made == [(20, Q), (1, Q)]
+        assert phase_dist._law_table.cache_info().currsize == 0
 
     def test_band_copies_each_table_once(self):
-        # the band's [sin; cos] copies are made on the first block and kept: a
+        # the band's [sin; cos] rows are made on the first block and kept: a
         # reference evaluated over eight blocks holds what one block made, two
-        # copies of 2Q doubles, and no other array of Q doubles or more
+        # arrays of 2Q doubles, and no other array of Q doubles or more
         n = 64
         order = n // 2
         Q = 8 * (jackson_kernel(order).trig_degree + 1)
-        for m in (order, 1):
-            phase_dist._offset_tables(m, Q)  # cached before tracing
         approx = build_approximant(CORPUS["triangle"], "jackson_kernel", n)
         block = numerics._BLOCK_ENTRIES // Q
         xs = np.random.default_rng(5).uniform(size=8 * block)
@@ -1102,6 +1138,30 @@ class TestQuadratureReference:
         finally:
             tracemalloc.stop()
         assert held == [[2 * Q * 8] * 2] * 2
+
+    def test_dropped_references_hold_no_tables(self):
+        # a Jackson band's table and rows live as long as its approximant: no
+        # cache that lives as long as the process keeps one.  Each holds Q
+        # doubles or more; numpy keeps some smaller working buffers of its own
+        smallest = 8 * 8 * (jackson_kernel(32).trig_degree + 1)
+        tracemalloc.start(25)
+        try:
+            for n in (64, 128, 192):
+                build_approximant(CORPUS["triangle"], "jackson_kernel", n).reference(
+                    np.linspace(0.0, 1.0, 7))
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        snapshot = snapshot.filter_traces(
+            [tracemalloc.Filter(True, phase_dist.__file__, all_frames=True),
+             tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        assert sorted(t.size for t in snapshot.traces if t.size >= smallest) == []
+
+
+def _band_rows(band):
+    """The [sin; cos] rows a quadrature band keeps in its closure (none before its first block)."""
+    return band.__closure__[band.__code__.co_freevars.index("rows")].cell_contents
 
 
 class TestConstantsReproduced:

@@ -139,25 +139,28 @@ class TestOutcomePhases:
 
 class TestOneOutcomeLawKernel:
     def test_every_law_comes_from_pe_pmf_rows(self, monkeypatch):
-        # a wrong sine table reaches every outcome law and the Jackson band,
+        # a wrong angle table reaches every outcome law and the Jackson band,
         # so none rebuilds the formula itself
         triangle = get_target("triangle")
-        references = [build_approximant(triangle, method, 12).reference
-                      for method in ("phase_median3", "jackson_kernel")]
         xs = np.array([0.1, 0.37, 0.8])
 
         def laws():
+            # the references are built here: a band makes its rows on its first call
+            references = [build_approximant(triangle, method, 12).reference
+                          for method in ("phase_median3", "jackson_kernel")]
             return (pe_pmf(7, 0.3).probs, single_run_pmf(3, 16, 7),
                     single_run_amp_pmf(3, 16, 7)[1], *(reference(xs) for reference in references))
 
         before = laws()
-        tables = phase_dist._offset_tables
-        # (cos, sin) for (sin, cos): the outcome laws' sine becomes
-        # cos(pi(o/M + d)) and the band's rows swap; contiguous, as
-        # pe_pmf_rows lays its window view over the table's buffer
-        monkeypatch.setattr(phase_dist, "_offset_tables",
-                            lambda order, Q: np.ascontiguousarray(tables(order, Q)[:, ::-1]))
-        for right, wrong in zip(before, laws()):
+        angles = phase_dist._offset_angles
+        # pi/2 - a turns each sine into a cosine: the outcome laws' sine becomes
+        # cos(pi(o/M + d)) and the band's rows swap
+        with monkeypatch.context() as patch:
+            patch.setattr(phase_dist, "_offset_angles", lambda order, Q: np.pi / 2 - angles(order, Q))
+            phase_dist._law_table.cache_clear()
+            after = laws()
+        phase_dist._law_table.cache_clear()  # no wrong table outlives the patch
+        for right, wrong in zip(before, after):
             assert np.max(np.abs(right - wrong)) > 1e-3
 
 
@@ -280,7 +283,7 @@ class TestInPlaceKernel:
         M = 10**5
         phi = theta_of_weight(3, 8) / np.pi
         xs = np.array([phi, 1.0 - phi])
-        phase_dist._offset_tables(1, M)
+        phase_dist._law_table(M)
         tracemalloc.start()
         try:
             rows = pe_pmf_rows(M, xs)
@@ -293,8 +296,8 @@ class TestInPlaceKernel:
 
     def test_table_is_the_offset_table_laid_out_twice(self):
         for M in (1, 6, 17):
-            table = phase_dist._offset_tables(1, M)
-            assert table.shape == (2 * M, 2) and table.flags.c_contiguous
+            table = phase_dist._law_table(M)
+            assert table.shape == (2 * M,) and table.dtype == complex and table.flags.c_contiguous
             assert np.array_equal(table[:M], table[M:])
             assert not table.flags.writeable
 
