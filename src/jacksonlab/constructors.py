@@ -43,7 +43,7 @@ from .counting_model import (
     binom_weight_matrix,
     single_run_amp_pmf,
 )
-from .phase_dist import jackson_kernel, pe_pmf_rows
+from .phase_dist import check_precision, jackson_kernel, pe_pmf_rows
 
 DEFAULT_GRID_SIZE = 4097  # points of error_report's uniform grid, and the CLI's --grid-size
 
@@ -204,6 +204,7 @@ def _counting(g, n, M, N, median3):
 
 
 def _phase(g, n, M, N):
+    check_precision(M)  # an M whose laws numpy cannot lay out is refused before g is sampled
     gvals = _target_values(g, np.arange(M) / M, "at the phase outcomes z/M")
 
     def rows(x):
@@ -222,6 +223,10 @@ def _jackson(g, n, M, N):
     order = max(n // 2, 1)
     kernel = jackson_kernel(order)
     quad = 8 * (kernel.trig_degree + 1)
+    # the reference's (quad, quad) window view of the table (_banded), before g is sampled
+    if not numerics.view_fits((quad, quad), 8):
+        raise PreconditionError(f"n={n} is too large for jackson_kernel: numpy cannot "
+                                f"describe the window view of its {quad}-node quadrature")
     gs = _target_values(g, np.arange(quad) / quad, "at the quadrature nodes")
     sums = _banded(*kernel.quadrature(gs), quad)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import PreconditionError, median3_pmf, positive_int
-from .phase_dist import _float_law, pe_pmf_rows
+from .phase_dist import _float_law, check_precision, pe_pmf_rows
 
 
 def theta_of_weight(k, N):
@@ -43,7 +43,7 @@ def amp_support(M):
     j = min(z, M-z) of outcome z's estimate (grouping by index, not by sin^2
     values).
     """
-    M = positive_int(M, "M")
+    M = check_precision(positive_int(M, "M"))
     z = np.arange(M)
     values = np.sin(np.pi * np.arange(M // 2 + 1) / M) ** 2
     fold = np.minimum(z, M - z)

@@ -27,11 +27,13 @@ class EvaluationError(ArithmeticError):
     """A function produced a non-finite value at a named point."""
 
 
+# numpy refuses an array of more than intp.max bytes with a ValueError (a
+# MemoryError below that), a strided view over a small buffer too
+_MAX_BYTES = np.iinfo(np.intp).max
 # the largest array a size s makes is the Jackson band's [sin; cos] rows at
-# budget s: 2Q doubles with Q <= 8s, under 128 bytes per unit of s; numpy
-# refuses an array of more than intp.max bytes with a ValueError (a MemoryError
-# below that), so a larger size could only fail that way
-_MAX_SIZE = np.iinfo(np.intp).max // 128
+# budget s: 2Q doubles with Q <= 8s, under 128 bytes per unit of s, so a
+# larger size could only fail that way
+_MAX_SIZE = _MAX_BYTES // 128
 
 
 def positive_int(value, name, low=1):
@@ -52,6 +54,13 @@ def positive_int(value, name, low=1):
         raise PreconditionError(f"{name} must be at most {_MAX_SIZE}, got {value!r}: "
                                 "arrays of that size cannot be allocated")
     return int(value)
+
+
+def view_fits(shape, itemsize):
+    """Whether numpy can describe a view of this shape over items of
+    itemsize bytes: its nominal size prod(shape) * itemsize, not its buffer's,
+    must be at most _MAX_BYTES."""
+    return math.prod(shape) * itemsize <= _MAX_BYTES
 
 
 def real_x(x):

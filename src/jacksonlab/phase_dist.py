@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import PreconditionError, _scalarize, finite_phase, finite_phases, frac, positive_int
+from .numerics import (PreconditionError, _scalarize, finite_phase, finite_phases, frac,
+                       positive_int, view_fits)
 
 # below this circle distance the removable singularity is replaced by its limit
 _SINGULARITY_EPS = 1e-15
@@ -76,8 +77,23 @@ def pe_pmf_rows(M, xs):
     # (P, M) complex array cost more in page faults than it saved
     rows = windows[np.asarray((M // 2 - c) % M)]
     rows *= e
+    # the laws as (P, M) rows, views of the fresh product whatever the shape
+    # of xs, so a phase that takes the limit is a (row, column) pair of them
     near = np.flatnonzero(np.abs(d) <= _SINGULARITY_EPS)
-    return _law(M, rows.real, a, near * M + c.ravel()[near] % M)
+    law = _law(M, rows.real.reshape(-1, M), a.reshape(-1, 1),
+               (near, c.ravel()[near] % M) if near.size else None)
+    return law.reshape(rows.shape)
+
+
+def check_precision(M):
+    """M, an int >= 1 (from positive_int); PreconditionError when numpy
+    cannot describe pe_pmf_rows's (M + 1, M) complex window view of the law
+    table (M > 759,250,124), so such an M is refused before any array of its
+    size is made, whatever memory the machine has."""
+    if not view_fits((M + 1, M), 16):
+        raise PreconditionError(f"precision M={M} is too large: numpy cannot describe "
+                                "the (M + 1) x M window view of its outcome laws")
+    return M
 
 
 def _float_law(M, x):
@@ -91,21 +107,23 @@ def _float_law(M, x):
     a = np.pi * d
     f = _law_table(M)[s:s + M]
     return _law(M, (f * complex(np.cos(a), np.sin(a))).real, a,
-                [c % M] if abs(d) <= _SINGULARITY_EPS else [])
+                c % M if abs(d) <= _SINGULARITY_EPS else None)
 
 
 def _law(M, sines, a, at):
     """sin(M a)^2 / (M sines)^2, for the sines Re(F e^{i a}) of the
-    outcomes, with 1 at the flat indices at of the o = 0 entries that take
-    the limit; writing them into the sines before the division too keeps
-    0/0 out at a = 0."""
-    if len(at):
-        sines.flat[at] = 1.0
+    outcomes, with 1 at the o = 0 entries that take the limit: at is None
+    when no entry does, else an index of sines, an int for one law or a
+    (row, column) pair of index arrays for (P, M) rows.  The 1 is written
+    into the sines before the division too, which keeps 0/0 out at a = 0;
+    both writes are plain indexing, one entry per law that takes the limit."""
+    if at is not None:
+        sines[at] = 1.0
     # into a new array: the rows come out C-contiguous, not strided over F
     law = np.divide(np.sin(M * a) / M, sines)
     law *= law
-    if len(at):
-        law.flat[at] = 1.0
+    if at is not None:
+        law[at] = 1.0
     return law
 
 
@@ -144,7 +162,9 @@ def _offset_angles(order, Q):
 def _law_table(M):
     """Read-only C-contiguous (2M,) complex table F = sin + i cos of the
     offset angles pi o/M (_offset_angles(1, M)), laid out twice, so any M
-    consecutive entries are one window of it."""
+    consecutive entries are one window of it.  M is checked here
+    (check_precision), on a cache miss only."""
+    check_precision(M)
     a = _offset_angles(1, M)
     out = np.tile(np.sin(a) + 1j * np.cos(a), 2)
     out.flags.writeable = False

@@ -312,6 +312,19 @@ class TestLibraryFailures:
         assert result.exit_code == 2, result.output
         assert "arrays of that size cannot be allocated" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["construct", "--method", "phase_median3", "--n", "3000000000", "--target", "cos"],
+        ["construct", "--method", "jackson_kernel", "--n", "200000000", "--target", "cos"],
+        ["dist", "--m", "759250125", "--x", "0.3"],
+        ["dist", "--m", "759250125", "--count-n", "16", "--weight", "5"],
+        ["dist", "--m", "759250125", "--count-n", "16", "--weight", "5", "--median3"],
+    ], ids=["phase_median3", "jackson_kernel", "dist", "dist-counting", "dist-median3"])
+    def test_window_view_numpy_cannot_describe_is_usage_error(self, runner, args):
+        # numpy raised ValueError("array is too big") on the window view (exit 1)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "numpy cannot describe" in result.output
+
     @pytest.mark.parametrize("args", DEGENERATE_REQUESTS, ids=["construct", "sweep"])
     def test_degenerate_request_exits_0_under_any_filter(self, runner, args):
         # the notice is shown, whatever the filter, and the output is the same

@@ -121,6 +121,31 @@ class TestDerivedParams:
         with pytest.raises(PreconditionError, match="arrays of that size cannot be allocated"):
             build_approximant(CONST_P, method, 10**23)
 
+    @pytest.mark.parametrize("method,n", [("phase_median3", 3_000_000_000),
+                                          ("jackson_kernel", 200_000_000)])
+    def test_build_refuses_a_window_view_numpy_cannot_describe(self, method, n):
+        # M = 10^9 + 1 outcome laws or a Q = 1.6e9-node quadrature: numpy raised
+        # ValueError("array is too big") on the reference's window view, after
+        # sampling g at M or Q points; the refusal comes before any sampling
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="numpy cannot describe"):
+                build_approximant(CORPUS["cos"], method, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_largest_jackson_quadrature_passes_the_check(self):
+        # n = 134,217,728 gives Q = 8 (2 (n/2) - 1) = 1,073,741,816 <= 2^30 - 1, the largest Q
+        # whose (Q, Q) window view numpy can describe (not built: g would take 8 GB of
+        # samples); n + 2 gives Q > 2^30 and is refused
+        for n, fits in ((134_217_728, True), (134_217_730, False)):
+            quad = 8 * (2 * (n // 2) - 1)
+            assert numerics.view_fits((quad, quad), 8) is fits
+        with pytest.raises(PreconditionError, match="1073741832-node quadrature"):
+            build_approximant(CORPUS["cos"], "jackson_kernel", 134_217_730)
+
     @pytest.mark.parametrize("method", ["counting_median3", "counting_single"])
     def test_counting_refuses_an_n_squared_no_array_can_hold(self, method):
         # n = 10**9 passes the gate, but the value table would have n^2 + 1 = 10**18 + 1 weights

@@ -59,6 +59,40 @@ class TestCircleDist:
         )
 
 
+class TestViewFits:
+    """numerics.view_fits says whether numpy can describe a view, from its
+    shape and item size alone; nothing here makes an array of that size."""
+
+    @pytest.mark.parametrize("shape,itemsize", [
+        ((759_250_125, 759_250_124), 16),  # the largest law window view, M = 759,250,124
+        ((1_073_741_823, 1_073_741_823), 8),  # the largest Jackson window view
+        ((2**63 - 1,), 1), ((), 8), ((0, 2**70), 8), ((3, 4), 16),
+    ])
+    def test_views_numpy_can_describe(self, shape, itemsize):
+        assert numerics.view_fits(shape, itemsize)
+
+    @pytest.mark.parametrize("shape,itemsize", [
+        ((759_250_126, 759_250_125), 16), ((1_073_741_824, 1_073_741_824), 8),
+        ((2**63,), 1), ((2**62,), 2), ((2**40, 2**40), 1),
+    ])
+    def test_views_numpy_refuses(self, shape, itemsize):
+        assert not numerics.view_fits(shape, itemsize)
+
+    @pytest.mark.parametrize("shape,itemsize", [((759_250_125, 759_250_124), 16),
+                                                ((759_250_126, 759_250_125), 16),
+                                                ((1_073_741_823,) * 2, 8),
+                                                ((1_073_741_824,) * 2, 8)])
+    def test_agrees_with_numpy_at_the_limits(self, shape, itemsize):
+        # a strided view over one element: numpy checks its nominal size, not the buffer
+        base = np.zeros(1, dtype=np.dtype(f"V{itemsize}"))
+        try:
+            np.lib.stride_tricks.as_strided(base, shape=shape, strides=(itemsize,) * len(shape))
+            described = True
+        except ValueError:
+            described = False
+        assert numerics.view_fits(shape, itemsize) is described
+
+
 class TestFrac:
     """numerics.frac is x % 1.0 bit for bit, signed zeros included."""
 

@@ -236,6 +236,105 @@ class TestPePmfRowsInputs:
         with pytest.raises(PreconditionError, match="M must be a positive integer"):
             pe_pmf_rows(M, 0.3)
 
+    @pytest.mark.parametrize("law", [pe_pmf_rows, pe_pmf, lambda M, x: single_run_amp_pmf(5, 16, M)],
+                             ids=["rows", "pe_pmf", "amp"])
+    def test_precision_whose_window_view_numpy_cannot_describe_is_refused(self, law):
+        # numpy raised ValueError("array is too big") on the (M + 1, M)
+        # complex window view; the refusal comes before any array of size M
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="numpy cannot describe"):
+                law(759_250_125, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_largest_precision_passes_the_check(self):
+        # M = 759,250,124 itself is not built: its table would take 24 GB
+        assert phase_dist.check_precision(759_250_124) == 759_250_124
+        with pytest.raises(PreconditionError):
+            phase_dist.check_precision(759_250_125)
+
+
+def _one_hot_where_mx_is_an_integer(M, xs, laws):
+    """Assert each law at a phase with M x an integer is exactly one-hot at
+    M x mod M, +0.0 elsewhere; return how many were."""
+    exact = 0
+    for x, law in zip(xs, laws):
+        z = M * x
+        if z == int(z):
+            assert np.array_equal(law, np.eye(M)[int(z) % M]), (M, x)
+            assert not np.signbit(law).any(), (M, x)
+            exact += 1
+    return exact
+
+
+class TestExactPhases:
+    """The limit entry of a law at |M x - rint(M x)| <= 1e-15 M, written by
+    index on the float path and on the batch path."""
+
+    def test_verify_grid_is_one_hot_at_every_exact_phase(self):
+        # verify's grid: M = 1..64 over the phases k/32
+        xs = np.arange(32) / 32
+        exact = 0
+        for M in range(1, 65):
+            rows = pe_pmf_rows(M, xs)
+            floats = [pe_pmf(M, x).probs for x in xs.tolist()]
+            exact += _one_hot_where_mx_is_an_integer(M, xs.tolist(), rows)
+            assert _one_hot_where_mx_is_an_integer(M, xs.tolist(), floats) > 0
+            for x, row, law in zip(xs.tolist(), rows, floats):
+                assert np.array_equal(row, law), (M, x)
+        assert exact == sum(np.gcd(M, 32) for M in range(1, 65))
+
+    @pytest.mark.parametrize("M,x,z", [(10, 0.1 + 0.2, 3), (64, 0.5 + 2**-53, 32),
+                                       (3, 1 / 3 + 1e-16, 1), (7, 6 / 7 - 2e-16, 6),
+                                       (8, 1.0 - 1e-16, 0)])
+    def test_near_exact_phase_is_the_same_law_on_both_paths(self, M, x, z):
+        # M x is within 1e-15 of z but not equal: entry z is the limit 1 and
+        # every other entry is tiny but not zero
+        d = x - z / M if z else x - round(x)
+        assert 0 < abs(d) <= 1e-15
+        law = pe_pmf(M, x).probs
+        assert np.array_equal(law, pe_pmf_rows(M, x))
+        assert np.array_equal(law, pe_pmf_rows(M, np.array([0.3, x]))[1])
+        assert law[z] == 1.0
+        others = np.delete(law, z)
+        assert np.all(others > 0) and np.all(others < 1e-28)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    @pytest.mark.parametrize("M", [1, 2, 5, 16])
+    def test_batch_mixing_exact_and_inexact_phases(self, shape, M):
+        # exact (z/M), near-exact (z/M + 4e-16) and inexact phases: each row
+        # is the float law, one-hot where d = x - rint(M x)/M is 0, and the
+        # batch keeps the shape of its phases
+        pool = np.array([0.0, 1 / M, 0.3, 2 / M + 4e-16, 0.71, (M - 1) / M, 0.45,
+                         1 / (2 * M), 3 / M, 0.999, 0.5, 2.0, -1 / M, 0.123, 1e-16])
+        batches = pool[:4] if shape == () else [pool[:int(np.prod(shape))].reshape(shape)]
+        for xs in batches:
+            rows = pe_pmf_rows(M, xs)
+            assert rows.shape == np.shape(xs) + (M,)
+            for x, row in zip(np.ravel(xs).tolist(), rows.reshape(-1, M)):
+                assert np.array_equal(row, pe_pmf(M, x).probs), x
+                c = round(M * (x % 1.0))
+                if x % 1.0 - c / M == 0:
+                    assert np.array_equal(row, np.eye(M)[c % M]), x
+
+    @pytest.mark.parametrize("M", [2, 4, 8, 64, 3, 7])
+    @pytest.mark.parametrize("N", [1, 16, 49])
+    def test_counting_law_at_the_end_weights(self, M, N):
+        # weight 0 is phase 0 and weight N phase 1/2, exact when M is even:
+        # a point mass at estimate 0 and at estimate 1 (fold index M//2)
+        values, probs = single_run_amp_pmf(0, N, M)
+        assert np.array_equal(probs, np.eye(len(values))[0])
+        values, probs = single_run_amp_pmf(N, N, M)
+        if M % 2 == 0:
+            assert np.array_equal(probs, np.eye(len(values))[M // 2])
+            assert not np.signbit(probs).any()
+        else:
+            assert np.array_equal(probs, np.bincount(np.minimum(np.arange(M), M - np.arange(M)),
+                                                     weights=pe_pmf(M, 0.5).probs))
+
 
 class TestInPlaceKernel:
     @pytest.mark.parametrize("M", EDGE_ORDERS)
