@@ -33,6 +33,7 @@ from .numerics import (
     PreconditionError,
     effective_algebraic_degree,
     effective_trig_degree,
+    positive_int,
 )
 from .phase_dist import KERNEL_KINDS, KernelSpec, pe_pmf
 from .verify import run_verification
@@ -188,7 +189,7 @@ def _options(n_type, n_help):
         click.Option(["--target"], required=True),
         click.Option(["--periodic"], is_flag=True, help="Treat a CSV target as 1-periodic."),
         click.Option(["--grid-size"], default=DEFAULT_GRID_SIZE, type=click.IntRange(min=65)),
-        click.Option(["--seed"], default=DEFAULT_SEED, type=int),
+        click.Option(["--seed"], default=DEFAULT_SEED, type=click.IntRange(min=0)),
         click.Option(["--output"], type=click.Path(), default=None),
     ]
 
@@ -268,7 +269,7 @@ def dist(M, x, count_n, weight, median3, output):
 def kernel(kind, n, points, output):
     """Tabulate an approximation kernel on a uniform grid (CSV)."""
     spec = KernelSpec(kind, n)
-    ts = np.arange(points) / points
+    ts = np.arange(positive_int(points, "points")) / points
     vals = spec(ts)
     rows = [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(ts, vals)]
     _write_text(output, "abscissa,value\n" + "\n".join(rows) + "\n")

@@ -144,19 +144,15 @@ def derived_params(method, n):
 
 def _banded(band, table, W):
     """Reference x -> sum_j w[i, j] table[lo[i] + j], where (lo, w) = band(x)
-    gives W weights per point of a block, and lo[i] + W <= len(table).
-
-    Each block takes one gather of its points' windows and one einsum.  The
-    window view of the table (about 50 us to make) is made once, on the
-    reference's first call: not per block, and not at build, since a
-    Jackson approximant is built with a reference its form never calls.
-    """
+    gives W weights per point of a block, and lo[i] + W <= len(table): a
+    gather of rows of the table's window view (made on the first call: a
+    Jackson form never calls its reference) and an einsum per block."""
     windows = None
 
     def rows(x):
         nonlocal windows
         if windows is None:
-            windows = np.lib.stride_tricks.sliding_window_view(table, W)
+            windows = numerics.window_view(table, W)
         lo, w = band(x)
         return np.einsum("ij,ij->i", w, windows[lo])
 
@@ -258,7 +254,6 @@ _METHOD_TABLE = {
     "jackson_kernel": _Method(lambda n: (None, None), _jackson, "fourier"),
 }
 METHODS = tuple(_METHOD_TABLE)
-ALGEBRAIC_METHODS = tuple(m for m in METHODS if _METHOD_TABLE[m].basis == "chebyshev")
 TRIG_METHODS = tuple(m for m in METHODS if _METHOD_TABLE[m].basis == "fourier")
 
 

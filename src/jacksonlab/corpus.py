@@ -65,9 +65,6 @@ CORPUS = {target.name: target for target in (
     ),
 )}
 
-PERIODIC_NAMES = tuple(k for k, v in CORPUS.items() if v.periodic)
-NONPERIODIC_NAMES = tuple(k for k, v in CORPUS.items() if not v.periodic)
-
 
 def get_target(name):
     try:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import (PreconditionError, _scalarize, finite_phase, finite_phases, frac,
-                       positive_int, view_fits)
+                       positive_int, view_fits, window_view)
 
 # below this circle distance the removable singularity is replaced by its limit
 _SINGULARITY_EPS = 1e-15
@@ -52,8 +52,8 @@ def pe_pmf_rows(M, xs):
     c = rint(M x) and d = x - c/M, the numerator is sin(pi M d)^2 for every z.
     With o = z - c reduced into -(M//2) .. M-1-M//2, the denominator's sine is
     sin(pi(o/M - d)) = Re(F e^{i pi d}), where F = sin(pi o/M) + i cos(pi o/M)
-    is read from the cached table _law_table(M): one complex product per
-    entry with one number per phase, so no entry takes a sine.
+    is read from the cached window view _law_table(M): one complex product
+    per entry with one number per phase, so no entry takes a sine.
     At o = 0, F = i and the product is exactly -sin(pi d); a phase with
     |d| <= 1e-15 takes the limit 1 there.
     """
@@ -61,21 +61,17 @@ def pe_pmf_rows(M, xs):
     # the phase is checked before the reduction, which warns on an infinity
     x = frac(np.asarray(finite_phases(xs)))
     c = np.rint(x * M).astype(np.intp)
-    # F laid out twice, so a phase's M outcomes are row (M//2 - c) mod M of
-    # its (M + 1, M) window view: an ndarray over the table's buffer
-    # (sliding_window_view's checks cost 10 us a call), indexed in place, so
-    # a batch copies its P rows and no O(M^2) view
-    windows = np.ndarray((M + 1, M), complex, _law_table(M), strides=(16, 16))
     d = x - c / M
     a = np.pi * d[..., None]
     # cos + i sin of pi d, from the same np.cos and np.sin as the float law's
     e = np.empty(a.shape, complex)
     e.real = np.cos(a)
     e.imag = np.sin(a)
-    # the gathered rows are a fresh copy (an index array, 0-d for a float
-    # phase, never a scalar's view), so the product goes in place: a second
-    # (P, M) complex array cost more in page faults than it saved
-    rows = windows[np.asarray((M // 2 - c) % M)]
+    # a phase's M outcomes are row (M//2 - c) mod M of the view; the gather
+    # copies just those rows (an index array, 0-d for a float phase), so the
+    # product goes in place: a second (P, M) complex array cost more in page
+    # faults than it saved
+    rows = _law_table(M)[np.asarray((M // 2 - c) % M)]
     rows *= e
     # the laws as (P, M) rows, views of the fresh product whatever the shape
     # of xs, so a phase that takes the limit is a (row, column) pair of them
@@ -105,8 +101,7 @@ def _float_law(M, x):
     s = (M // 2 - c) % M
     d = x - c / M
     a = np.pi * d
-    f = _law_table(M)[s:s + M]
-    return _law(M, (f * complex(np.cos(a), np.sin(a))).real, a,
+    return _law(M, (_law_table(M)[s] * complex(np.cos(a), np.sin(a))).real, a,
                 c % M if abs(d) <= _SINGULARITY_EPS else None)
 
 
@@ -160,15 +155,13 @@ def _offset_angles(order, Q):
 # one entry per precision M of the outcome laws: verify alone sweeps 63
 @lru_cache(maxsize=128)
 def _law_table(M):
-    """Read-only C-contiguous (2M,) complex table F = sin + i cos of the
-    offset angles pi o/M (_offset_angles(1, M)), laid out twice, so any M
-    consecutive entries are one window of it.  M is checked here
+    """The read-only (M + 1, M) window view (window_view) of the complex table
+    F = sin + i cos of the offset angles pi o/M (_offset_angles(1, M)) laid
+    out twice, so row s is F's M entries from s on.  M is checked here
     (check_precision), on a cache miss only."""
     check_precision(M)
     a = _offset_angles(1, M)
-    out = np.tile(np.sin(a) + 1j * np.cos(a), 2)
-    out.flags.writeable = False
-    return out
+    return window_view(np.tile(np.sin(a) + 1j * np.cos(a), 2), M)
 
 
 def fejer_identity_check(M, x):

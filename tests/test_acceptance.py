@@ -22,12 +22,14 @@ from jacksonlab import (
     single_run_pmf,
 )
 from jacksonlab.constructors import derived_params
-from jacksonlab.corpus import CORPUS, NONPERIODIC_NAMES, PERIODIC_NAMES
+from jacksonlab.corpus import CORPUS
 from jacksonlab.numerics import effective_algebraic_degree, effective_trig_degree
 from jacksonlab.phase_dist import kernel_integral, tail_bound
 from oracles import expected_circle_error, imag_residue, median3_circle_error
 
 SEED = 1234
+PERIODIC_NAMES = tuple(name for name, g in CORPUS.items() if g.periodic)
+NONPERIODIC_NAMES = tuple(name for name, g in CORPUS.items() if not g.periodic)
 
 
 def _report(num, desc, ok, detail=""):

@@ -14,6 +14,8 @@ from jacksonlab import (
     PreconditionError,
     TrigPoly,
     build_approximant,
+    effective_algebraic_degree,
+    effective_trig_degree,
     fejer_identity_check,
     pe_pmf,
     pe_statevector_pmf,
@@ -50,3 +52,25 @@ def test_bad_x_raises(name, x):
     # a bad x is a precondition at every gate; EvaluationError is kept for a non-finite output
     with pytest.raises(PreconditionError):
         EVALUATORS[name](x)
+
+
+# each probe with a function of degree <= 3 in its basis
+PROBES = {"algebraic": (effective_algebraic_degree, lambda x: np.asarray(x) ** 2),
+          "trig": (effective_trig_degree, CORPUS["cos"])}
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-5), -2**70], ids=["-1", "int64", "huge"])
+@pytest.mark.parametrize("probe", PROBES)
+def test_negative_seed_raises(probe, seed):
+    # numpy's default_rng refused it with a plain ValueError
+    probe, h = PROBES[probe]
+    with pytest.raises(PreconditionError, match="seed must be a non-negative integer"):
+        probe(h, 3, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, np.int64(5), 2**70], ids=["0", "int64", "huge"])
+@pytest.mark.parametrize("probe", PROBES)
+def test_non_negative_seed_is_kept(probe, seed):
+    probe, h = PROBES[probe]
+    residual = probe(h, 3, seed=seed)
+    assert residual == probe(h, 3, seed=int(seed)) and residual < 1e-12

@@ -448,7 +448,35 @@ class TestDist:
         assert "use either --x or --count-n with --weight" in result.output
 
 
+@pytest.mark.parametrize("command,n", [("construct", "6"), ("sweep", "4:6:2")])
+def test_negative_seed_is_usage_error(runner, command, n):
+    # numpy's default_rng refused -1 with a ValueError traceback (exit 1)
+    result = runner.invoke(main, [command, "--method", "bernstein", "--n", n,
+                                  "--target", "sqrt", "--seed", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "--seed" in result.output and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("seed", ["0", "7", str(2**70)])
+@pytest.mark.parametrize("command,n", [("construct", "6"), ("sweep", "6")])
+def test_every_non_negative_seed_runs(runner, command, n, seed):
+    result = runner.invoke(main, [command, "--method", "bernstein", "--n", n,
+                                  "--target", "sqrt", "--seed", seed])
+    assert result.exit_code == 0, result.output
+    if command == "construct":
+        assert json.loads(result.output)["seed"] == int(seed)
+    else:
+        assert result.output.strip().split("\n")[1].endswith("," + seed)
+
+
 class TestKernel:
+    def test_points_no_array_can_hold_is_usage_error(self, runner):
+        # numpy refused the abscissae with ValueError("array is too big") (exit 1)
+        result = runner.invoke(main, ["kernel", "--kind", "fejer", "--n", "3",
+                                      "--points", "2000000000000000000"])
+        assert result.exit_code == 2, result.output
+        assert "points must be at most" in result.output
+
     def test_fejer_table(self, runner):
         result = runner.invoke(main, ["kernel", "--kind", "fejer", "--n", "2", "--points", "4"])
         assert result.exit_code == 0

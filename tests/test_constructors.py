@@ -22,13 +22,12 @@ from jacksonlab import (
 )
 from jacksonlab import constructors, numerics
 from jacksonlab.constructors import (
-    ALGEBRAIC_METHODS,
     METHODS,
     TRIG_METHODS,
     approximant_coefficients,
     derived_params,
 )
-from jacksonlab.corpus import CORPUS, PERIODIC_NAMES, target_from_csv
+from jacksonlab.corpus import CORPUS, target_from_csv
 from jacksonlab.counting_model import median3_amp_pmf, single_run_amp_pmf, theta_of_weight
 from jacksonlab.qsim import counting_statevector_pmf
 from jacksonlab.numerics import (
@@ -52,6 +51,9 @@ from oracles import (
     phase_median3_exact,
     piecewise_linear_exact,
 )
+
+ALGEBRAIC_METHODS = tuple(m for m in METHODS if m not in TRIG_METHODS)
+PERIODIC_NAMES = tuple(name for name, g in CORPUS.items() if g.periodic)
 
 CONST = TargetFunction(lambda x: np.full_like(np.asarray(x, float), 2.5), name="c")
 CONST_P = TargetFunction(
@@ -376,6 +378,19 @@ class TestBinomialMixtureReference:
                              nodes[[1, 2, n // 2, -3, -2]]))
         want = np.array([binomial_mixture(N, table, x) for x in xs])
         assert np.max(np.abs(approx.reference(xs) - want)) <= 1e-15 * np.max(np.abs(table))
+
+    @pytest.mark.parametrize("method", ["bernstein", "counting_single"])
+    def test_non_contiguous_target_values(self, method):
+        # a strided ndarray cannot be laid over a broadcast (stride 0) table: the
+        # window view copies it first, and every value is a contiguous target's
+        broadcast = TargetFunction(lambda x: np.broadcast_to(np.array(0.5), np.shape(x)))
+        full = TargetFunction(lambda x: np.full(np.shape(x), 0.5))
+        assert not broadcast(np.arange(3.0)).flags.c_contiguous
+        xs = np.linspace(0.0, 1.0, 17)
+        got, want = (build_approximant(g, method, 8) for g in (broadcast, full))
+        assert np.array_equal(got.reference(xs), want.reference(xs))
+        assert np.array_equal(got(xs), want(xs))
+        assert got(0.3) == want(0.3) and abs(got(0.3) - 0.5) <= 1e-15
 
 
 class TestNonfiniteTarget:
@@ -909,11 +924,11 @@ class TestBlockwiseReference:
 
     @pytest.mark.parametrize("method", ["bernstein", "counting_single", "jackson_kernel"])
     def test_window_view_made_once_on_the_first_call(self, monkeypatch, method):
-        # not per block, and not at build, which never reads it
+        # by numerics.window_view: not per block, and not at build, which never reads it
         made = []
-        view = np.lib.stride_tricks.sliding_window_view
-        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view",
-                            lambda *args: made.append(args[1]) or view(*args))
+        view = numerics.window_view
+        monkeypatch.setattr(numerics, "window_view",
+                            lambda table, width: made.append(width) or view(table, width))
         monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1000)
         approx = build_approximant(CORPUS["triangle"], method, 24)
         assert made == []
@@ -1107,11 +1122,12 @@ class TestQuadratureReference:
             angle = PI_LD * m * o / Q
             return np.stack((np.sin(angle), np.cos(angle)))
 
-        # the outcome laws read F = sin + i cos at m = 1, laid out twice
-        table = phase_dist._law_table(Q)
-        assert not table.flags.writeable and table.flags.c_contiguous
-        assert table.shape == (2 * Q,) and np.array_equal(table[:Q], table[Q:])
-        assert np.max(np.abs(np.stack((table[:Q].real, table[:Q].imag)) - exact(1))) <= 2e-15
+        # the outcome laws read rows of the window view of F = sin + i cos at
+        # m = 1, laid out twice: row 0 is F, and so is row Q
+        windows = phase_dist._law_table(Q)
+        assert not windows.flags.writeable and windows.shape == (Q + 1, Q)
+        assert np.array_equal(windows[0], windows[Q])
+        assert np.max(np.abs(np.stack((windows[0].real, windows[0].imag)) - exact(1))) <= 2e-15
         # the band multiplies C-ordered [sin; cos] rows at m = order and m = 1
         band, _ = jackson_kernel(order).quadrature(np.zeros(Q))
         band(np.array([0.3]))

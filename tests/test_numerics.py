@@ -93,6 +93,30 @@ class TestViewFits:
         assert numerics.view_fits(shape, itemsize) is described
 
 
+class TestWindowView:
+    """numerics.window_view(table, width) is sliding_window_view(table, width):
+    row i is table[i:i+width], read-only, over one contiguous buffer."""
+
+    @pytest.mark.parametrize("table", [np.arange(7.0), np.arange(6) + 1j, np.arange(9.0)[::2],
+                                       np.broadcast_to(np.array(0.5), (5,))],
+                             ids=["float", "complex", "strided", "broadcast"])
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_rows_are_the_sliding_windows(self, table, width):
+        windows = numerics.window_view(table, width)
+        want = np.lib.stride_tricks.sliding_window_view(table, width)
+        assert windows.shape == want.shape and windows.dtype == table.dtype
+        assert windows.strides == (table.itemsize,) * 2 and not windows.flags.writeable
+        assert np.array_equal(windows, want)
+        rows = [len(want) - 1, 0, 0]  # a gather is a fresh, writable copy of its rows
+        gathered = windows[rows]
+        assert np.array_equal(gathered, want[rows]) and gathered.flags.writeable
+
+    def test_contiguous_table_is_not_copied(self):
+        table = np.arange(10.0)
+        assert np.shares_memory(numerics.window_view(table, 4), table)
+        assert table.flags.writeable  # the view is read-only, the table is left as it was
+
+
 class TestFrac:
     """numerics.frac is x % 1.0 bit for bit, signed zeros included."""
 

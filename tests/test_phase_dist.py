@@ -16,6 +16,7 @@ from jacksonlab import (
     fejer_value,
     get_target,
     jackson_kernel,
+    numerics,
     pe_pmf,
     pe_statevector_pmf,
     phase_dist,
@@ -394,11 +395,26 @@ class TestInPlaceKernel:
             assert np.array_equal(row, phase_dist._float_law(M, x))
 
     def test_table_is_the_offset_table_laid_out_twice(self):
+        # cached as its (M + 1, M) window view: strides (16, 16), so row s is the
+        # table's entries s .. s + M - 1, and row M is row 0 again
         for M in (1, 6, 17):
-            table = phase_dist._law_table(M)
-            assert table.shape == (2 * M,) and table.dtype == complex and table.flags.c_contiguous
-            assert np.array_equal(table[:M], table[M:])
-            assert not table.flags.writeable
+            windows = phase_dist._law_table(M)
+            assert windows.shape == (M + 1, M) and windows.dtype == complex
+            assert windows.strides == (16, 16) and not windows.flags.writeable
+            a = phase_dist._offset_angles(1, M)
+            assert np.array_equal(windows[0], np.sin(a) + 1j * np.cos(a))
+            assert np.array_equal(windows[M], windows[0])
+
+    def test_one_window_view_per_law_table(self, monkeypatch):
+        # made when _law_table(M) misses its cache: none per batch or float law
+        made = _count_calls(monkeypatch, numerics.window_view)
+        phase_dist._law_table.cache_clear()
+        for M in (5, 12):
+            for xs in (0.3, np.linspace(0.0, 1.0, 9), np.zeros((2, 3))):
+                pe_pmf_rows(M, xs)
+            pe_pmf(M, 0.7)
+            single_run_amp_pmf(3, 16, M)
+        assert [(len(table), width) for table, width in made] == [(10, 5), (24, 12)]
 
 
 phases = st.floats(allow_nan=False, allow_infinity=False)
