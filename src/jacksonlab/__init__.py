@@ -29,10 +29,8 @@ from .phase_dist import (
     fejer_kernel,
     fejer_value,
     jackson_kernel,
-    pe_pmf,
-)
-from .counting_model import (
     median3_amp_pmf,
+    pe_pmf,
     single_run_pmf,
     theta_of_weight,
 )

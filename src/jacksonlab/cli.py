@@ -26,7 +26,6 @@ from .constructors import (
     error_report,
 )
 from .corpus import CORPUS, get_target, target_from_csv
-from .counting_model import median3_amp_pmf, single_run_pmf
 from .numerics import (
     EvaluationError,
     Grid,
@@ -35,7 +34,7 @@ from .numerics import (
     effective_trig_degree,
     positive_int,
 )
-from .phase_dist import KERNEL_KINDS, KernelSpec, pe_pmf
+from .phase_dist import KERNEL_KINDS, KernelSpec, median3_amp_pmf, pe_pmf, single_run_pmf
 from .verify import run_verification
 
 SCHEMA_VERSION = 1

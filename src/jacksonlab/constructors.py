@@ -16,10 +16,11 @@ methods, 2n+1 Fourier coefficients for the trigonometric ones.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -37,13 +38,8 @@ from .numerics import (
     trig_coeffs_from_samples,
 )
 from . import numerics
-from .counting_model import (
-    amp_support,
-    binom_band_width,
-    binom_weight_matrix,
-    single_run_amp_pmf,
-)
-from .phase_dist import check_precision, jackson_kernel, pe_pmf_rows
+from .phase_dist import (amp_support, check_precision, jackson_kernel, pe_pmf_rows,
+                         single_run_amp_pmf)
 
 DEFAULT_GRID_SIZE = 4097  # points of error_report's uniform grid, and the CLI's --grid-size
 
@@ -157,6 +153,69 @@ def _banded(band, table, W):
         return np.einsum("ij,ij->i", w, windows[lo])
 
     return _blockwise(rows, W)
+
+
+@lru_cache(maxsize=8)
+def _log_binom(N):
+    """log C(N, k) for k = 0..N, read-only; shared by every block of one N.
+
+    Running sum of log((N-j+1)/j) up to N//2, mirrored by C(N, k) = C(N, N-k),
+    so the two halves are exactly symmetric.  The sum runs in long double,
+    because in float64 its rounding grows with N (3e-8 in log C at N = 10^6);
+    where long double is no wider than float64, that is the accuracy.
+    """
+    j = np.arange(1, N // 2 + 1, dtype=np.longdouble)
+    half = np.concatenate(([0.0], np.cumsum(np.log((N - j + 1) / j)).astype(float)))
+    out = np.concatenate((half, half[: N - N // 2][::-1]))
+    out.flags.writeable = False
+    return out
+
+
+# log of the mass each binomial tail outside its band may hold, at most
+_TAIL_LOG = 80.0
+
+
+def binom_band_width(N):
+    """Width W = min(N+1, 2h+1) of every Binomial(N, x) band, whatever x is.
+
+    Bernstein's inequality bounds P[|K - Nx| >= t] per tail by
+    exp(-t^2 / (2(Nx(1-x) + t/3))); with Nx(1-x) <= N/4 that is exp(-L) at
+    t = L/3 + sqrt(L^2/9 + 2L N/4), L = _TAIL_LOG.  h is t rounded up, plus
+    one for centring the band on rint(Nx), so each tail outside the band
+    holds at most e^-80.  h grows as sqrt(N): O(n) weights for N = n^2.
+    """
+    L = _TAIL_LOG
+    h = math.ceil(L / 3 + math.sqrt(L * L / 9 + 2 * L * N / 4)) + 1
+    return min(N + 1, 2 * h + 1)
+
+
+def binom_weight_matrix(N, xs):
+    """Band of the Binomial(N, x) pmf for each x in xs, as (lo, w).
+
+    w has shape (len(xs), binom_band_width(N)) and w[i, j] = P[K = lo[i] + j]
+    for x = xs[i]; the band is centred on rint(N x) and clipped into 0..N.
+    Computed in log space.  Rows for x in {0, 1} are exact point masses;
+    the others are renormalized over their band.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise PreconditionError("all x must lie in [0, 1]")
+    W = binom_band_width(N)
+    lo = np.clip(np.rint(N * xs).astype(int) - W // 2, 0, N + 1 - W)
+    interior = (xs > 0.0) & (xs < 1.0)
+    x = np.where(interior, xs, 0.5)[:, None]  # endpoint rows are overwritten below
+    # log C(N, k) + k log x + (N - k) log(1 - x), in place: a block's working
+    # set is three (points x W) arrays, both products made in one of them
+    k = lo[:, None] + np.arange(W)
+    w = _log_binom(N)[k]
+    w += (prod := np.multiply(np.log(x), k))
+    w += np.multiply(np.log1p(-x), np.subtract(N, k, out=k), out=prod)
+    np.exp(w, out=w)
+    w /= np.where(interior, w.sum(axis=1), 1.0)[:, None]
+    w[~interior] = 0.0
+    w[xs == 0.0, 0] = 1.0
+    w[xs == 1.0, W - 1] = 1.0
+    return lo, w
 
 
 def _binomial_mixture(N, table):

@@ -492,7 +492,7 @@ def trig_coeffs_from_samples(values):
 def _probe_residual(h, trunc, seed):
     """max |h - trunc| at 512 fresh random points in [0,1); EvaluationError unless
     both are finite there (a truncation of values near 1e308 can overflow)."""
-    if isinstance(seed, numbers.Integral) and seed < 0:
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
     pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=512)
     hv = _finite(h(pts), EvaluationError, "non-finite value at a fresh point of the degree probe")

@@ -1,13 +1,19 @@
-"""Exact phase-estimation outcome distributions and approximation kernels.
+"""Exact phase-estimation outcome distributions, the quantum-counting laws
+built from them, and approximation kernels.
 
 The outcome of phase estimation at precision M on eigenphase x is a
 closed-form pmf over {0,...,M-1}; it coincides with a discretized,
-renormalized Fejer kernel recentered at x.  The Jackson kernel is the
-normalized square of the Fejer kernel.
+renormalized Fejer kernel recentered at x.  A run of counting on an N-bit
+string of weight k is phase estimation on the Grover iterate, an equal
+mixture of the eigenphases +-theta/pi with theta = arcsin(sqrt(k/N)); its
+amplitude estimate is sin(pi Z/M)^2, and the median of three runs
+sharpens its concentration.  The Jackson kernel is the normalized square
+of the Fejer kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -15,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import (PreconditionError, _scalarize, finite_phase, finite_phases, frac,
-                       positive_int, view_fits, window_view)
+                       median3_pmf, positive_int, view_fits, window_view)
 
 # below this circle distance the removable singularity is replaced by its limit
 _SINGULARITY_EPS = 1e-15
@@ -120,6 +126,58 @@ def _law(M, sines, a, at):
     if at is not None:
         law[at] = 1.0
     return law
+
+
+def theta_of_weight(k, N):
+    """Grover angle arcsin(sqrt(k/N)) in [0, pi/2]; k and N whole numbers."""
+    N = positive_int(N, "N")
+    k = positive_int(k, "weight k", low=0)
+    if k > N:
+        raise PreconditionError("weight k must lie in [0, N]")
+    # math.sqrt is correctly rounded, as np.sqrt is; math.asin is not np.arcsin
+    return float(np.arcsin(math.sqrt(k / N)))
+
+
+def single_run_pmf(k, N, M):
+    """Outcome pmf of one counting run: equal mixture of the two eigenphases."""
+    phi = theta_of_weight(k, N) / np.pi
+    probs = pe_pmf_rows(M, np.array([phi, 1.0 - phi]))
+    return 0.5 * probs[0] + 0.5 * probs[1]
+
+
+@lru_cache(maxsize=64)
+def amp_support(M):
+    """Read-only (values, fold) of a counting run at precision M.
+
+    values: the distinct estimates sin(pi j/M)^2, j = 0..M//2; fold: the index
+    j = min(z, M-z) of outcome z's estimate (grouping by index, not by sin^2
+    values).
+    """
+    M = check_precision(positive_int(M, "M"))
+    z = np.arange(M)
+    values = np.sin(np.pi * np.arange(M // 2 + 1) / M) ** 2
+    fold = np.minimum(z, M - z)
+    for a in (values, fold):
+        a.flags.writeable = False
+    return values, fold
+
+
+def single_run_amp_pmf(k, N, M):
+    """(values, probs) of the single-run amplitude estimate A.
+
+    One eigenphase is enough: 1 - theta/pi puts on z the mass theta/pi puts
+    on M-z, which the fold merges with z, so this is the folded mixture.
+    """
+    values, fold = amp_support(M)  # checks M; a cached M was checked when it came in
+    # theta/pi lies in [0, 1/2], a phase already reduced mod 1
+    probs = _float_law(len(fold), theta_of_weight(k, N) / np.pi)
+    return values, np.bincount(fold, weights=probs)
+
+
+def median3_amp_pmf(k, N, M):
+    """(values, probs) of A' = median of three i.i.d. single-run estimates."""
+    values, probs = single_run_amp_pmf(k, N, M)
+    return median3_pmf(values, probs)
 
 
 def tail_bound(M, d):

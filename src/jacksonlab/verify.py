@@ -15,8 +15,8 @@ import numpy as np
 from . import phase_dist, qsim
 from .constructors import METHODS, TRIG_METHODS, build_approximant
 from .corpus import get_target
-from .counting_model import amp_support, single_run_amp_pmf, single_run_pmf
 from .numerics import circle_dist
+from .phase_dist import amp_support, single_run_amp_pmf, single_run_pmf
 
 
 # the phase checks' precisions and phase count; the counting checks' bitstring lengths

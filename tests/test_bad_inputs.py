@@ -68,6 +68,17 @@ def test_negative_seed_raises(probe, seed):
         probe(h, 3, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3", None, True, np.bool_(True)],
+                         ids=["float", "float64", "str", "None", "True", "np-bool"])
+@pytest.mark.parametrize("probe", PROBES)
+def test_seed_that_is_not_an_integer_raises(probe, seed):
+    # numpy raised its own TypeError, or (None, True) seeded from the OS or as 1;
+    # a bool is refused, as positive_int refuses one
+    probe, h = PROBES[probe]
+    with pytest.raises(PreconditionError, match="seed must be a non-negative integer"):
+        probe(h, 3, seed=seed)
+
+
 @pytest.mark.parametrize("seed", [0, np.int64(5), 2**70], ids=["0", "int64", "huge"])
 @pytest.mark.parametrize("probe", PROBES)
 def test_non_negative_seed_is_kept(probe, seed):

@@ -28,7 +28,7 @@ from jacksonlab.constructors import (
     derived_params,
 )
 from jacksonlab.corpus import CORPUS, target_from_csv
-from jacksonlab.counting_model import median3_amp_pmf, single_run_amp_pmf, theta_of_weight
+from jacksonlab.phase_dist import median3_amp_pmf, single_run_amp_pmf, theta_of_weight
 from jacksonlab.qsim import counting_statevector_pmf
 from jacksonlab.numerics import (
     cheb_lobatto_nodes,

@@ -11,13 +11,8 @@ from jacksonlab import (
     single_run_pmf,
     theta_of_weight,
 )
-from jacksonlab.counting_model import (
-    _log_binom,
-    amp_support,
-    binom_band_width,
-    binom_weight_matrix,
-    single_run_amp_pmf,
-)
+from jacksonlab.constructors import _log_binom, binom_band_width, binom_weight_matrix
+from jacksonlab.phase_dist import amp_support, single_run_amp_pmf
 from jacksonlab.qsim import counting_statevector_pmf
 from oracles import expected_amp_error, median3_circle_error
 

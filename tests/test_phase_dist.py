@@ -22,7 +22,6 @@ from jacksonlab import (
     phase_dist,
     single_run_pmf,
 )
-from jacksonlab.counting_model import single_run_amp_pmf, theta_of_weight
 from jacksonlab.numerics import (
     effective_trig_degree,
     finite_phase,
@@ -31,7 +30,8 @@ from jacksonlab.numerics import (
     trig_coeffs_from_samples,
 )
 from jacksonlab.numerics import median3_pmf
-from jacksonlab.phase_dist import kernel_integral, pe_pmf_rows, tail_bound
+from jacksonlab.phase_dist import (kernel_integral, pe_pmf_rows, single_run_amp_pmf, tail_bound,
+                                   theta_of_weight)
 from oracles import expected_circle_error, kernel_coeffs_exact, median3_circle_error
 
 PI_LD = 4 * np.arctan(np.longdouble(1))

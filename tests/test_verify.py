@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from jacksonlab import numerics, phase_dist, verify
-from jacksonlab.counting_model import amp_support, theta_of_weight
-from jacksonlab.phase_dist import pe_pmf, pe_pmf_rows
+from jacksonlab.phase_dist import amp_support, pe_pmf, pe_pmf_rows, theta_of_weight
 
 TOLERANCE = {name: tol for name, _fn, tol in verify.CHECKS}
 CHECK = {name: fn for name, fn, _tol in verify.CHECKS}
