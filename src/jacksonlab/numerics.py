@@ -173,17 +173,17 @@ def median3_pmf(values, probs):
 
     Aggregates duplicate support values, then uses the order-statistics
     identity P[med <= v] = F(v)^2 (3 - 2 F(v)).  Returns (support, probs)
-    with support sorted increasing and duplicates merged.  probs may have
-    shape (..., len(values)): each row is one law on the same values, and
-    the returned probs have shape (..., len(support)).  values must not
-    hold NaN.
+    with support sorted increasing and duplicates merged.  values must be
+    a 1-D array with no NaN.  probs may have shape (..., len(values)): each
+    row is one law on the same values, and the returned probs have shape
+    (..., len(support)).
     """
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
+    if values.ndim != 1:
+        raise PreconditionError("median3_pmf: values must be a 1-D array")
     if probs.shape[-1:] != values.shape:
         raise PreconditionError("median3_pmf: probs must end in an axis of len(values)")
-    # a stable sort keeps each group of equal values in index order, and each
-    # group is summed in that order, its j-th duplicate added in round j
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     if ordered.size and math.isnan(ordered[-1]):  # NaN sorts last
@@ -191,15 +191,14 @@ def median3_pmf(values, probs):
     first = np.empty(ordered.size, dtype=bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    # take and compress keep the rows C-ordered, as the products downstream expect
-    probs = np.take(probs, order, axis=-1)
-    cdf = np.compress(first, probs, axis=-1)
-    if cdf.shape[-1] < ordered.size:
-        starts = np.flatnonzero(first)
-        sizes = np.diff(starts, append=ordered.size)
-        for j in range(1, sizes.max()):
-            grown = np.flatnonzero(sizes > j)
-            cdf[..., grown] += probs[..., starts[grown] + j]
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=ordered.size)
+    # each run of equal values is summed in index order (the sort is stable), its
+    # j-th outcome added in round j; take keeps the rows C-ordered for the products
+    cdf = np.take(probs, order[starts], axis=-1)
+    for j in range(1, sizes.max(initial=1)):
+        grown = np.flatnonzero(sizes > j)
+        cdf[..., grown] += np.take(probs, order[starts[grown] + j], axis=-1)
     # in place from here: F, clipped, then F^2 (3 - 2F), then its differences
     np.cumsum(cdf, axis=-1, out=cdf)
     np.clip(cdf, 0.0, 1.0, out=cdf)

@@ -248,6 +248,26 @@ class TestMedian3Pmf:
             with pytest.raises(PreconditionError):
                 median3_pmf([0.1, 0.2], probs)
 
+    def test_values_must_be_one_dimensional(self):
+        # the last axes match, so only the shape of values is at fault
+        with pytest.raises(PreconditionError, match="values must be a 1-D array"):
+            median3_pmf(np.zeros((2, 2)), np.ones((2, 2)))
+
+    def test_no_sorted_copy_of_the_law(self):
+        # a (978 x 67) batch on 34 distinct values, 33 of them in pairs: the
+        # law is read in place, never copied in sorted order
+        z = np.arange(67)
+        values = np.cos(2 * np.pi * np.minimum(z, 67 - z) / 67)
+        probs = np.random.default_rng(4).dirichlet(np.ones(67), size=978)
+        tracemalloc.start()
+        try:
+            median3_pmf(values, probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float copy of the law plus two (978 x 34) arrays, the run sums and the result
+        assert peak < probs.nbytes + 2 * 978 * 34 * 8
+
 
 class TestSupDistance:
     def test_equal_functions(self):
