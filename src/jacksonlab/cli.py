@@ -169,6 +169,7 @@ def _measure(g, method, n, grid, seed):
         "n": n,
         "M": approx.M,
         "N": approx.N,
+        "degree": approx.degree,
         "degenerate": approx.degenerate,
         "seed": seed,
         "basis": approx.basis,

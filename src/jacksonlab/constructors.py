@@ -10,8 +10,9 @@ sums; no sampling is involved anywhere.  Each method is one row of
 Each construction keeps its defining expectation as
 ``Approximant.reference`` and answers calls through its exact
 coefficient form of degree <= n, compiled from the reference on first
-use: values at the n+1 Chebyshev-Lobatto points for the algebraic
-methods, 2n+1 Fourier coefficients for the trigonometric ones.
+use: for the algebraic methods the reference at the n+1 Chebyshev-Lobatto
+points, truncated to the exact degree d (values at max(d, 1) + 1 points),
+for the trigonometric ones 2n+1 Fourier coefficients.
 """
 
 from __future__ import annotations
@@ -61,10 +62,12 @@ class Approximant:
     """A built approximant: callable, with its derived parameters.
 
     ``reference`` evaluates the defining expectation directly; the degree
-    certifications probe it.  Calls go through ``form``, the exact
-    coefficient form that ``compile`` builds from the reference's data on
-    first evaluation (a LobattoPoly or a TrigPoly of degree n); the form is
-    the one check of x, so a NaN or infinite x raises PreconditionError.
+    certifications probe it.  ``degree`` is the exact degree its builder
+    gives, at most n.  Calls go through ``form``, the exact coefficient
+    form that ``compile`` builds from the reference's data on first
+    evaluation (a LobattoPoly of degree max(degree, 1), or a TrigPoly of
+    degree n); the form is the one check of x, so a NaN or infinite x
+    raises PreconditionError.
     """
 
     method: str
@@ -73,7 +76,12 @@ class Approximant:
     N: Optional[int]
     reference: Callable
     compile: Callable
-    degenerate: bool = False
+    degree: int
+
+    @property
+    def degenerate(self):
+        """Exact degree 0: the approximant is a constant."""
+        return self.degree == 0
 
     @property
     def basis(self):
@@ -112,8 +120,9 @@ def _target_values(g, x, where):
     return numerics._finite(g(x), PreconditionError, f"target values must be finite {where}")
 
 
-def _lobatto_form(reference, n):
-    return lambda: LobattoPoly(reference(cheb_lobatto_nodes(n + 1)))
+def _lobatto_form(reference, n, d):
+    """The reference at the n+1 budget nodes, truncated to its exact degree d."""
+    return lambda: LobattoPoly(reference(cheb_lobatto_nodes(n + 1))).truncated(d)
 
 
 def _fourier_form(reference, n):
@@ -231,7 +240,7 @@ def _binomial_mixture(N, table):
 def _bernstein(g, n, M, N):
     values = _target_values(g, np.arange(n + 1) / n, "at the Bernstein nodes k/n")
     fn = _binomial_mixture(n, values)
-    return fn, _lobatto_form(fn, n), n
+    return fn, _lobatto_form(fn, n, n), n
 
 
 def _counting_value_table(g, N, M, median3):
@@ -254,8 +263,9 @@ def _counting_value_table(g, N, M, median3):
 
 def _counting(g, n, M, N, median3):
     # one run's law has degree M-1 in k/N; the median of three is cubic in it
+    degree = (3 if median3 else 1) * (M - 1)
     fn = _binomial_mixture(N, _counting_value_table(g, N, M, median3))
-    return fn, _lobatto_form(fn, n), (3 if median3 else 1) * (M - 1)
+    return fn, _lobatto_form(fn, n, degree), degree
 
 
 def _phase(g, n, M, N):
@@ -329,23 +339,24 @@ def build_approximant(g, method, n):
     if row.basis == "fourier" and not g.periodic:
         raise PreconditionError(f"method {method!r} requires a periodic target")
     reference, compile_form, degree = row.build(g, n, M, N)
-    degenerate = degree == 0
-    if degenerate:
+    if degree == 0:
         warnings.warn(f"{method} with n={n} has exact degree 0: the approximant "
                       "degenerates to a constant", stacklevel=2)
     return Approximant(method=method, n=n, M=M, N=N, reference=reference,
-                       compile=compile_form, degenerate=degenerate)
+                       compile=compile_form, degree=degree)
 
 
 def approximant_coefficients(approx):
     """Spectral coefficients of a built approximant, from its stored form.
 
     A real array of Chebyshev coefficients in 2x-1, degree 0..n, for the
-    algebraic methods; the complex Fourier coefficients, k = -n..n, for
-    the trigonometric ones.
+    algebraic methods, exact zeros above the exact degree; the complex
+    Fourier coefficients, k = -n..n, for the trigonometric ones.
     """
     if approx.basis == "chebyshev":
-        return approx.form.chebyshev()
+        coeffs = np.zeros(approx.n + 1)
+        coeffs[: approx.degree + 1] = approx.form.chebyshev()[: approx.degree + 1]
+        return coeffs
     return approx.form.coeffs
 
 

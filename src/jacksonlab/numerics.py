@@ -272,12 +272,15 @@ class LobattoPoly:
     exactly at every node, x = 0 and x = 1 included, on an array x in row
     blocks (_in_blocks), so a call's memory does not grow with n.  Points
     outside [0,1] are refused rather than extrapolated.  Degree >= 1.
+    The values are a read-only C-contiguous copy: a later write to the
+    caller's array changes nothing, and a strided view (a reversed one
+    included) gives the float path the same BLAS dot as the array path.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _frozen_copy(self.values, float)
         nodes = cheb_lobatto_nodes(v.size)  # refuses fewer than two values
         weights = np.ones(v.size)
         weights[1::2] = -1.0
@@ -338,13 +341,47 @@ class LobattoPoly:
 
     def chebyshev(self):
         """Chebyshev coefficients in 2x-1 of the same polynomial, degree 0..n."""
-        n = self.degree
-        # values at t = cos(pi k/n), k = 0..n, are the stored ones reversed;
-        # the DCT-I of those is a real FFT of their even extension
-        f = self.values[::-1]
-        coeffs = np.fft.rfft(np.concatenate((f, f[-2:0:-1]))).real / n
-        coeffs[[0, n]] /= 2.0
-        return coeffs
+        return _dct_coeffs(self.values)
+
+    def truncated(self, d):
+        """The Chebyshev truncation of degree d: the LobattoPoly of the
+        coefficients 0..d at max(d, 1) + 1 nodes (degree 0 is the constant),
+        or self when d >= degree.
+
+        The values are scaled by 2^-e, e the exponent of their largest
+        magnitude, for the transforms and back after: exact, and neither
+        transform overflows where the values do not.
+        """
+        d = positive_int(d, "truncation degree", low=0)
+        if d >= self.degree:
+            return self
+        e = math.frexp(float(np.max(np.abs(self.values))))[1]
+        m = max(d, 1)
+        # the inverse DCT-I: values at t = cos(pi k/m) of sum_j c_j T_j(t), by
+        # the real inverse FFT of the even extension's spectrum
+        spectrum = np.zeros(m + 1)
+        spectrum[: d + 1] = _dct_coeffs(np.ldexp(self.values, -e))[: d + 1] * m
+        spectrum[[0, m]] *= 2.0
+        f = np.fft.irfft(spectrum, 2 * m)[: m + 1]
+        return LobattoPoly(np.ldexp(f, e)[::-1])  # node j is t = cos(pi (m - j)/m)
+
+
+def _frozen_copy(values, dtype):
+    """values as a new read-only C-contiguous array of dtype."""
+    out = np.array(values, dtype=dtype, order="C")
+    out.flags.writeable = False
+    return out
+
+
+def _dct_coeffs(values):
+    """Chebyshev coefficients in 2x-1 of the values at the n + 1 Lobatto nodes."""
+    n = len(values) - 1
+    # values at t = cos(pi k/n), k = 0..n, are the stored ones reversed;
+    # the DCT-I of those is a real FFT of their even extension
+    f = values[::-1]
+    coeffs = np.fft.rfft(np.concatenate((f, f[-2:0:-1]))).real / n
+    coeffs[[0, n]] /= 2.0
+    return coeffs
 
 
 _TWO_PI_I = 2j * np.pi
@@ -372,7 +409,8 @@ class TrigPoly:
     coeffs: np.ndarray  # complex, ordered k = -m .. m
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        # a copy, as the table below is, so coeffs always says what a call evaluates
+        c = _frozen_copy(self.coeffs, complex)
         if c.size < 1 or c.size % 2 == 0:
             raise PreconditionError("coefficient vector must have odd length")
         m = (c.size - 1) // 2
@@ -506,7 +544,7 @@ def effective_algebraic_degree(h, claimed_degree, seed=0):
     """Certify that h is an algebraic polynomial of degree <= claimed_degree n.
 
     Samples h at max(4n+1, 2) Chebyshev-Lobatto nodes, keeps the Chebyshev
-    coefficients of degree <= n of the interpolant (LobattoPoly.chebyshev),
+    coefficients of degree <= n of the interpolant (LobattoPoly.truncated),
     and returns the max deviation between h and that truncation on fresh
     random points.  A small residual certifies the degree bound regardless
     of aliasing.
@@ -514,9 +552,7 @@ def effective_algebraic_degree(h, claimed_degree, seed=0):
     n = positive_int(claimed_degree, "claimed_degree", low=0)
     vals = _finite(h(cheb_lobatto_nodes(max(4 * n + 1, 2))), EvaluationError,
                    "non-finite sample during degree probe")
-    coeffs = LobattoPoly(vals).chebyshev()[: n + 1]
-    return _probe_residual(
-        h, lambda x: np.polynomial.chebyshev.chebval(2.0 * x - 1.0, coeffs), seed)
+    return _probe_residual(h, LobattoPoly(vals).truncated(n), seed)
 
 
 def effective_trig_degree(h, claimed_degree, seed=0):

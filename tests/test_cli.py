@@ -47,6 +47,17 @@ class TestConstruct:
         assert doc["basis"] == ("fourier" if trig else "chebyshev")
         assert len(doc["coefficients"]) == (17 if trig else 9)
 
+    @pytest.mark.parametrize("method,n,degree", [("counting_median3", 40, 18),
+                                                  ("counting_single", 41, 20),
+                                                  ("bernstein", 8, 8)])
+    def test_exact_degree_and_padded_coefficients(self, runner, method, n, degree):
+        result = runner.invoke(main, ["construct", "--method", method, "--n", str(n),
+                                      "--target", "abs-half"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["degree"] == degree and len(doc["coefficients"]) == n + 1
+        assert not any(doc["coefficients"][degree + 1 :]) and doc["coefficients"][degree] != 0
+
     def test_trig_method_emits_fourier(self, runner):
         result = runner.invoke(
             main,
@@ -580,6 +591,17 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_construct_and_sweep_do_not_load_numpy_polynomial():
+    # the degree probe's truncation was np.polynomial.chebyshev.chebval, 4.6 ms of imports
+    code = ("import sys; from click.testing import CliRunner; from jacksonlab.cli import main; "
+            "args = ['--method', 'counting_single', '--n', '8', '--target', 'sqrt']; "
+            "codes = [CliRunner().invoke(main, [cmd, *args]).exit_code for cmd in "
+            "('construct', 'sweep')]; print(codes, 'numpy.polynomial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": _src_path()},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0] False"
 
 
 def test_degenerate_notice_under_warnings_as_errors():

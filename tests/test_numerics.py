@@ -527,12 +527,86 @@ class TestLobattoPoly:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
 
+    def test_a_later_write_to_the_input_changes_nothing(self):
+        # the values were the caller's array: a write to it changed the polynomial
+        vals = np.random.default_rng(15).normal(size=9)
+        poly = LobattoPoly(vals)
+        xs = np.random.default_rng(16).uniform(size=32)
+        before = poly(xs)
+        vals[:] = 0.0
+        assert np.array_equal(poly(xs), before)
+        assert not poly.values.flags.writeable
+        with pytest.raises(ValueError):
+            poly.values[0] = 1.0
+
+    @pytest.mark.parametrize("size", [13, 25, 41])
+    def test_reversed_view_keeps_scalar_parity(self, size):
+        # a reversed view gave the float path a strided BLAS dot, one ulp away
+        # from the one-point array on a third to two thirds of the points
+        vals = np.random.default_rng(size).normal(size=size)
+        poly = LobattoPoly(vals[::-1])
+        assert poly.values.flags.c_contiguous
+        assert np.array_equal(poly.values, vals[::-1])
+        xs = np.random.default_rng(100 + size).uniform(size=400)
+        assert [poly(x) for x in xs.tolist()] == [poly(xs[i : i + 1])[0] for i in range(400)]
+
     def test_outside_interval_refused(self):
         poly = LobattoPoly(np.arange(4.0))
         # NaN compares false both ways, so it slipped past a test for x < 0 or x > 1
         for x in (-0.1, 1.1, np.array([0.2, 1.0 + 1e-12]), np.nan, np.array([0.2, np.nan, 0.7])):
             with pytest.raises(PreconditionError):
                 poly(x)
+
+
+class TestTruncated:
+    def test_at_or_above_the_degree_is_self(self):
+        poly = LobattoPoly(np.random.default_rng(20).normal(size=9))
+        assert poly.truncated(8) is poly and poly.truncated(20) is poly
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 11])
+    def test_keeps_the_low_coefficients(self, d):
+        coeffs = np.random.default_rng(d).normal(size=13)
+        poly = LobattoPoly(_cheb_series(coeffs)(cheb_lobatto_nodes(13)))
+        low = poly.truncated(d)
+        assert low.degree == d
+        assert np.max(np.abs(low.chebyshev() - coeffs[: d + 1])) < 1e-13
+        want = _cheb_series(coeffs[: d + 1])(cheb_lobatto_nodes(d + 1))
+        assert np.max(np.abs(low.values - want)) < 1e-13
+
+    def test_degree_zero_is_the_constant_on_two_nodes(self):
+        coeffs = np.array([0.75, -0.5, 0.25, 2.0])
+        low = LobattoPoly(_cheb_series(coeffs)(cheb_lobatto_nodes(4))).truncated(0)
+        assert low.degree == 1 and low.values[0] == low.values[1]
+        assert low.values[0] == pytest.approx(0.75, abs=1e-15)
+        assert low.chebyshev()[1] == 0.0
+
+    def test_result_is_a_frozen_copy_with_scalar_parity(self):
+        low = LobattoPoly(np.random.default_rng(21).normal(size=17)).truncated(6)
+        assert low.values.flags.c_contiguous and not low.values.flags.writeable
+        xs = np.random.default_rng(22).uniform(size=200)
+        assert [low(x) for x in xs.tolist()] == [low(xs[i : i + 1])[0] for i in range(200)]
+
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_a_power_of_two_scale_commutes_bit_for_bit(self, k):
+        vals = np.random.default_rng(23).uniform(-1.0, 1.0, size=41)
+        low = LobattoPoly(vals).truncated(18).values
+        assert np.array_equal(LobattoPoly(np.ldexp(vals, k)).truncated(18).values,
+                              np.ldexp(low, k))
+
+    def test_overflows_nowhere_the_values_do_not(self):
+        # the DCT of values near 3e307 overflows unscaled, and the form read NaN at every point
+        vals = 3e307 * (0.75 + 0.25 * np.cos(np.arange(9.0)))
+        with np.errstate(all="ignore"):
+            assert not np.all(np.isfinite(LobattoPoly(vals).chebyshev()))
+        low = LobattoPoly(vals).truncated(3)
+        assert np.all(np.isfinite(low.values))
+        assert np.array_equal(low.values, np.ldexp(LobattoPoly(vals / 2**1023).truncated(3).values,
+                                                   1023))
+
+    @pytest.mark.parametrize("d", [-1, 2.5, True, None])
+    def test_degree_must_be_a_whole_number(self, d):
+        with pytest.raises(PreconditionError, match="truncation degree"):
+            LobattoPoly(np.arange(5.0)).truncated(d)
 
 
 class TestTrigCoeffs:
@@ -778,6 +852,16 @@ class TestTrigPolyEvaluation:
         # dyadic points in [-3, 4), so x + 1000 is exact and only the phase reduction can differ
         xs = np.arange(-3 * 256, 4 * 256) / 256 + rng.integers(0, 256, size=7 * 256) / 2**16
         assert np.max(np.abs(poly(xs + 1000.0) - poly(xs))) <= 1e-13
+
+    def test_a_later_write_to_the_input_changes_nothing(self):
+        # coeffs was the caller's array while the evaluation table was a copy,
+        # so a write left the calls as they were and coeffs reading all zeros
+        c = np.random.default_rng(5).normal(size=7) + 0j
+        poly = TrigPoly(c)
+        before, kept = poly(0.1), c.copy()
+        c[:] = 0.0
+        assert poly(0.1) == before and np.array_equal(poly.coeffs, kept)
+        assert poly.coeffs.flags.c_contiguous and not poly.coeffs.flags.writeable
 
     def test_shapes(self):
         rng = np.random.default_rng(3)
