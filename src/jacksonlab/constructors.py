@@ -243,22 +243,38 @@ def _bernstein(g, n, M, N):
     return fn, _lobatto_form(fn, n, n), n
 
 
+def _weight_laws(weights, N, M, median3):
+    """The law of A (or of A', the median of three) at each weight, one row each."""
+    laws = np.array([single_run_amp_pmf(k, N, M)[1] for k in weights.tolist()])
+    return numerics.median3_pmf(amp_support(M)[0], laws)[1] if median3 else laws
+
+
+@lru_cache(maxsize=8)
+def _counting_laws(N, M, median3):
+    """_weight_laws at every weight 0..N, read-only: (N+1, M//2+1), target-free.
+
+    Kept only for a table of one block (_counting_value_table), so each
+    array holds at most numerics._BLOCK_ENTRIES floats (512 kB), 4 MB in all.
+    """
+    laws = _weight_laws(np.arange(N + 1), N, M, median3)
+    laws.flags.writeable = False
+    return laws
+
+
 def _counting_value_table(g, N, M, median3):
     """v_k = E[g(A)|weight k] (or E[g(A')|k]), one entry per weight.
 
-    The integer weights run in row blocks (numerics._in_blocks); per block the
-    median rule and g, evaluated once on the amplitude support, apply once.
+    g is evaluated once on the amplitude support.  A table that fits one
+    block (numerics._in_blocks) is one product with the cached laws of
+    (N, M, median3); a larger one runs the weights in row blocks, each
+    block's laws made and dropped in turn, and keeps nothing.
     """
     values = amp_support(M)[0]
     gvals = _target_values(g, values, "on the counting amplitude support")
-
-    def rows(weights):
-        laws = np.array([single_run_amp_pmf(k, N, M)[1] for k in weights.tolist()])
-        if median3:
-            laws = numerics.median3_pmf(values, laws)[1]
-        return laws @ gvals
-
-    return numerics._in_blocks(rows, np.arange(N + 1), len(values))
+    if N + 1 <= numerics._block_rows(len(values)):
+        return _counting_laws(N, M, median3) @ gvals
+    return numerics._in_blocks(lambda weights: _weight_laws(weights, N, M, median3) @ gvals,
+                               np.arange(N + 1), len(values))
 
 
 def _counting(g, n, M, N, median3):

@@ -133,15 +133,20 @@ def _finite(values, error, message):
 _BLOCK_ENTRIES = 1 << 16
 
 
+def _block_rows(width):
+    """Points in one block of a (points x width) evaluation."""
+    return max(1, _BLOCK_ENTRIES // width)
+
+
 def _in_blocks(rows_fn, xs, width):
     """rows_fn's values on the 1-D array xs, one array, with rows_fn applied
-    in order to blocks of at most max(1, _BLOCK_ENTRIES // width) points.
+    in order to blocks of at most _block_rows(width) points.
 
     rows_fn maps a 1-D array of points to one value each through a
     (points x width) matrix.  Points that fit one block go to rows_fn in
     one call, whose array is returned as it is.
     """
-    step = max(1, _BLOCK_ENTRIES // width)
+    step = _block_rows(width)
     if len(xs) <= step:
         return rows_fn(xs)
     out = np.empty(len(xs))
@@ -247,7 +252,7 @@ class Grid:
             raise PreconditionError("grid points must lie in [0,1]")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise PreconditionError("grid points must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _frozen_copy(pts, float))
 
     def __len__(self):
         return len(self.points)

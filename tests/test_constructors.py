@@ -28,7 +28,7 @@ from jacksonlab.constructors import (
     derived_params,
 )
 from jacksonlab.corpus import CORPUS, target_from_csv
-from jacksonlab.phase_dist import median3_amp_pmf, single_run_amp_pmf, theta_of_weight
+from jacksonlab.phase_dist import amp_support, median3_amp_pmf, single_run_amp_pmf, theta_of_weight
 from jacksonlab.qsim import counting_statevector_pmf
 from jacksonlab.numerics import (
     cheb_lobatto_nodes,
@@ -406,6 +406,7 @@ class TestCountingValueTable:
 
     @pytest.mark.parametrize("method", ["counting_median3", "counting_single"])
     def test_one_law_per_weight_and_one_target_call(self, monkeypatch, method):
+        constructors._counting_laws.cache_clear()  # a cold build: earlier tests warm the cache
         weights, sizes = [], []
         law = constructors.single_run_amp_pmf
         monkeypatch.setattr(constructors, "single_run_amp_pmf",
@@ -422,6 +423,68 @@ class TestCountingValueTable:
         g = TargetFunction(lambda x: np.where(x > 0.5, bad, x), name="bad")
         with pytest.raises(PreconditionError, match="finite"):
             build_approximant(g, method, 12)
+
+
+class TestCountingLawsCache:
+    # a table of one block is one product with its (N, M, median3) laws, kept
+    # in _counting_laws; a larger table streams its blocks and keeps nothing
+
+    @pytest.mark.parametrize("method", ["counting_median3", "counting_single"])
+    def test_cold_warm_and_streamed_tables_are_equal(self, monkeypatch, method):
+        g, median3 = CORPUS["abs-half"], method == "counting_median3"
+        M, N = derived_params(method, 40)
+        constructors._counting_laws.cache_clear()
+        cold = constructors._counting_value_table(g, N, M, median3)
+        info = constructors._counting_laws.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+        warm = constructors._counting_value_table(g, N, M, median3)
+        assert constructors._counting_laws.cache_info().hits == 1
+        # the uncached product of all N + 1 laws, bit for bit
+        gvals = g(amp_support(M)[0])
+        laws = constructors._weight_laws(np.arange(N + 1), N, M, median3)
+        assert np.array_equal(cold, laws @ gvals) and np.array_equal(warm, laws @ gvals)
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 5 * (M // 2 + 1))  # 5 weights a block
+        streamed = constructors._counting_value_table(g, N, M, median3)
+        assert constructors._counting_laws.cache_info() == (1, 1, 8, 1)
+        # the same laws, five to a product: a row's rounding may depend on its
+        # place in its block, so the streamed table is compared block by block
+        blocks = [laws[i:i + 5] @ gvals for i in range(0, N + 1, 5)]
+        assert np.array_equal(streamed, np.concatenate(blocks))
+
+    @pytest.mark.parametrize("method", ["counting_median3", "counting_single"])
+    def test_warm_build_makes_no_law_and_calls_g_once(self, monkeypatch, method):
+        constructors._counting_laws.cache_clear()
+        build_approximant(CORPUS["sqrt"], method, 12)
+        weights, sizes = [], []
+        law = constructors.single_run_amp_pmf
+        monkeypatch.setattr(constructors, "single_run_amp_pmf",
+                            lambda k, N, M: weights.append(k) or law(k, N, M))
+        g = TargetFunction(lambda x: sizes.append(np.size(x)) or np.sqrt(x), name="counted")
+        approx = build_approximant(g, method, 12)
+        assert weights == [] and sizes == [approx.M // 2 + 1]
+        bad = TargetFunction(lambda x: np.where(x > 0.5, np.nan, x), name="bad")
+        with pytest.raises(PreconditionError, match="finite"):
+            build_approximant(bad, method, 12)
+        assert weights == []
+
+    @pytest.mark.parametrize("median3", [True, False])
+    def test_cached_laws_are_read_only(self, median3):
+        constructors._counting_laws.cache_clear()
+        # not (16, 5), counting_single at n = 4, whose cold build perfbench's tracer test counts
+        laws = constructors._counting_laws(25, 5, median3)
+        assert laws.shape == (26, 3) and not laws.flags.writeable
+        with pytest.raises(ValueError):
+            laws[0, 0] = 1.0
+        assert constructors._counting_laws(25, 5, median3) is laws
+
+    @pytest.mark.parametrize("n, kept", [(88, 1), (90, 0), (96, 0)])
+    def test_only_a_table_of_one_block_is_kept(self, n, kept):
+        # n = 88: 7745 weights x 8 estimates fit one block; n = 90 and 96 do not
+        M, N = derived_params("counting_median3", n)
+        constructors._counting_laws.cache_clear()
+        table = constructors._counting_value_table(CORPUS["abs-half"], N, M, True)
+        assert len(table) == N + 1
+        assert constructors._counting_laws.cache_info().currsize == kept
 
 
 class TestBinomialMixtureReference:

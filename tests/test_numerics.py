@@ -22,7 +22,7 @@ from jacksonlab import (
     trig_coeffs_from_samples,
 )
 from jacksonlab.corpus import CORPUS
-from jacksonlab.constructors import build_approximant
+from jacksonlab.constructors import build_approximant, error_report
 from jacksonlab.phase_dist import fejer_value
 from oracles import conjugate_symmetry_defect, fourier_sum, imag_residue, median3, median3_pmf_by_unique
 
@@ -766,6 +766,18 @@ class TestDomainTypes:
             with pytest.raises(PreconditionError):
                 Grid.uniform(size)
         assert np.array_equal(Grid.uniform(5.0).points, Grid.uniform(5).points)
+
+    def test_grid_keeps_its_own_read_only_points(self):
+        # the grid held the caller's array, so a later write moved its points
+        p = np.linspace(0.0, 1.0, 5)
+        grid = Grid(p)
+        before = error_report(CORPUS["sqrt"], "bernstein", 4, grid=grid)
+        p[:] = [3.0, 2.0, 1.0, 0.0, -1.0]
+        assert np.array_equal(grid.points, np.linspace(0.0, 1.0, 5))
+        assert error_report(CORPUS["sqrt"], "bernstein", 4, grid=grid) == before
+        assert not grid.points.flags.writeable
+        with pytest.raises(ValueError):
+            grid.points[0] = 0.5
 
     def test_periodic_targets_wrap(self):
         xs = np.linspace(0.0, 1.0, 33)
