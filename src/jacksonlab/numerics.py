@@ -17,6 +17,9 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+# numpy loads numpy.fft lazily; every compile and degree probe calls it, so
+# load it here, not inside the first form call (about 1.4 ms there)
+import numpy.fft
 
 
 class PreconditionError(ValueError):
@@ -279,7 +282,9 @@ class LobattoPoly:
     outside [0,1] are refused rather than extrapolated.  Degree >= 1.
     The values are a read-only C-contiguous copy: a later write to the
     caller's array changes nothing, and a strided view (a reversed one
-    included) gives the float path the same BLAS dot as the array path.
+    included) gives the float path the same BLAS product as the array path.
+    Both sums of the formula, q . values and sum(q), come from one BLAS
+    product of the weight rows q with the (n+1, 2) table [values, 1].
     """
 
     values: np.ndarray
@@ -295,6 +300,11 @@ class LobattoPoly:
         # the same floats: bisect and float == cost a quarter of searchsorted and a numpy ==
         object.__setattr__(self, "_node_list", nodes.tolist())
         object.__setattr__(self, "_weights", weights)
+        terms = np.empty((v.size, 2))
+        terms[:, 0] = v
+        terms[:, 1] = 1.0
+        terms.flags.writeable = False
+        object.__setattr__(self, "_terms", terms)
 
     @property
     def degree(self):
@@ -313,9 +323,8 @@ class LobattoPoly:
             diff = x - self._nodes
             if x < _TINY:
                 diff *= _SUBNORMAL_SCALE
-            q = self._weights / diff
-            # q @'s BLAS dot and ndarray.sum's pairwise sum, without their dispatch
-            return float(q.dot(self.values) / np.add.reduce(q))
+            sums = (self._weights / diff).dot(self._terms)
+            return float(sums[0] / sums[1])
         lo, hi = (x.min(), x.max()) if x.size else (1.0, 1.0)
         if not (lo >= 0.0 and hi <= 1.0):  # NaN fails too
             raise PreconditionError("all x must lie in [0, 1]")
@@ -342,7 +351,8 @@ class LobattoPoly:
             q[xs < _TINY] *= _SUBNORMAL_SCALE  # xs - 0, the first column, is exact
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(self._weights, q, out=q)
-            return (q @ self.values) / np.add.reduce(q, axis=1)
+            sums = q @ self._terms
+            return sums[:, 0] / sums[:, 1]
 
     def chebyshev(self):
         """Chebyshev coefficients in 2x-1 of the same polynomial, degree 0..n."""

@@ -593,6 +593,15 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_numpy_fft_but_not_numpy_random():
+    # numpy.fft loads lazily, so numerics imports it: else the first form call pays for
+    # it; numpy.random stays out (verify's form-check points say why)
+    code = "import sys, jacksonlab; print('numpy.fft' in sys.modules, 'numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": _src_path()},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True False"
+
+
 def test_construct_and_sweep_do_not_load_numpy_polynomial():
     # the degree probe's truncation was np.polynomial.chebyshev.chebval, 4.6 ms of imports
     code = ("import sys; from click.testing import CliRunner; from jacksonlab.cli import main; "

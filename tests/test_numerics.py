@@ -440,16 +440,17 @@ class TestLobattoPoly:
         # elsewhere a batch sums in its BLAS call's order, not the scalar path's
         assert np.max(np.abs(scalar - out.reshape(-1))) <= 1e-13 * (1 + np.max(np.abs(vals)))
 
-    @pytest.mark.parametrize("n", [1, 2, 40, 200])
+    @pytest.mark.parametrize("n", [1, 2, 40, 200, 1000])
     def test_float_path_is_the_searchsorted_form_bit_for_bit(self, n):
-        # the float path (bisect on a node list, q.dot, np.add.reduce) gives
-        # the bits of this form: a searchsorted hit, then float((q @ v) / q.sum())
+        # the float path (bisect on a node list, one dot with [values, 1]) gives the
+        # bits of this form: a searchsorted hit, then q . [values, 1] and their ratio
         values = np.random.default_rng(n).normal(size=n + 1)
         poly = LobattoPoly(values)
         nodes = cheb_lobatto_nodes(n + 1)
         weights = np.ones(n + 1)
         weights[1::2] = -1.0
         weights[[0, -1]] *= 0.5
+        terms = np.stack((values, np.ones(n + 1)), 1)
 
         def searchsorted_form(x):
             i = nodes.searchsorted(x)
@@ -458,8 +459,8 @@ class TestLobattoPoly:
             diff = x - nodes
             if x < np.finfo(float).tiny:
                 diff *= 2.0**1000
-            q = weights / diff
-            return float((q @ values) / q.sum())
+            sums = (weights / diff).dot(terms)
+            return float(sums[0] / sums[1])
 
         xs = np.concatenate((np.random.default_rng(100 + n).uniform(size=2000), nodes,
                              np.nextafter(nodes, -1.0), np.nextafter(nodes, 2.0),
@@ -469,14 +470,14 @@ class TestLobattoPoly:
         want = np.array([searchsorted_form(x) for x in xs.tolist()])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-        # the array path's row sums (np.add.reduce) give those of q.sum(axis=1);
-        # BLAS may sum a row by its place in a block, so these run in the same blocks
+        # the array path's sums are the columns of q @ [values, 1]; BLAS may
+        # sum a row by its place in a block, so these run in the same blocks
         def sum_rows(block):
             q = block[:, None] - nodes
             q[block < np.finfo(float).tiny] *= 2.0**1000
             with np.errstate(divide="ignore", invalid="ignore"):
-                q = weights / q
-                return (q @ values) / q.sum(axis=1)
+                sums = (weights / q) @ terms
+                return sums[:, 0] / sums[:, 1]
 
         want = numerics._in_blocks(sum_rows, xs, n + 1)
         i = nodes.searchsorted(xs)
@@ -539,7 +540,7 @@ class TestLobattoPoly:
         with pytest.raises(ValueError):
             poly.values[0] = 1.0
 
-    @pytest.mark.parametrize("size", [13, 25, 41])
+    @pytest.mark.parametrize("size", [13, 25, 41, 201, 1001])
     def test_reversed_view_keeps_scalar_parity(self, size):
         # a reversed view gave the float path a strided BLAS dot, one ulp away
         # from the one-point array on a third to two thirds of the points
