@@ -193,20 +193,23 @@ def binom_band_width(N):
     one for centring the band on rint(Nx), so each tail outside the band
     holds at most e^-80.  h grows as sqrt(N): O(n) weights for N = n^2.
     """
+    N = positive_int(N, "N")
     L = _TAIL_LOG
     h = math.ceil(L / 3 + math.sqrt(L * L / 9 + 2 * L * N / 4)) + 1
     return min(N + 1, 2 * h + 1)
 
 
 def binom_weight_matrix(N, xs):
-    """Band of the Binomial(N, x) pmf for each x in xs, as (lo, w).
+    """Band of the Binomial(N, x) pmf for each x in the 1-D array xs, as (lo, w).
 
     w has shape (len(xs), binom_band_width(N)) and w[i, j] = P[K = lo[i] + j]
     for x = xs[i]; the band is centred on rint(N x) and clipped into 0..N.
     Computed in log space.  Rows for x in {0, 1} are exact point masses;
     the others are renormalized over their band.
     """
-    xs = np.asarray(xs, dtype=float)
+    N, xs = positive_int(N, "N"), real_x(xs)
+    if np.ndim(xs) != 1:
+        raise PreconditionError("xs must be a 1-D array")
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise PreconditionError("all x must lie in [0, 1]")
     W = binom_band_width(N)

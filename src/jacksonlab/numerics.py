@@ -115,14 +115,19 @@ def finite_phases(x):
     return x
 
 
-def _finite(values, error, message):
+def _finite(values, error, message, at=None):
     """values as a float array; error(message) if any is NaN or infinite, or if
-    they are not bool, int or float (a complex value is not cast to its real part)."""
+    they are not int or float (a complex value is not cast to its real part,
+    nor a bool read as 0 or 1).  With at, the points the values were taken at,
+    the message names the first point whose value is not finite."""
     values = np.asarray(values)
-    if values.dtype.kind not in "biuf":
+    if values.dtype.kind not in "iuf":
         raise error(f"{message}, got dtype {values.dtype}")
     values = values.astype(float, copy=False)
-    if not np.isfinite(values).all():
+    finite = np.isfinite(values)
+    if not finite.all():
+        if at is not None:  # a flat index: a constant's first bad point is at[0]
+            message = f"{message} at x={float(at[np.flatnonzero(~finite)[0]])!r}"
         raise error(message)
     return values
 
@@ -158,12 +163,6 @@ def _in_blocks(rows_fn, xs, width):
     return out
 
 
-def _scalarize(out, like):
-    if np.isscalar(like) or np.ndim(like) == 0:
-        return float(out)
-    return out
-
-
 def frac(x):
     """x mod 1 of a float array, bit for bit x % 1.0 at about a tenth of its
     cost: floor is exact, and x - floor(x) rounds the true remainder once."""
@@ -171,9 +170,11 @@ def frac(x):
 
 
 def circle_dist(a, b):
-    """Distance between phases a and b on the circle R/Z, in [0, 1/2]."""
-    d = frac(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-    return _scalarize(np.minimum(d, 1.0 - d), d)
+    """Distance between phases a and b on the circle R/Z, in [0, 1/2]; NaN at NaN/inf."""
+    with np.errstate(invalid="ignore"):  # inf - floor(inf)
+        d = frac(real_x(a) - real_x(b))
+    out = np.minimum(d, 1.0 - d)
+    return float(out) if isinstance(d, float) else out
 
 
 def median3_pmf(values, probs):
@@ -186,11 +187,10 @@ def median3_pmf(values, probs):
     row is one law on the same values, and the returned probs have shape
     (..., len(support)).
     """
-    values = np.asarray(values, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    if values.ndim != 1:
+    values, probs = real_x(values), real_x(probs)
+    if np.ndim(values) != 1:
         raise PreconditionError("median3_pmf: values must be a 1-D array")
-    if probs.shape[-1:] != values.shape:
+    if np.shape(probs)[-1:] != values.shape:
         raise PreconditionError("median3_pmf: probs must end in an axis of len(values)")
     order = np.argsort(values, kind="stable")
     ordered = values[order]
@@ -234,7 +234,7 @@ class TargetFunction:
     name: str = "anonymous"
 
     def __call__(self, x):
-        return self.evaluator(np.asarray(x, dtype=float))
+        return self.evaluator(np.asarray(real_x(x)))  # an ndarray, 0-d for a number
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,9 @@ class LobattoPoly:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen_copy(self.values, float)
+        v = _frozen_copy(real_x(self.values), float)  # not parsed from strings
+        if v.ndim != 1:
+            raise PreconditionError("values must be a 1-D array")
         nodes = cheb_lobatto_nodes(v.size)  # refuses fewer than two values
         weights = np.ones(v.size)
         weights[1::2] = -1.0
@@ -426,8 +428,8 @@ class TrigPoly:
     def __post_init__(self):
         # a copy, as the table below is, so coeffs always says what a call evaluates
         c = _frozen_copy(self.coeffs, complex)
-        if c.size < 1 or c.size % 2 == 0:
-            raise PreconditionError("coefficient vector must have odd length")
+        if c.ndim != 1 or c.size % 2 == 0:
+            raise PreconditionError("coefficient vector must be 1-D, of odd length")
         m = (c.size - 1) // 2
         baby = math.isqrt(m) + 1  # ceil(sqrt(m + 1))
         giant = -(-(m + 1) // baby)
@@ -465,13 +467,9 @@ class TrigPoly:
 def sup_distance(f, h, grid):
     """Max over the grid of |f(x) - h(x)|; a lower bound on the sup norm."""
     pts = grid.points
-    fv = np.asarray(f(pts), dtype=float)
-    hv = np.asarray(h(pts), dtype=float)
-    diff = fv - hv
-    bad = ~np.isfinite(diff)
-    if bad.any():
-        raise EvaluationError(f"non-finite value at x={float(pts[bad][0])!r}")
-    return float(np.max(np.abs(diff)))
+    # each output is gated, and so is their difference, which can overflow
+    gate = partial(_finite, error=EvaluationError, message="non-finite value", at=pts)
+    return float(np.max(np.abs(gate(gate(f(pts)) - gate(h(pts))))))
 
 
 def modulus_estimate(f, delta, grid):
@@ -490,10 +488,7 @@ def modulus_estimate(f, delta, grid):
         raise PreconditionError(
             f"grid spacing {spacing:.3g} exceeds delta/8 = {delta / 8.0:.3g}"
         )
-    vals = np.asarray(f(pts), dtype=float)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise PreconditionError(f"non-finite value at x={float(pts[bad][0])!r}")
+    vals = _finite(f(pts), PreconditionError, "non-finite value", at=pts)
     best = 0.0
     tol = delta * (1.0 + 1e-12)
     for shift in range(1, len(pts)):
@@ -548,10 +543,8 @@ def _probe_residual(h, trunc, seed):
         raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
     pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=512)
     hv = _finite(h(pts), EvaluationError, "non-finite value at a fresh point of the degree probe")
-    gap = np.abs(hv - trunc(pts))
-    bad = ~np.isfinite(gap)
-    if bad.any():
-        raise EvaluationError(f"non-finite degree-probe residual at x={float(pts[bad][0])!r}")
+    gap = _finite(np.abs(hv - trunc(pts)), EvaluationError, "non-finite degree-probe residual",
+                  at=pts)
     return float(np.max(gap))
 
 

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import (PreconditionError, _scalarize, finite_phase, finite_phases, frac,
-                       median3_pmf, positive_int, view_fits, window_view)
+from .numerics import (PreconditionError, finite_phase, finite_phases, frac, median3_pmf,
+                       positive_int, real_x, view_fits, window_view)
 
 # below this circle distance the removable singularity is replaced by its limit
 _SINGULARITY_EPS = 1e-15
@@ -181,24 +181,23 @@ def median3_amp_pmf(k, N, M):
 
 
 def tail_bound(M, d):
-    """Quadratic falloff bound 1/(4 M^2 d^2); +inf at d = 0 (vacuous)."""
-    d = np.asarray(d, dtype=float)
+    """Quadratic falloff bound 1/(4 M^2 d^2); +inf at d = 0 (vacuous), NaN at NaN."""
+    M = positive_int(M, "M")
     with np.errstate(divide="ignore"):
-        return 1.0 / (4.0 * M**2 * d**2)
+        return 1.0 / (4.0 * M**2 * np.square(real_x(d)))
 
 
 def fejer_value(n, t):
-    """1-periodic Fejer kernel of order n; equals n at integers, NaN at NaN/inf."""
-    n = positive_int(n, "n")
+    """1-periodic Fejer kernel of order n (a float for a number t); NaN at NaN/inf."""
+    n, t = positive_int(n, "n"), real_x(t)
     # r = t - rint(t) is exact and lies in [-1/2, 1/2], so the ratio keeps its
     # full relative accuracy up to the integers, where it is 0/0 and takes its
     # limit n; F_n <= n, which the clamp keeps against rounding
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_arr = np.asarray(t, dtype=float)
-        r = t_arr - np.rint(t_arr)
+        r = t - np.rint(t)
         ratio = np.sin(np.pi * n * r) ** 2 / (n * np.sin(np.pi * r) ** 2)
     out = np.where(np.abs(r) <= _SINGULARITY_EPS, float(n), np.minimum(ratio, n))
-    return _scalarize(out, t)
+    return float(out) if isinstance(t, float) else out
 
 
 def _offset_angles(order, Q):
@@ -230,6 +229,8 @@ def fejer_identity_check(M, x):
     """
     M = positive_int(M, "M")
     xs = frac(np.asarray(finite_phases(x)))  # reduced first, so M*x cannot overflow
+    if xs.size == 0:
+        raise PreconditionError("x must hold at least one phase")
     if np.any(np.abs(M * xs - np.rint(M * xs)) < 1e-12):
         raise PreconditionError("M*x must not be an integer")
     kernel_side = fejer_value(M, np.arange(M) / M - xs[..., None]) / M

@@ -16,8 +16,8 @@ import numpy as np
 from .numerics import PreconditionError, finite_phases, positive_int
 
 
-class ResourceError(RuntimeError):
-    """Requested simulation exceeds the supported desk-scale dimensions."""
+class ResourceError(PreconditionError, RuntimeError):
+    """Requested simulation exceeds the supported desk-scale dimensions (a refusal)."""
 
 
 @lru_cache(maxsize=64)

@@ -16,7 +16,7 @@ from . import phase_dist, qsim
 from .constructors import METHODS, TRIG_METHODS, build_approximant
 from .corpus import get_target
 from .numerics import circle_dist
-from .phase_dist import amp_support, single_run_amp_pmf, single_run_pmf
+from .phase_dist import single_run_amp_pmf, single_run_pmf
 
 
 # the phase checks' precisions and phase count; the counting checks' bitstring lengths
@@ -84,9 +84,10 @@ def check_mixture(laws=None):
 
 
 def check_amp_law(laws=None):
-    # the one-eigenphase amplitude law against the statevector law folded z <-> M-z
-    return max(float(np.max(np.abs(np.bincount(amp_support(M)[1], weights=law)
-                                   - single_run_amp_pmf(k, N, M)[1])))
+    # the amplitude law against the statevector law folded z <-> M-z here, not by amp_support
+    return max(float(np.max(np.abs(
+        np.bincount(np.minimum(np.arange(M), np.arange(M, 0, -1)), weights=law,
+                    minlength=M // 2 + 1) - single_run_amp_pmf(k, N, M)[1])))
                for k, N, M, law in laws or _counting_laws())
 
 

@@ -1,7 +1,12 @@
 """Bad inputs raise rather than return numbers, at every public evaluator.
 
-fejer_value, KernelSpec.__call__ and circle_dist are left out: they return
-NaN for a NaN phase by design.
+The first matrix covers the evaluators that refuse every bad x, NaN and
+infinities included.  The second covers those that return NaN for a NaN x
+by design (fejer_value, KernelSpec.__call__, circle_dist, tail_bound) and
+the other entries gated by real_x or _finite (median3_pmf, binom_weight_matrix,
+TargetFunction.__call__, and the f of sup_distance and modulus_estimate):
+a str, None, bool, complex or str-array x is refused there, not parsed, read
+as 1, turned into NaN or cast to its real part.
 """
 
 from functools import lru_cache
@@ -10,19 +15,27 @@ import numpy as np
 import pytest
 
 from jacksonlab import (
+    EvaluationError,
+    Grid,
     LobattoPoly,
     PreconditionError,
     TrigPoly,
     build_approximant,
+    circle_dist,
     effective_algebraic_degree,
     effective_trig_degree,
     fejer_identity_check,
+    fejer_value,
+    jackson_kernel,
+    median3_pmf,
+    modulus_estimate,
     pe_pmf,
     pe_statevector_pmf,
+    sup_distance,
 )
-from jacksonlab.constructors import METHODS, TRIG_METHODS
+from jacksonlab.constructors import METHODS, TRIG_METHODS, binom_weight_matrix
 from jacksonlab.corpus import CORPUS
-from jacksonlab.phase_dist import pe_pmf_rows
+from jacksonlab.phase_dist import pe_pmf_rows, tail_bound
 
 BAD_X = [np.nan, np.inf, -np.inf, "0.25", None, True, 1 + 1j,
          np.array([np.nan]), np.array(["0.25"])]
@@ -52,6 +65,56 @@ def test_bad_x_raises(name, x):
     # a bad x is a precondition at every gate; EvaluationError is kept for a non-finite output
     with pytest.raises(PreconditionError):
         EVALUATORS[name](x)
+
+
+# the bad x that are not real numbers: the second matrix's
+NOT_REAL = {"str": "0.25", "None": None, "True": True, "complex": 1 + 1j,
+            "str-array": np.array(["0.25"])}
+
+# NaN in, NaN out, as each documents
+NAN_PASSING = {
+    "fejer_value": lambda x: fejer_value(4, x),
+    "KernelSpec": lambda x: jackson_kernel(4)(x),
+    "circle_dist": lambda x: circle_dist(x, 0.0),
+    "tail_bound": lambda x: tail_bound(4, x),
+}
+
+
+@pytest.mark.parametrize("x", NOT_REAL.values(), ids=NOT_REAL)
+@pytest.mark.parametrize("name", NAN_PASSING)
+def test_nan_passes_but_a_non_real_x_raises(name, x):
+    # a str was parsed, None became NaN, True ran at 1 and a complex x was cast
+    evaluate = NAN_PASSING[name]
+    nan = evaluate(np.nan)
+    assert isinstance(nan, float) and np.isnan(nan)
+    assert np.isnan(evaluate(np.array([np.nan]))).all()
+    with pytest.raises(PreconditionError):
+        evaluate(x)
+
+
+_GRID = Grid.uniform(17)
+
+# each with the error it raises for a non-finite value
+GATED = {
+    "median3_pmf": (lambda x: median3_pmf([0.0], [x]), PreconditionError),
+    "binom_weight_matrix": (lambda x: binom_weight_matrix(4, [x]), PreconditionError),
+    "TargetFunction": (lambda x: CORPUS["sqrt"](x), PreconditionError),
+    "sup_distance.f": (lambda x: sup_distance(lambda _p: x, np.sqrt, _GRID), EvaluationError),
+    "modulus_estimate.f": (lambda x: modulus_estimate(lambda _p: x, 0.5, _GRID),
+                           PreconditionError),
+}
+# None became NaN at these, which refused it as a NaN already, so that case is left out
+NONE_REFUSED_AS_NAN = {"binom_weight_matrix", "sup_distance.f", "modulus_estimate.f"}
+GATED_CASES = [pytest.param(name, x, id=f"{name}-{label}")
+               for name in GATED for label, x in NOT_REAL.items()
+               if not (label == "None" and name in NONE_REFUSED_AS_NAN)]
+
+
+@pytest.mark.parametrize("name, x", GATED_CASES)
+def test_gated_entry_refuses_a_non_real_value(name, x):
+    evaluate, error = GATED[name]
+    with pytest.raises(error):
+        evaluate(x)
 
 
 # each probe with a function of degree <= 3 in its basis

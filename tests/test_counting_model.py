@@ -250,6 +250,23 @@ class TestBinomWeights:
         with pytest.raises(PreconditionError):
             binom_weight_matrix(4, [1.5])
 
+    @pytest.mark.parametrize("N", [True, -4, 2.5], ids=["True", "negative", "fraction"])
+    def test_order_must_be_a_positive_integer(self, N):
+        # True ran at N = 1, -4 raised IndexError and 2.5 TypeError
+        with pytest.raises(PreconditionError, match="N must be a positive integer"):
+            binom_weight_matrix(N, [0.5])
+
+    @pytest.mark.parametrize("N", [True, -100, 2.5], ids=["True", "negative", "fraction"])
+    def test_band_width_order_must_be_a_positive_integer(self, N):
+        # -100 raised "math domain error" from the square root
+        with pytest.raises(PreconditionError, match="N must be a positive integer"):
+            binom_band_width(N)
+
+    def test_points_must_be_a_1d_array(self):
+        # a 0-d xs raised IndexError
+        with pytest.raises(PreconditionError, match="xs must be a 1-D array"):
+            binom_weight_matrix(4, 0.5)
+
     def test_nan_rejected(self):
         with pytest.raises(PreconditionError):
             binom_weight_matrix(4, [np.nan])

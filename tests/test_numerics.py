@@ -58,6 +58,12 @@ class TestCircleDist:
             circle_dist(a, c) <= circle_dist(a, b) + circle_dist(b, c) + 1e-12
         )
 
+    def test_infinite_phase_gives_nan_without_a_warning(self):
+        # inf - floor(inf) warned of an invalid value
+        assert np.isnan(circle_dist(np.inf, 0.0))
+        d = circle_dist(np.array([-np.inf, 0.3]), 0.9)
+        assert np.isnan(d[0]) and d[1] == pytest.approx(0.4, abs=1e-15)
+
 
 class TestViewFits:
     """numerics.view_fits says whether numpy can describe a view, from its
@@ -248,6 +254,10 @@ class TestMedian3Pmf:
             with pytest.raises(PreconditionError):
                 median3_pmf([0.1, 0.2], probs)
 
+    def test_values_are_not_parsed_from_strings(self):
+        with pytest.raises(PreconditionError, match="real number"):
+            median3_pmf(np.array(["1", "2"]), [0.5, 0.5])
+
     def test_values_must_be_one_dimensional(self):
         # the last axes match, so only the shape of values is at fault
         with pytest.raises(PreconditionError, match="values must be a 1-D array"):
@@ -371,6 +381,11 @@ class TestChebCoeffs:
 
 
 class TestLobattoPoly:
+    def test_values_must_be_one_dimensional(self):
+        # numpy's broadcast ValueError came from the [values, 1] table
+        with pytest.raises(PreconditionError, match="values must be a 1-D array"):
+            LobattoPoly(np.ones((2, 2)))
+
     def test_nodes_span_the_interval(self):
         nodes = cheb_lobatto_nodes(9)
         assert nodes[0] == 0.0 and nodes[-1] == 1.0
@@ -814,6 +829,11 @@ class TestDomainTypes:
 
 
 class TestTrigPolyEvaluation:
+    def test_coefficients_must_be_one_dimensional(self):
+        # nine entries, an odd count: numpy's broadcast ValueError came from the table
+        with pytest.raises(PreconditionError, match="coefficient vector must be 1-D"):
+            TrigPoly(np.ones((3, 3)))
+
     # 9800 and 9801 straddle np.power's integer-exponent cutoff: B = 99, then 100
     DEGREES = (0, 1, 2, 3, 7, 8, 15, 16, 200, 512, 1024, 9800, 9801)
 

@@ -106,6 +106,12 @@ class TestPePmf:
                 far = d > 0
                 assert np.all(pmf.probs[far] <= tail_bound(M, d[far]) + 1e-15)
 
+    @pytest.mark.parametrize("M", [0, -3, 2.5, True])
+    def test_tail_bound_precision_must_be_a_positive_integer(self, M):
+        # M = 0 gave inf, M = -3 a bound of 2.78 and True ran at M = 1
+        with pytest.raises(PreconditionError, match="M must be a positive integer"):
+            tail_bound(M, 0.1)
+
     def test_reflection_symmetry(self):
         for M in (4, 7, 12):
             for x in (0.13, 0.377, 0.91):
@@ -629,6 +635,11 @@ class TestFejerIdentity:
         xs = (np.arange(32) + 0.5) / 32 + 1e-4  # the verify grid
         for M in range(2, 65):
             assert fejer_identity_check(M, xs) == max(fejer_identity_check(M, x) for x in xs)
+
+    def test_no_phase_is_refused(self):
+        # the max over no phases raised numpy's zero-size ValueError
+        with pytest.raises(PreconditionError, match="at least one phase"):
+            fejer_identity_check(4, np.array([]))
 
     def test_array_refuses_any_bad_phase(self):
         with pytest.raises(PreconditionError, match="finite"):

@@ -203,6 +203,13 @@ class TestCountingStatevector:
         with pytest.raises(ResourceError):
             counting_statevector_pmf(_weight_string(1, 8), 33)
 
+    def test_resource_limits_are_refusals(self):
+        # ResourceError is a PreconditionError, and still a RuntimeError
+        for w, M in ((_weight_string(1, 512), 4), (_weight_string(1, 8), 33)):
+            with pytest.raises(PreconditionError, match="capped"):
+                counting_statevector_pmf(w, M)
+        assert issubclass(ResourceError, RuntimeError)
+
     @pytest.mark.parametrize("M", [2.5, 0, -1, True])
     def test_precision_must_be_a_positive_integer(self, M):
         # int() ran 2.5 at M = 2, and M = 0 hit the size cap

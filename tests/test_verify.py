@@ -25,6 +25,22 @@ def test_amp_law_check_catches_a_dropped_fold(monkeypatch):
     assert verify.check_amp_law() > TOLERANCE["amp_law_vs_statevector"]
 
 
+def test_amp_law_check_catches_a_fold_bug_shared_with_the_law(monkeypatch):
+    # a symmetric fold bug, estimates 1 and 2 swapped for M >= 6: the law under
+    # test folds by amp_support, so the check must fold the statevector law itself
+    def swapped(M):
+        values, fold = amp_support(M)
+        if M >= 6:
+            swap = np.arange(len(values))
+            swap[[1, 2]] = 2, 1
+            fold = swap[fold]
+        return values, fold
+
+    monkeypatch.setattr(phase_dist, "amp_support", swapped)
+    monkeypatch.setattr(verify, "amp_support", swapped, raising=False)
+    assert verify.check_amp_law() > TOLERANCE["amp_law_vs_statevector"]
+
+
 def test_one_run_simulates_each_counting_law_once(monkeypatch):
     calls = []
     simulate = verify.qsim.counting_statevector_pmf
